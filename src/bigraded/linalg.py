@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import RingSpec, ZZ, UnsupportedRing
+from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 
 
@@ -68,7 +68,10 @@ def _rref_fp(p: int, rows, limit: int | None = None):
     ncols = len(rows[0]) if nrows else 0
     if nrows == 0 or ncols == 0:
         return [list(r) for r in rows], []
-    a = np.array(rows, dtype=np.int64) % p
+    # int64 holds every intermediate, |x - c*y| <= (p-1)^2 + (p-1), only
+    # for small p; above that the arithmetic runs on Python ints
+    dtype = np.int64 if (p - 1) * p < 2**63 else object
+    a = np.array(rows, dtype=dtype) % p
     pivots = []
     r = 0
     for c in range(ncols if limit is None else min(limit, ncols)):
@@ -89,7 +92,7 @@ def _rref_fp(p: int, rows, limit: int | None = None):
         r += 1
         if r == nrows:
             break
-    return [list(map(int, row)) for row in a], pivots
+    return a.tolist(), pivots
 
 
 class FieldSolver:
@@ -324,7 +327,8 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
             cols.append(vec)
         if not cols:
             return ExactMatrix.zero(ring, m.cols, 0)
-        return ExactMatrix.from_rows(ring, list(zip(*cols)))
+        # the entries come from ring operations and are normalized already
+        return ExactMatrix(ring, m.cols, len(cols), tuple(zip(*cols)))
     snf = smith_normal_form(m)
     r = snf.rank
     cols = [snf.V.col(j) for j in range(r, m.cols)]
@@ -379,9 +383,11 @@ class QuotientModule:
     """A free module k^n modulo the column span of a relation matrix.
 
     Chooses a basis of representatives for the free part of the quotient
-    and provides projection onto the corresponding coordinates.  Over Z
-    the torsion invariant factors of the quotient are recorded; callers
-    that need a free quotient must inspect `torsion`.
+    and provides projection onto the corresponding coordinates.  Over a
+    field the representatives are the standard basis vectors at
+    `free_coords`.  Over Z the torsion invariant factors of the quotient
+    are recorded; callers that need a free quotient must inspect
+    `torsion`.
     """
 
     def __init__(self, ring: RingSpec, n: int, relations: ExactMatrix | None):
@@ -399,7 +405,7 @@ class QuotientModule:
             self._echelon = [(p, red[i]) for i, p in enumerate(pivots)]
             self.torsion = ()
             free = [j for j in range(n) if j not in pivots]
-            self._free_coords = free
+            self.free_coords = free
             self.rank = len(free)
             cols = []
             for j in free:
@@ -441,7 +447,7 @@ class QuotientModule:
                     c = v[p]
                     if c != 0:
                         v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
-                out.append([v[i] for i in self._free_coords])
+                out.append([v[i] for i in self.free_coords])
             if not out:
                 return ExactMatrix.zero(ring, self.rank, 0)
             return ExactMatrix.from_rows(ring, list(zip(*out)))
@@ -459,6 +465,8 @@ def coordinates_in(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
     Raises NoSolution when some column is not in the span (over Z: not in
     the lattice spanned by the basis).
     """
+    if basis.ring.is_field:
+        return _field_coordinates(basis, vectors)
     solver = make_solver(basis)
     cols = []
     for j in range(vectors.cols):
@@ -469,3 +477,30 @@ def coordinates_in(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
     if not cols or basis.cols == 0:
         return ExactMatrix.zero(basis.ring, basis.cols, vectors.cols)
     return ExactMatrix.from_rows(basis.ring, list(zip(*cols)))
+
+
+def _field_coordinates(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
+    """coordinates_in over a field: one reduction of [basis | vectors]
+    with pivots among the basis columns.  This is the row transform a
+    FieldSolver records, applied to all columns at once, so the pivots
+    are the same and free variables are again set to zero."""
+    ring = basis.ring
+    if vectors.rows != basis.rows:
+        raise BadParameter(
+            f"vectors have {vectors.rows} rows, the basis {basis.rows}"
+        )
+    m, k = basis.cols, vectors.cols
+    if k == 0:
+        return ExactMatrix.zero(ring, m, 0)
+    red, pivots = _rref_field(
+        ring,
+        [list(a) + list(b) for a, b in zip(basis.entries, vectors.entries)],
+        limit=m,
+    )
+    for j in range(k):
+        if any(row[m + j] for row in red[len(pivots):]):
+            raise NoSolution(f"column {j} not in span")
+    rows = [(ring.zero(),) * k] * m
+    for i, c in enumerate(pivots):
+        rows[c] = tuple(red[i][m:])
+    return ExactMatrix(ring, m, k, tuple(rows))

@@ -8,6 +8,7 @@ matrix product ``g @ f``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .rings import RingSpec, BadParameter
 
@@ -129,22 +130,22 @@ class ExactMatrix:
         ring = self.ring
         if self.rows == 0 or self.cols == 0 or other.cols == 0:
             return ExactMatrix.zero(ring, self.rows, other.cols)
-        if ring.kind == "F":
-            p = ring.p
-            bt = list(zip(*other.entries)) if other.entries else []
-            out = tuple(
-                tuple(sum(a * b for a, b in zip(row, colv)) % p for colv in bt)
-                for row in self.entries
-            )
-        else:
-            bt = list(zip(*other.entries)) if other.entries else []
-            out = tuple(
-                tuple(sum(a * b for a, b in zip(row, colv)) for colv in bt)
-                for row in self.entries
-            )
-        if other.cols == 0 or self.rows == 0:
-            return ExactMatrix.zero(ring, self.rows, other.cols)
-        return ExactMatrix(ring, self.rows, other.cols, out)
+        # Accumulate only products of two nonzero entries: the matrices of
+        # this package are mostly sparse (cells, block assemblies).
+        z = ring.zero()
+        sparse_rows = [
+            [(j, b) for j, b in enumerate(brow) if b] for brow in other.entries
+        ]
+        p = ring.p if ring.kind == "F" else None
+        out = []
+        for row in self.entries:
+            acc = [z] * other.cols
+            for a, nz in zip(row, sparse_rows):
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append(tuple(x % p for x in acc) if p else tuple(acc))
+        return ExactMatrix(ring, self.rows, other.cols, tuple(out))
 
     def apply(self, vec) -> tuple:
         """Matrix times a column vector given as a flat sequence."""
@@ -166,7 +167,8 @@ class ExactMatrix:
         if any(m.rows != r for m in mats):
             raise BadParameter("hstack row mismatch")
         data = tuple(
-            tuple(x for m in mats for x in m.entries[i]) for i in range(r)
+            tuple(chain.from_iterable(parts))
+            for parts in zip(*(m.entries for m in mats))
         )
         return ExactMatrix(ring, r, sum(m.cols for m in mats), data)
 

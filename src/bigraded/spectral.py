@@ -11,6 +11,16 @@ with the differential induced by d.  Since the support is bounded and
 concentrated in non-negative columns, the pages stabilize no later than
 r = pmax + 1 and the stable page computes the homology of the total
 complex degreewise.
+
+No filtration map is ever built.  The summands of Tot_n are laid out by
+increasing column (``tot_layout``), so F_p Tot_n is a prefix of the
+coordinates and Tot_{n-1} / F_{p-r} is the complementary suffix.  Hence
+Z^r_{p,q} is the kernel of the block of d_n with the rows of that suffix
+and the columns of that prefix.  Every cycle and boundary used below is
+zero past its filtration prefix, so it is stored in the prefix
+coordinates alone.  Dropping coordinates that are zero on every vector
+of a system changes no echelon form, so the bases, quotients and
+differentials are the ones the full coordinates give.
 """
 
 from __future__ import annotations
@@ -36,83 +46,76 @@ class SpectralData:
         return self.pages[min(r, self.stable_page)]
 
 
-def _layout_positions(layout):
-    """Flat coordinate index ranges of each block of a total degree."""
-    out = {}
-    off = 0
-    for (p, q, r) in layout:
-        out[(p, q)] = (off, off + r)
-        off += r
-    return out, off
-
-
-def _filtration_inclusion(ring, layout, level):
-    """Columns: the standard basis vectors of the blocks with p <= level."""
-    _, total = _layout_positions(layout)
-    keep = []
-    off = 0
-    for (p, q, r) in layout:
-        if p <= level:
-            keep.extend(range(off, off + r))
-        off += r
-    z, o = ring.zero(), ring.one()
-    rows = tuple(
-        tuple(o if keep[j] == i else z for j in range(len(keep)))
-        for i in range(total)
+def _slice(m: ExactMatrix, rows: slice, cols: slice) -> ExactMatrix:
+    """The block m[rows, cols]."""
+    entries = tuple(row[cols] for row in m.entries[rows])
+    return ExactMatrix(
+        m.ring, len(entries), len(range(m.cols)[cols]), entries
     )
-    return ExactMatrix(ring, total, len(keep), rows)
 
 
-def _quotient_projection(ring, layout, level):
-    """Rows: the coordinates of the blocks with p > level."""
-    return _filtration_inclusion(
-        ring, [(-p, q, r) for (p, q, r) in layout], -(level + 1)
-    ).transpose()
+def _pad_rows(m: ExactMatrix, rows: int) -> ExactMatrix:
+    """m with zero rows appended up to `rows`."""
+    zero = (m.ring.zero(),) * m.cols
+    return ExactMatrix(
+        m.ring, rows, m.cols, m.entries + (zero,) * (rows - m.rows)
+    )
 
 
 class _PageWorker:
+    """Approximate cycles in filtration coordinates.
+
+    Z^r_{p,n} is stored as a basis in the first prefix(n, p) coordinates
+    of Tot_n: its elements lie in F_p, and every coordinate past that
+    prefix is zero."""
+
     def __init__(self, xt: TwistedComplex):
         self.x = xt
         self.ring = xt.ring
         self.tot = tot_twisted(xt)
-        self.layouts = {}
+        self.prefixes = {}
         self.z_cache = {}
 
-    def layout(self, n):
-        if n not in self.layouts:
-            self.layouts[n] = tot_layout(self.x, n)
-        return self.layouts[n]
+    def prefix(self, n, p) -> int:
+        """Number of coordinates of F_p Tot_n."""
+        key = (n, p)
+        if key not in self.prefixes:
+            self.prefixes[key] = sum(
+                r for pp, _, r in tot_layout(self.x, n) if pp <= p
+            )
+        return self.prefixes[key]
 
     def z_basis(self, r, p, n) -> ExactMatrix:
-        """Basis (in full total-degree-n coordinates) of the elements of
-        filtration <= p whose boundary has filtration <= p - r."""
+        """Basis of the elements of filtration <= p whose boundary has
+        filtration <= p - r, as prefix(n, p) x dim matrix."""
         key = (r, p, n)
-        if key in self.z_cache:
-            return self.z_cache[key]
-        ring = self.ring
-        layout = self.layout(n)
-        total = sum(rr for _, _, rr in layout)
-        if total == 0 or p < min((pp for pp, _, _ in layout), default=0):
-            out = ExactMatrix.zero(ring, total, 0)
-        else:
-            incl = _filtration_inclusion(ring, layout, p)
-            d = self.tot.diff(n)
-            constraint = _quotient_projection(ring, self.layout(n - 1), p - r) @ (
-                d @ incl
+        if key not in self.z_cache:
+            k = self.prefix(n, p)
+            d = _slice(self.tot.diff(n), slice(self.prefix(n - 1, p - r), None),
+                       slice(None, k))
+            # with no constraint rows every element of F_p qualifies
+            self.z_cache[key] = (
+                kernel_basis(d)
+                if d.rows and k
+                else ExactMatrix.identity(self.ring, k)
             )
-            out = incl @ kernel_basis(constraint)
-        self.z_cache[key] = out
-        return out
+        return self.z_cache[key]
+
+    def boundary(self, n, z, k) -> ExactMatrix:
+        """d z for a basis z of Z^r_{p,n}, on the first k coordinates of
+        Tot_{n-1}; the caller knows the rest vanish."""
+        return _slice(self.tot.diff(n), slice(None, k), slice(None, z.rows)) @ z
 
     def e_term(self, r, p, q):
-        """(basis of Z^r in full coordinates, quotient structure)."""
+        """(basis of Z^r, quotient structure) for E^r_{p,q}."""
         n = p + q
         znum = self.z_basis(r, p, n)
         den = ExactMatrix.hstack(
             self.ring,
             [
-                self.z_basis(r - 1, p - 1, n),
-                self.tot.diff(n + 1) @ self.z_basis(r - 1, p + r - 1, n + 1),
+                _pad_rows(self.z_basis(r - 1, p - 1, n), znum.rows),
+                self.boundary(n + 1, self.z_basis(r - 1, p + r - 1, n + 1),
+                              znum.rows),
             ],
             rows=znum.rows,
         )
@@ -146,9 +149,15 @@ def pages(x, r_max: int | None = None) -> SpectralData:
             tgt = (p - r, q + r - 1)
             if tgt not in terms:
                 continue
-            reps = znum @ qm.reps
-            img = worker.tot.diff(p + q) @ reps
             z_t, qm_t = terms[tgt]
+            # the quotient representatives are standard basis vectors, so
+            # znum @ qm.reps is a choice of columns
+            reps = ExactMatrix(
+                ring, znum.rows, qm.rank,
+                tuple(tuple(row[j] for j in qm.free_coords)
+                      for row in znum.entries),
+            )
+            img = worker.boundary(p + q, reps, z_t.rows)
             m = qm_t.project(coordinates_in(z_t, img))
             if not m.is_zero:
                 diffs[(p, q)] = m

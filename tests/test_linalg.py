@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bigraded.rings import ZZ, QQ, GF
 from bigraded.matrices import ExactMatrix
 from bigraded.linalg import (
+    FieldSolver,
     NoSolution,
     QuotientModule,
     coordinates_in,
@@ -156,3 +157,79 @@ def test_solution_is_exact(rows):
     got = solve_exact(m, b)
     assert got is not None
     assert m.apply(got) == b
+
+
+LARGE_PRIMES = (4294967311, 2**61 - 1)
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_large_prime_kernels_are_exact(p):
+    # int64 elimination overflowed here without any error
+    ring = GF(p)
+    rng = random.Random(11)
+    for _ in range(50):
+        m = M([[rng.randrange(p) for _ in range(6)] for _ in range(4)], ring)
+        k = kernel_basis(m)
+        assert k.cols == 6 - rank(m)
+        assert (m @ k).is_zero
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_large_prime_solve_round_trip(p):
+    ring = GF(p)
+    rng = random.Random(12)
+    for _ in range(20):
+        a = M([[rng.randrange(p) for _ in range(4)] for _ in range(6)], ring)
+        x = tuple(rng.randrange(p) for _ in range(4))
+        b = a.apply(x)
+        assert a.apply(solve_exact(a, b)) == b
+        vecs = a @ M([[rng.randrange(p) for _ in range(3)] for _ in range(4)], ring)
+        assert a @ coordinates_in(a, vecs) == vecs
+
+
+def _coordinates_by_solver(basis, vectors):
+    solver = FieldSolver(basis)
+    cols = []
+    for j in range(vectors.cols):
+        x = solver.solve(vectors.col(j))
+        if x is None:
+            raise NoSolution(f"column {j} not in span")
+        cols.append(x)
+    if not cols or basis.cols == 0:
+        return ExactMatrix.zero(basis.ring, basis.cols, vectors.cols)
+    return ExactMatrix.from_rows(basis.ring, list(zip(*cols)))
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), GF(4294967311)], ids=str)
+def test_coordinates_in_matches_field_solver(ring):
+    rng = random.Random(13)
+
+    def rand(r, c):
+        if not (r and c):
+            return ExactMatrix.zero(ring, r, c)
+        return M([[rng.choice((0, 0, 1, -1, 2)) for _ in range(c)]
+                  for _ in range(r)], ring)
+
+    for _ in range(60):
+        n, m, k = rng.randint(0, 6), rng.randint(0, 4), rng.randint(0, 4)
+        basis = rand(n, m)
+        inside = basis @ rand(m, k)
+        assert coordinates_in(basis, inside) == _coordinates_by_solver(basis, inside)
+        outside = ExactMatrix.hstack(ring, [inside, rand(n, 1)])
+        try:
+            expect = _coordinates_by_solver(basis, outside)
+        except NoSolution:
+            with pytest.raises(NoSolution):
+                coordinates_in(basis, outside)
+        else:
+            assert coordinates_in(basis, outside) == expect
+    # a zero-column basis spans only the zero vector
+    empty = ExactMatrix.zero(ring, 3, 0)
+    assert coordinates_in(empty, ExactMatrix.zero(ring, 3, 2)) == \
+        ExactMatrix.zero(ring, 0, 2)
+    with pytest.raises(NoSolution):
+        coordinates_in(empty, ExactMatrix.identity(ring, 3))
+    # no vectors at all
+    basis = ExactMatrix.identity(ring, 3)
+    assert coordinates_in(basis, ExactMatrix.zero(ring, 3, 0)) == \
+        ExactMatrix.zero(ring, 3, 0)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,3 +112,47 @@ def test_matmul_associative(a, b, c):
 @given(int_matrix(rows=3, cols=3), int_matrix(rows=3, cols=3))
 def test_transpose_antihomomorphism(a, b):
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
+
+
+def _matmul_reference(a, b):
+    ring = a.ring
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = ring.zero()
+            for k in range(a.cols):
+                s = ring.add(s, ring.mul(a[i, k], b[k, j]))
+            row.append(s)
+        out.append(tuple(row))
+    return ExactMatrix(ring, a.rows, b.cols, tuple(out))
+
+
+def _random_sparse(rng, ring, r, c, entry):
+    """Random matrix with some all-zero rows and scattered zeros."""
+    zero_rows = set(rng.sample(range(r), r // 3)) if r else set()
+    return ExactMatrix.from_rows(ring, [
+        [0 if i in zero_rows or rng.random() < 0.4 else entry() for _ in range(c)]
+        for i in range(r)
+    ]) if r and c else ExactMatrix.zero(ring, r, c)
+
+
+def test_matmul_matches_triple_loop():
+    rng = random.Random(5)
+    entries = {
+        ZZ: lambda: rng.getrandbits(200) - 2**199,
+        QQ: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        GF(7): lambda: rng.randrange(7),
+        GF(4294967311): lambda: rng.randrange(4294967311),
+    }
+    for ring, entry in entries.items():
+        for _ in range(30):
+            r, k, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+            a = _random_sparse(rng, ring, r, k, entry)
+            b = _random_sparse(rng, ring, k, c, entry)
+            got = a @ b
+            assert got == _matmul_reference(a, b)
+            assert (got.rows, got.cols) == (r, c)
+        # all-zero rows hold the ring's own zero (a Fraction over Q)
+        z = ExactMatrix.zero(ring, 2, 3) @ ExactMatrix.identity(ring, 3)
+        assert all(type(x) is type(ring.zero()) for row in z.entries for x in row)

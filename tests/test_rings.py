@@ -1,8 +1,18 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from bigraded.rings import ZZ, QQ, GF, BadParameter, RingSpec, ring_from_name
+from bigraded.rings import (
+    PRIME_BOUND,
+    ZZ,
+    QQ,
+    GF,
+    BadParameter,
+    RingSpec,
+    _is_prime,
+    ring_from_name,
+)
 
 
 def test_basic_arithmetic():
@@ -23,10 +33,11 @@ def test_field_flags():
 
 
 def test_nonprime_modulus_rejected():
-    with pytest.raises(BadParameter):
-        GF(4)
-    with pytest.raises(BadParameter):
-        GF(1)
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    for n in (4, 1, 561, 3215031751, 2**61 + 1):
+        with pytest.raises(BadParameter):
+            GF(n)
     with pytest.raises(BadParameter):
         RingSpec("X")
 
@@ -52,3 +63,29 @@ def test_normalize():
     assert GF(3).normalize(-1) == 2
     assert QQ.normalize(2) == Fraction(2)
     assert ZZ.from_int(-4) == -4
+
+
+def test_large_primes_construct_quickly():
+    for p in (10**15 + 37, 2**61 - 1, 4294967311):
+        t0 = time.perf_counter()
+        assert GF(p).p == p
+        assert time.perf_counter() - t0 < 0.1
+
+
+def test_primality_agrees_with_sympy():
+    import sympy
+
+    for n in list(range(-3, 2000)) + list(range(10**12, 10**12 + 500)):
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_primality_certified_up_to_bound():
+    import sympy
+
+    below = sympy.prevprime(PRIME_BOUND)
+    assert GF(below).p == below
+    # PRIME_BOUND is the least strong pseudoprime to all 13 bases, so it
+    # and everything above it is refused rather than guessed
+    for n in (PRIME_BOUND, sympy.nextprime(PRIME_BOUND)):
+        with pytest.raises(BadParameter):
+            GF(n)

@@ -6,6 +6,7 @@ from bigraded.rings import ZZ, QQ, GF, UnsupportedRing
 from bigraded.matrices import ExactMatrix
 from bigraded.chain import homology
 from bigraded.bicomplex import (
+    Bicomplex,
     bic_disc,
     bic_sphere,
     directional_subquotient,
@@ -15,6 +16,7 @@ from bigraded.bicomplex import (
 )
 from bigraded.twisted import (
     TwistedComplex,
+    embed,
     tot_twisted,
     twisted_boundary,
     twisted_disc,
@@ -22,6 +24,7 @@ from bigraded.twisted import (
 )
 from bigraded.spectral import convergence_check, pages
 from bigraded.randgen import random_bicomplex, random_twisted
+from bigraded.verify import e2_of_vertical
 
 
 def d2_example():
@@ -111,3 +114,71 @@ def test_stable_page_clamping():
     s = bic_sphere(0, 0, 1, GF(2))
     data = pages(s)
     assert data.page(50) == data.page(data.stable_page)
+
+
+LARGE_PRIME = 4294967311
+
+
+def _sympy_rank(m) -> int:
+    """Rank computed by sympy, off the package's own elimination."""
+    from sympy import GF as SymGF, QQ as SymQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    if m.ring.kind == "Q":
+        dom = SymQQ
+        conv = lambda x: dom(x.numerator, x.denominator)
+    else:
+        dom = SymGF(m.ring.p)
+        conv = dom
+    return DomainMatrix(
+        [[conv(x) for x in row] for row in m.entries], (m.rows, m.cols), dom
+    ).rank()
+
+
+def _total_homology_dims(x) -> dict:
+    t = tot_twisted(embed(x))
+    dims = {
+        n: t.rank(n) - _sympy_rank(t.diff(n)) - _sympy_rank(t.diff(n + 1))
+        for n in t.degrees()
+    }
+    return {n: d for n, d in dims.items() if d}
+
+
+def _spectral_inputs(ring, seed):
+    objs = [twisted_disc(p, 0, ring) for p in range(5)]
+    objs += [twisted_boundary(p, 0, ring) for p in range(1, 5)]
+    rng = random.Random(seed)
+    for _ in range(3):
+        objs.append(random_bicomplex(rng, ring, p_range=(0, 3), q_range=(-1, 2)))
+        objs.append(random_twisted(rng, ring, p_range=(0, 3), q_range=(-1, 2)))
+    return objs
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), GF(LARGE_PRIME)], ids=str)
+def test_pages_against_independent_ranks(ring):
+    for x in _spectral_inputs(ring, seed=17):
+        data = pages(x)
+        # each page is the homology of the previous one
+        for r in range(1, data.stable_page):
+            diffs = data.differentials.get(r, {})
+            cur, nxt = data.page(r), data.page(r + 1)
+            for (p, q) in set(cur) | set(nxt):
+                out = diffs.get((p, q))
+                into = diffs.get((p + r, q - r + 1))
+                expect = (
+                    cur.get((p, q), 0)
+                    - (_sympy_rank(out) if out is not None else 0)
+                    - (_sympy_rank(into) if into is not None else 0)
+                )
+                assert nxt.get((p, q), 0) == expect
+        if isinstance(x, Bicomplex):
+            page2 = e2(x)
+        else:
+            page2 = e2_of_vertical(vertical_homology_twisted(x))
+        assert data.page(2) == {pq: d for pq, d in page2.items() if d}
+        sums = {}
+        for (p, q), d in data.einf.items():
+            sums[p + q] = sums.get(p + q, 0) + d
+        assert {n: d for n, d in sums.items() if d} == _total_homology_dims(x)
