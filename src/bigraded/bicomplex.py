@@ -1,13 +1,14 @@
 """Bicomplexes with bounded support in the right half plane.
 
-A bicomplex here carries anticommuting differentials d_h of bidegree
-(-1, 0) and d_v of bidegree (0, -1) with d_h^2 = d_v^2 = 0 and
-d_h d_v + d_v d_h = 0.  A `convention` flag allows the commuting-square
-variant; the two are exchanged by scaling d_v with (-1)^p per column.
-
-Totalisation, tensor and Hom are delegated to the twisted-complex
-carrier (a bicomplex is a twisted complex with vanishing higher
-structure maps), keeping one set of sign conventions.
+A bicomplex is a twisted complex whose structure maps d_i vanish for
+i >= 2: d_v = d_0 of bidegree (0, -1) and d_h = d_1 of bidegree (-1, 0),
+with d_h^2 = d_v^2 = 0 and d_h d_v + d_v d_h = 0.  `Bicomplex` and
+`BicomplexMap` subclass the twisted carrier, so totalisation, tensor,
+Hom, kernels, cokernels and direct sums are the twisted operations; a
+result is a bicomplex exactly when its inputs are.  This module adds the
+standard bicomplex cells, rows and lines, and the directional
+subquotients.  Documents in the commuting sign convention are converted
+on input by `docio`.
 """
 
 from __future__ import annotations
@@ -16,168 +17,71 @@ from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import QuotientModule, kernel_basis, image_basis, coordinates_in
 from .chain import ChainComplex, ChainMap
+from .twisted import (
+    TwistedComplex,
+    TwistedMap,
+    cokernel_twisted,
+    column_twisted,
+    column_twisted_map,
+    complex_like,
+    direct_sum_twisted,
+    hom_twisted,
+    kernel_twisted,
+    map_like,
+    tensor_layout,
+    tensor_twisted,
+    tensor_twisted_map,
+    tot_twisted,
+    tot_twisted_map,
+    validate_twisted,
+)
 
 
 class TorsionInSubquotient(Exception):
     """Directional homology over Z acquired torsion; a field is needed."""
 
 
-class Bicomplex:
-    def __init__(
-        self,
-        ring: RingSpec,
-        ranks: dict,
-        d_h: dict,
-        d_v: dict,
-        convention: str = "anticommute",
-        check: bool = True,
-    ):
-        if convention not in ("anticommute", "commute"):
-            raise BadParameter(f"unknown convention {convention!r}")
-        self.ring = ring
-        self.ranks = {pq: r for pq, r in ranks.items() if r}
-        self.d_h = {pq: m for pq, m in d_h.items() if m is not None and not m.is_zero}
-        self.d_v = {pq: m for pq, m in d_v.items() if m is not None and not m.is_zero}
-        self.convention = convention
+class Bicomplex(TwistedComplex):
+    """A twisted complex with d_v = d_0, d_h = d_1 and no d_i for i >= 2."""
+
+    def __init__(self, ring: RingSpec, ranks: dict, d_h: dict, d_v: dict, check: bool = True):
+        super().__init__(ring, ranks, {0: d_v, 1: d_h}, check=False)
         if check:
             bad = validate(self)
             if bad:
                 raise BadParameter("invalid bicomplex: " + "; ".join(bad))
 
-    # -- access --------------------------------------------------------
-
-    def rank(self, p: int, q: int) -> int:
-        return self.ranks.get((p, q), 0)
-
-    def dh(self, p: int, q: int) -> ExactMatrix:
-        m = self.d_h.get((p, q))
-        if m is None:
-            return ExactMatrix.zero(self.ring, self.rank(p - 1, q), self.rank(p, q))
-        return m
-
-    def dv(self, p: int, q: int) -> ExactMatrix:
-        m = self.d_v.get((p, q))
-        if m is None:
-            return ExactMatrix.zero(self.ring, self.rank(p, q - 1), self.rank(p, q))
-        return m
-
-    def bidegrees(self):
-        return sorted(self.ranks)
+    @property
+    def d_h(self) -> dict:
+        return self.ds.get(1, {})
 
     @property
-    def pmax(self) -> int:
-        return max((p for p, _ in self.ranks), default=0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.ranks
-
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Bicomplex)
-            and self.ring == other.ring
-            and self.convention == other.convention
-            and self.ranks == other.ranks
-            and self.d_h == other.d_h
-            and self.d_v == other.d_v
-        )
-
-    def __repr__(self) -> str:
-        return "Bicomplex(%s, %d bidegrees)" % (self.ring, len(self.ranks))
-
-    def to_ring(self, ring: RingSpec) -> "Bicomplex":
-        return Bicomplex(
-            ring,
-            dict(self.ranks),
-            {pq: m.to_ring(ring) for pq, m in self.d_h.items()},
-            {pq: m.to_ring(ring) for pq, m in self.d_v.items()},
-            convention=self.convention,
-        )
+    def d_v(self) -> dict:
+        return self.ds.get(0, {})
 
 
-def validate(x: Bicomplex) -> list:
-    """Empty list when valid, else a description per failed identity."""
-    bad = []
-    for (p, q), r in x.ranks.items():
-        if p < 0:
-            bad.append(f"support at negative column ({p},{q})")
-        if r < 0:
-            bad.append(f"negative rank at ({p},{q})")
-    for name, fam, dp, dq in (("d_h", x.d_h, -1, 0), ("d_v", x.d_v, 0, -1)):
-        for (p, q), m in fam.items():
-            if m.cols != x.rank(p, q) or m.rows != x.rank(p + dp, q + dq):
-                bad.append(f"{name} at ({p},{q}) has shape {m.rows}x{m.cols}")
-    if bad:
-        return bad
-    for (p, q) in x.ranks:
-        if not (x.dh(p - 1, q) @ x.dh(p, q)).is_zero:
-            bad.append(f"d_h^2 != 0 at ({p},{q})")
-        if not (x.dv(p, q - 1) @ x.dv(p, q)).is_zero:
-            bad.append(f"d_v^2 != 0 at ({p},{q})")
-        mixed = x.dv(p - 1, q) @ x.dh(p, q)
-        other = x.dh(p, q - 1) @ x.dv(p, q)
-        want = mixed + other if x.convention == "anticommute" else mixed - other
-        if not want.is_zero:
-            verb = "anticommute" if x.convention == "anticommute" else "commute"
-            bad.append(f"d_h and d_v do not {verb} at ({p},{q})")
-    return bad
+def validate(x: TwistedComplex) -> list:
+    """Empty list when x is a valid bicomplex, else a description per
+    failed identity."""
+    extra = [f"structure map d_{i} present" for i in x.indices() if i >= 2]
+    return validate_twisted(x) + extra
 
 
-class BicomplexMap:
+class BicomplexMap(TwistedMap):
+    """A strict map of bicomplexes."""
+
+    # __init__ and compose are defined in this class body, not only
+    # inherited, because perfbench/tracer.py wraps them through the
+    # class __dict__.
+
     def __init__(self, source: Bicomplex, target: Bicomplex, f: dict, check=True):
-        self.source = source
-        self.target = target
-        self.f = {pq: m for pq, m in f.items() if m is not None and not m.is_zero}
-        if check:
-            self._validate()
+        if not (isinstance(source, Bicomplex) and isinstance(target, Bicomplex)):
+            raise BadParameter("a bicomplex map needs bicomplex ends")
+        super().__init__(source, target, f, check=check)
 
-    def _validate(self):
-        if self.source.ring != self.target.ring:
-            raise BadParameter("map between different rings")
-        for (p, q), m in self.f.items():
-            if m.cols != self.source.rank(p, q) or m.rows != self.target.rank(p, q):
-                raise BadParameter(f"component at ({p},{q}) has wrong shape")
-        for (p, q) in set(self.source.ranks) | set(self.target.ranks):
-            if self.target.dh(p, q) @ self.component(p, q) != self.component(
-                p - 1, q
-            ) @ self.source.dh(p, q):
-                raise BadParameter(f"map does not commute with d_h at ({p},{q})")
-            if self.target.dv(p, q) @ self.component(p, q) != self.component(
-                p, q - 1
-            ) @ self.source.dv(p, q):
-                raise BadParameter(f"map does not commute with d_v at ({p},{q})")
-
-    def component(self, p: int, q: int) -> ExactMatrix:
-        m = self.f.get((p, q))
-        if m is None:
-            return ExactMatrix.zero(
-                self.source.ring, self.target.rank(p, q), self.source.rank(p, q)
-            )
-        return m
-
-    @staticmethod
-    def identity(x: Bicomplex) -> "BicomplexMap":
-        return BicomplexMap(
-            x, x, {pq: ExactMatrix.identity(x.ring, r) for pq, r in x.ranks.items()}
-        )
-
-    @staticmethod
-    def zero(source: Bicomplex, target: Bicomplex) -> "BicomplexMap":
-        return BicomplexMap(source, target, {})
-
-    def compose(self, other: "BicomplexMap") -> "BicomplexMap":
+    def compose(self, other: "TwistedMap") -> "TwistedMap":
         """self after other."""
-        return BicomplexMap(
-            other.source,
-            self.target,
-            {
-                pq: self.component(*pq) @ other.component(*pq)
-                for pq in other.source.ranks
-            },
-        )
+        return super().compose(other)
 
 
 # ---------------------------------------------------------------------------
@@ -281,67 +185,30 @@ def standard_bicomplex(kind: str, *params, ring: RingSpec = ZZ) -> Bicomplex:
 
 
 # ---------------------------------------------------------------------------
-# Totalisation, tensor, Hom (via the twisted carrier)
+# Operations shared with twisted complexes, under their bicomplex names
 # ---------------------------------------------------------------------------
 
-def tot(x: Bicomplex) -> ChainComplex:
-    from .twisted import embed, tot_twisted
-
-    if x.convention != "anticommute":
-        raise BadParameter("totalisation expects anticommuting squares")
-    return tot_twisted(embed(x))
-
-
-def tot_map(f: BicomplexMap) -> ChainMap:
-    from .twisted import tot_layout, embed
-
-    ex, ey = embed(f.source), embed(f.target)
-    ring = f.source.ring
-    tx, ty = tot(f.source), tot(f.target)
-    comps = {}
-    for n in set(tx.ranks) | set(ty.ranks):
-        src = tot_layout(ex, n)
-        tgt = tot_layout(ey, n)
-        if not src or not tgt:
-            continue
-        grid = [
-            [
-                f.component(p, q) if (p, q) == (p2, q2)
-                else ExactMatrix.zero(ring, rt, rs)
-                for (p, q, rs) in src
-            ]
-            for (p2, q2, rt) in tgt
-        ]
-        comps[n] = ExactMatrix.block(ring, grid)
-    return ChainMap(tx, ty, comps)
-
-
-def tensor(x: Bicomplex, y: Bicomplex) -> Bicomplex:
-    from .twisted import embed, tensor_twisted, to_bicomplex
-
-    return to_bicomplex(tensor_twisted(embed(x), embed(y)))
-
-
-def tensor_map(f: BicomplexMap, g: BicomplexMap) -> BicomplexMap:
-    from .twisted import embed_map, tensor_twisted_map
-
-    h = tensor_twisted_map(embed_map(f), embed_map(g))
-    return BicomplexMap(tensor(f.source, g.source), tensor(f.target, g.target), h.f)
+tot = tot_twisted
+tot_map = tot_twisted_map
+tensor = tensor_twisted
+tensor_map = tensor_twisted_map
+hom_bicomplex = hom_twisted
+column = column_twisted
+kernel = kernel_twisted
+cokernel = cokernel_twisted
+direct_sum = direct_sum_twisted
 
 
 def koszul_swap(x: Bicomplex, y: Bicomplex) -> BicomplexMap:
     """The symmetry X (x) Y -> Y (x) X with sign (-1)^{|x||y|} on total
     degrees."""
-    from .twisted import embed, tensor_layout
-
     ring = x.ring
-    ex, ey = embed(x), embed(y)
     src_obj = tensor(x, y)
     tgt_obj = tensor(y, x)
     comps = {}
     for pq in src_obj.ranks:
-        src = tensor_layout(ex, ey, *pq)
-        tgt = tensor_layout(ey, ex, *pq)
+        src = tensor_layout(x, y, *pq)
+        tgt = tensor_layout(y, x, *pq)
         src_off = {}
         off = 0
         for (a, b, a2, b2, ra, rb) in src:
@@ -364,76 +231,57 @@ def koszul_swap(x: Bicomplex, y: Bicomplex) -> BicomplexMap:
                 for j in range(rb):
                     rows[to + j * ra + i][so + i * rb + j] = sign
         comps[pq] = ExactMatrix.from_rows(ring, rows)
-    return BicomplexMap(src_obj, tgt_obj, comps)
-
-
-def hom_bicomplex(x: Bicomplex, y: Bicomplex) -> Bicomplex:
-    from .twisted import embed, hom_twisted, to_bicomplex
-
-    return to_bicomplex(hom_twisted(embed(x), embed(y)))
+    return map_like(src_obj, tgt_obj, comps)
 
 
 # ---------------------------------------------------------------------------
 # Lines and directional subquotients
 # ---------------------------------------------------------------------------
 
-def column(x: Bicomplex, p: int) -> ChainComplex:
-    ranks = {q: r for (pp, q), r in x.ranks.items() if pp == p}
-    d = {q: m for (pp, q), m in x.d_v.items() if pp == p}
-    return ChainComplex(x.ring, ranks, d)
-
-
-def row(x: Bicomplex, q: int) -> ChainComplex:
+def row(x: TwistedComplex, q: int) -> ChainComplex:
     ranks = {p: r for (p, qq), r in x.ranks.items() if qq == q}
-    d = {p: m for (p, qq), m in x.d_h.items() if qq == q}
+    d = {p: m for (p, qq), m in x.ds.get(1, {}).items() if qq == q}
     return ChainComplex(x.ring, ranks, d)
 
 
-def line_map(f: BicomplexMap, direction: str, index: int) -> ChainMap:
+def line_map(f: TwistedMap, direction: str, index: int) -> ChainMap:
     if direction == "v":
-        src, tgt = column(f.source, index), column(f.target, index)
-        comps = {q: m for (p, q), m in f.f.items() if p == index}
-    elif direction == "h":
-        src, tgt = row(f.source, index), row(f.target, index)
+        return column_twisted_map(f, index)
+    if direction == "h":
         comps = {p: m for (p, q), m in f.f.items() if q == index}
-    else:
-        raise BadParameter("direction must be 'h' or 'v'")
-    return ChainMap(src, tgt, comps)
+        return ChainMap(row(f.source, index), row(f.target, index), comps)
+    raise BadParameter("direction must be 'h' or 'v'")
 
 
-def line_quasi_iso(f: BicomplexMap, direction: str, index: int) -> bool:
+def line_quasi_iso(f: TwistedMap, direction: str, index: int) -> bool:
     from .chain import is_quasi_iso
 
     return is_quasi_iso(line_map(f, direction, index))
 
 
-def _subquotient_data(x: Bicomplex, direction: str, kind: str):
+def _subquotient_data(x: TwistedComplex, direction: str, kind: str):
     """Shared worker for directional_subquotient and subquotient_map:
     returns (object, bases, kernels, quotients) with one chosen basis per
     bidegree of x."""
     if direction not in ("h", "v") or kind not in ("Z", "B", "H"):
         raise BadParameter("direction in {h,v}, kind in {Z,B,H}")
+    if direction == "h" and any(i >= 2 for i in x.indices()):
+        raise BadParameter("horizontal subquotients need d_i = 0 for i >= 2")
     ring = x.ring
-    if direction == "v":
-        own = x.dv
-        other = x.dh
-        own_step, other_step = (0, -1), (-1, 0)
-    else:
-        own = x.dh
-        other = x.dv
-        own_step, other_step = (-1, 0), (0, -1)
+    # own: the differential taken homology of; other: the induced one
+    own, other = (0, 1) if direction == "v" else (1, 0)
 
     bases = {}
     kerns = {}
     quots = {}
     for (p, q) in x.bidegrees():
         if kind == "Z":
-            b = kernel_basis(own(p, q))
+            b = kernel_basis(x.d(own, p, q))
         elif kind == "B":
-            b = image_basis(own(p - own_step[0], q - own_step[1]))
+            b = image_basis(x.d(own, p + own, q - own + 1))
         else:
-            k = kernel_basis(own(p, q))
-            img = image_basis(own(p - own_step[0], q - own_step[1]))
+            k = kernel_basis(x.d(own, p, q))
+            img = image_basis(x.d(own, p + own, q - own + 1))
             qm = QuotientModule(ring, k.cols, coordinates_in(k, img))
             if qm.torsion:
                 raise TorsionInSubquotient(
@@ -448,31 +296,28 @@ def _subquotient_data(x: Bicomplex, direction: str, kind: str):
     for (p, q), b in bases.items():
         if not b.cols:
             continue
-        key = (p + other_step[0], q + other_step[1])
+        key = (p - other, q + other - 1)
         if key not in ranks:
             continue
-        img = other(p, q) @ b
+        img = x.d(other, p, q) @ b
         if kind == "H":
             m = quots[key].project(coordinates_in(kerns[key], img))
         else:
             m = coordinates_in(bases[key], img)
         if not m.is_zero:
             induced[(p, q)] = m
-    if direction == "v":
-        obj = Bicomplex(ring, ranks, induced, {})
-    else:
-        obj = Bicomplex(ring, ranks, {}, induced)
+    obj = complex_like((x,), ring, ranks, {other: induced})
     return obj, bases, kerns, quots
 
 
-def directional_subquotient(x: Bicomplex, direction: str, kind: str) -> Bicomplex:
+def directional_subquotient(x: TwistedComplex, direction: str, kind: str) -> TwistedComplex:
     """Cycles (Z), boundaries (B) or homology (H) with respect to one
-    differential, as a bicomplex with that differential trivial and the
-    induced differential in the other direction."""
+    differential (d_v = d_0 or d_h = d_1), with that differential trivial
+    and the induced differential in the other direction."""
     return _subquotient_data(x, direction, kind)[0]
 
 
-def subquotient_map(f: BicomplexMap, direction: str, kind: str) -> BicomplexMap:
+def subquotient_map(f: TwistedMap, direction: str, kind: str) -> TwistedMap:
     """The map induced on the one-directional cycles, boundaries or
     homology, in the bases chosen by directional_subquotient."""
     src_obj, src_b, _, _ = _subquotient_data(f.source, direction, kind)
@@ -486,10 +331,10 @@ def subquotient_map(f: BicomplexMap, direction: str, kind: str) -> BicomplexMap:
             comps[pq] = tgt_q[pq].project(coordinates_in(tgt_k[pq], img))
         else:
             comps[pq] = coordinates_in(tgt_b[pq], img)
-    return BicomplexMap(src_obj, tgt_obj, comps)
+    return map_like(src_obj, tgt_obj, comps)
 
 
-def e2(x: Bicomplex) -> dict:
+def e2(x: TwistedComplex) -> dict:
     """Dimension table of the horizontal homology of the vertical
     homology; field coefficients only."""
     if not x.ring.is_field:
@@ -499,115 +344,6 @@ def e2(x: Bicomplex) -> dict:
     return dict(hh.ranks)
 
 
-def ev0(x: Bicomplex) -> ChainComplex:
+def ev0(x: TwistedComplex) -> ChainComplex:
     """The column p = 0 with its vertical differential."""
     return column(x, 0)
-
-
-# ---------------------------------------------------------------------------
-# Convention conversion, kernels, cokernels, sums
-# ---------------------------------------------------------------------------
-
-def _flip_vertical(x: Bicomplex, convention: str) -> Bicomplex:
-    d_v = {}
-    for (p, q), m in x.d_v.items():
-        d_v[(p, q)] = -m if p % 2 else m
-    return Bicomplex(
-        x.ring, dict(x.ranks), dict(x.d_h), d_v, convention=convention
-    )
-
-
-def to_commuting(x: Bicomplex) -> Bicomplex:
-    if x.convention != "anticommute":
-        raise BadParameter("input already commutes")
-    return _flip_vertical(x, "commute")
-
-
-def from_commuting(x: Bicomplex) -> Bicomplex:
-    if x.convention != "commute":
-        raise BadParameter("input already anticommutes")
-    return _flip_vertical(x, "anticommute")
-
-
-def kernel(f: BicomplexMap):
-    """Pointwise kernel with induced differentials; returns the object
-    and its inclusion into the source."""
-    x = f.source
-    ring = x.ring
-    bases = {}
-    for pq in x.bidegrees():
-        k = kernel_basis(f.component(*pq))
-        if k.cols:
-            bases[pq] = k
-    ranks = {pq: b.cols for pq, b in bases.items()}
-    d_h = {}
-    d_v = {}
-    for (p, q), b in bases.items():
-        for fam, key, mat in (
-            (d_h, (p - 1, q), x.dh(p, q)),
-            (d_v, (p, q - 1), x.dv(p, q)),
-        ):
-            if key not in bases:
-                continue
-            m = coordinates_in(bases[key], mat @ b)
-            if not m.is_zero:
-                fam[(p, q)] = m
-    obj = Bicomplex(ring, ranks, d_h, d_v)
-    incl = BicomplexMap(obj, x, dict(bases))
-    return obj, incl
-
-
-def cokernel(f: BicomplexMap):
-    """Pointwise cokernel with induced differentials; returns the object
-    and the projection from the target.  Over Z raises TorsionCokernel
-    when the quotient is not free."""
-    from .twisted import TorsionCokernel
-
-    y = f.target
-    ring = y.ring
-    quots = {}
-    for pq in y.bidegrees():
-        qm = QuotientModule(ring, y.rank(*pq), image_basis(f.component(*pq)))
-        if qm.torsion:
-            raise TorsionCokernel(f"cokernel at {pq} has torsion {qm.torsion}")
-        quots[pq] = qm
-    ranks = {pq: qm.rank for pq, qm in quots.items() if qm.rank}
-    d_h = {}
-    d_v = {}
-    for (p, q) in ranks:
-        for fam, key, mat in (
-            (d_h, (p - 1, q), y.dh(p, q)),
-            (d_v, (p, q - 1), y.dv(p, q)),
-        ):
-            if key not in ranks:
-                continue
-            m = quots[key].project(mat @ quots[(p, q)].reps)
-            if not m.is_zero:
-                fam[(p, q)] = m
-    obj = Bicomplex(ring, ranks, d_h, d_v)
-    proj = BicomplexMap(
-        y,
-        obj,
-        {
-            pq: quots[pq].project(ExactMatrix.identity(ring, y.rank(*pq)))
-            for pq in ranks
-        },
-    )
-    return obj, proj
-
-
-def direct_sum(objs) -> Bicomplex:
-    objs = list(objs)
-    if not objs:
-        raise BadParameter("empty direct sum")
-    ring = objs[0].ring
-    support = sorted({pq for o in objs for pq in o.ranks})
-    ranks = {pq: sum(o.rank(*pq) for o in objs) for pq in support}
-    d_h = {}
-    d_v = {}
-    for (p, q) in support:
-        if any(o.rank(p - 1, q) for o in objs):
-            d_h[(p, q)] = ExactMatrix.direct_sum(ring, [o.dh(p, q) for o in objs])
-        if any(o.rank(p, q - 1) for o in objs):
-            d_v[(p, q)] = ExactMatrix.direct_sum(ring, [o.dv(p, q) for o in objs])
-    return Bicomplex(ring, ranks, d_h, d_v)

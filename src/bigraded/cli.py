@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .rings import ZZ, BadParameter, UnsupportedRing, ring_from_name
+from .rings import BadParameter, UnsupportedRing, ring_from_name
 from . import chain
 from . import bicomplex as bc
 from . import twisted as tw
@@ -52,7 +52,7 @@ def _write(obj, out: str | None):
 def _tot_of(obj):
     if isinstance(obj, chain.ChainComplex):
         return obj
-    return tw.tot_twisted(tw.embed(obj))
+    return tw.tot_twisted(obj)
 
 
 def cmd_check(args) -> int:
@@ -64,7 +64,7 @@ def cmd_check(args) -> int:
 
 def cmd_homology(args) -> int:
     obj = _read(args.file)
-    if isinstance(obj, (chain.ChainMap, bc.BicomplexMap, tw.TwistedMap)):
+    if isinstance(obj, (chain.ChainMap, tw.TwistedMap)):
         raise CheckFailure("homology expects an object document, not a map")
     tot = _tot_of(obj)
     h = chain.homology(tot)
@@ -116,8 +116,6 @@ def cmd_tensor(args) -> int:
         raise CheckFailure("tensor factors must have the same kind")
     if isinstance(x, chain.ChainComplex):
         out = chain.tensor(x, y)
-    elif isinstance(x, bc.Bicomplex):
-        out = bc.tensor(x, y)
     elif isinstance(x, tw.TwistedComplex):
         out = tw.tensor_twisted(x, y)
     else:
@@ -128,7 +126,7 @@ def cmd_tensor(args) -> int:
 
 def cmd_classify(args) -> int:
     f = _read(args.mapfile)
-    if not isinstance(f, (bc.BicomplexMap, tw.TwistedMap)):
+    if not isinstance(f, tw.TwistedMap):
         raise CheckFailure("classify expects a bicomplex or twisted map")
     try:
         rep = classify_map(f, args.structure)

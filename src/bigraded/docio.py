@@ -9,6 +9,10 @@ row then column, so serialize(parse(serialize(x))) == serialize(x) and
 parse(serialize(x)) reconstructs x exactly.
 
 Omitted (bi)degrees mean rank zero, omitted matrices mean zero maps.
+Bicomplexes are written with anticommuting squares.  A bicomplex
+document may say ``"convention": "commute"``; its d_v is then scaled by
+(-1)^p on input, which is the only place the commuting convention
+exists.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ def to_document(obj) -> dict:
             "differentials": {"d": _family_entries(obj.ring, obj.d)},
         }
     if isinstance(obj, Bicomplex):
-        doc = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "kind": "bicomplex",
             "ring": str(obj.ring),
@@ -80,9 +84,6 @@ def to_document(obj) -> dict:
                 "dv": _family_entries(obj.ring, obj.d_v),
             },
         }
-        if obj.convention != "anticommute":
-            doc["convention"] = obj.convention
-        return doc
     if isinstance(obj, TwistedComplex):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -140,11 +141,17 @@ def serialize(obj) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """An integer, not a boolean (JSON true and false parse as bool,
+    which Python counts as int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _need(doc, key, types):
     if key not in doc:
         raise DocumentSyntaxError(f"missing field {key!r}")
     val = doc[key]
-    if not isinstance(val, types):
+    if not isinstance(val, types) or isinstance(val, bool):
         raise DocumentSyntaxError(f"field {key!r} has the wrong type")
     return val
 
@@ -153,7 +160,7 @@ def _parse_key(raw, arity):
     if (
         not isinstance(raw, list)
         or len(raw) != arity
-        or not all(isinstance(x, int) for x in raw)
+        or not all(_is_int(x) for x in raw)
     ):
         raise DocumentSyntaxError(f"bad degree key {raw!r}")
     return raw[0] if arity == 1 else tuple(raw)
@@ -167,7 +174,7 @@ def _parse_matrix(ring, rows, cols, triplets, where):
         if not (isinstance(t, list) and len(t) == 3):
             raise DocumentSyntaxError(f"bad matrix entry {t!r} at {where}")
         i, j, v = t
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise DocumentSyntaxError(f"bad matrix index in {t!r} at {where}")
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValidationError(
@@ -203,7 +210,7 @@ def _parse_ranks(raw, arity):
             raise DocumentSyntaxError(f"bad rank entry {entry!r}")
         key = _parse_key(entry[:-1], arity)
         r = entry[-1]
-        if not isinstance(r, int) or r < 0:
+        if not _is_int(r) or r < 0:
             raise DocumentSyntaxError(f"bad rank {r!r} at {key}")
         if key in ranks:
             raise DocumentSyntaxError(f"duplicate rank entry at {key}")
@@ -243,7 +250,9 @@ def _object_from_document(doc) -> object:
         convention = doc.get("convention", "anticommute")
         if convention not in ("anticommute", "commute"):
             raise DocumentSyntaxError(f"unknown convention {convention!r}")
-        x = Bicomplex(ring, ranks, dh, dv, convention=convention, check=False)
+        if convention == "commute":
+            dv = {(p, q): -m if p % 2 else m for (p, q), m in dv.items()}
+        x = Bicomplex(ring, ranks, dh, dv, check=False)
         bad = validate_bicomplex(x)
         if bad:
             raise ValidationError(bad)

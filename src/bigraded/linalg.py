@@ -116,6 +116,10 @@ class FieldSolver:
     def solve(self, b):
         """One solution of A x = b (b a flat sequence) or None."""
         ring = self.ring
+        if len(b) != self.n:
+            raise BadParameter(
+                f"right-hand side has length {len(b)}, expected {self.n}"
+            )
         b = [ring.normalize(x) for x in b]
         # y = E b where E is the recorded row transform
         ys = []

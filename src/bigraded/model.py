@@ -13,7 +13,9 @@ Three structures are supported, named by strings:
   cycles in positive columns and induce horizontal homology
   isomorphisms.
 * ``"twisted-tot"`` on twisted complexes: the analogue of ``"tot"``
-  with the degree-(0,-1) structure map playing the vertical role.
+  with the degree-(0,-1) structure map playing the vertical role.  A
+  bicomplex is a twisted complex with d_v = d_0, so ``"tot"`` and
+  ``"twisted-tot"`` share one classifier.
 
 Each structure comes with finite families of generating inclusions;
 every family member is a cell inclusion between standard spheres,
@@ -32,7 +34,6 @@ from fractions import Fraction
 from .rings import RingSpec, ZZ, QQ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import (
-    NoSolution,
     coordinates_in,
     image_basis,
     is_surjective,
@@ -41,7 +42,7 @@ from .linalg import (
     rank,
     solve_exact,
 )
-from .chain import ChainComplex, ChainMap, homology, is_quasi_iso
+from .chain import ChainComplex, homology, is_quasi_iso
 from .bicomplex import (
     Bicomplex,
     BicomplexMap,
@@ -57,7 +58,6 @@ from .bicomplex import (
     subquotient_map,
     tensor,
     tensor_map,
-    tot_map,
     v_boundary,
 )
 from .twisted import (
@@ -67,12 +67,12 @@ from .twisted import (
     _hom_summands,
     boundary_inclusion,
     column_twisted_map,
-    embed,
+    complex_like,
     embed_map,
+    map_like,
     morphism_from_vector,
     morphism_space_basis,
     morphism_to_vector,
-    to_bicomplex,
     tot_twisted_map,
     twisted_disc,
 )
@@ -89,18 +89,7 @@ class NoLift(Exception):
 STRUCTURES = ("tot", "ce", "twisted-tot")
 
 
-@dataclass(frozen=True)
-class StructureId:
-    variant: str
-
-    def __post_init__(self):
-        if self.variant not in STRUCTURES:
-            raise BadParameter(f"unknown structure {self.variant!r}")
-
-
 def structure_name(structure) -> str:
-    if isinstance(structure, StructureId):
-        return structure.variant
     if structure in STRUCTURES:
         return structure
     raise BadParameter(f"unknown structure {structure!r}")
@@ -157,14 +146,6 @@ GENERATING_FAMILIES = {
 }
 
 
-def _zero_bicomplex(ring: RingSpec) -> Bicomplex:
-    return Bicomplex(ring, {}, {}, {})
-
-
-def _zero_twisted(ring: RingSpec) -> TwistedComplex:
-    return TwistedComplex(ring, {}, {})
-
-
 _GENERATOR_CACHE: dict = {}
 
 
@@ -181,6 +162,7 @@ def generator_map(ref: GeneratorRef, ring: RingSpec = ZZ):
 def _generator_map(ref: GeneratorRef, ring: RingSpec):
     fam, p, q = ref.family, ref.p, ref.q
     one = ExactMatrix.identity(ring, 1)
+    empty = Bicomplex(ring, {}, {}, {})
     if fam not in _Q_ONLY:
         if p < _P_MIN.get(fam, 0):
             raise BadParameter(f"{fam} needs p >= {_P_MIN[fam]}")
@@ -193,9 +175,9 @@ def _generator_map(ref: GeneratorRef, ring: RingSpec):
         b = bic_disc(p, q, 1, ring)
         return BicomplexMap(a, b, {pq: one for pq in a.ranks})
     if fam == "TotJ_ZeroToHBoundary" or fam == "CEI_ZeroToHBoundary":
-        return BicomplexMap(_zero_bicomplex(ring), h_boundary(1, q, 1, ring), {})
+        return BicomplexMap(empty, h_boundary(1, q, 1, ring), {})
     if fam == "CEI_ZeroToSphere":
-        return BicomplexMap(_zero_bicomplex(ring), bic_sphere(0, q, 1, ring), {})
+        return BicomplexMap(empty, bic_sphere(0, q, 1, ring), {})
     if fam == "CEI_SphereToVBoundary":
         a = bic_sphere(p - 1, q - 1, 1, ring)
         b = v_boundary(p, q, 1, ring)
@@ -205,11 +187,11 @@ def _generator_map(ref: GeneratorRef, ring: RingSpec):
         b = bic_disc(p, q, 1, ring)
         return BicomplexMap(a, b, {pq: one for pq in a.ranks})
     if fam == "CEJ_ZeroToVBoundary":
-        return BicomplexMap(_zero_bicomplex(ring), v_boundary(p, q, 1, ring), {})
+        return BicomplexMap(empty, v_boundary(p, q, 1, ring), {})
     if fam == "TwI_BoundaryToDisc":
         return boundary_inclusion(p, q, ring)
     if fam == "TwJ_ZeroToDisc0":
-        return TwistedMap(_zero_twisted(ring), twisted_disc(0, q, ring), {})
+        return TwistedMap(TwistedComplex(ring, {}, {}), twisted_disc(0, q, ring), {})
     raise BadParameter(f"unknown generator family {fam!r}")
 
 
@@ -282,7 +264,6 @@ def solve_lift(problem: LiftingProblem):
     """An exact diagonal h: B -> X with h∘i = u and g∘h = f, in the
     category of the inputs.  Raises BadSquare when g∘u != f∘i and NoLift
     when the (finite) linear system has no solution over the ring."""
-    native_bic = isinstance(problem.i, BicomplexMap)
     it = embed_map(problem.i)
     gt = embed_map(problem.g)
     ut = embed_map(problem.u)
@@ -303,10 +284,7 @@ def solve_lift(problem: LiftingProblem):
     if coeffs is None:
         raise NoLift("no diagonal exists over this ring")
     vec = h_basis.apply(coeffs) if h_basis.cols else (ring.zero(),) * h_basis.rows
-    h = morphism_from_vector(b, x, vec)
-    if native_bic:
-        return BicomplexMap(problem.i.target, problem.g.source, h.f)
-    return h
+    return morphism_from_vector(b, x, vec)
 
 
 def has_rlp(g, gen) -> bool:
@@ -407,14 +385,8 @@ def classify_map(f, structure) -> ClassifyReport:
     rows = sorted({q for _, q in set(f.source.ranks) | set(f.target.ranks)})
 
     if structure in ("tot", "twisted-tot"):
-        if structure == "tot":
-            col_iso = {p: line_quasi_iso(f, "v", p) for p in cols}
-            weq = is_quasi_iso(tot_map(f))
-        else:
-            col_iso = {
-                p: is_quasi_iso(column_twisted_map(f, p)) for p in cols
-            }
-            weq = is_quasi_iso(tot_twisted_map(f))
+        col_iso = {p: is_quasi_iso(column_twisted_map(f, p)) for p in cols}
+        weq = is_quasi_iso(tot_twisted_map(f))
         evidence["column_homology_iso"] = col_iso
         fib = surj and all(ok for p, ok in col_iso.items() if p > 0)
         triv = surj and all(col_iso.values())
@@ -425,8 +397,8 @@ def classify_map(f, structure) -> ClassifyReport:
         for (p, q) in f.target.ranks:
             if p <= 0:
                 continue
-            k_src = kernel_basis(f.source.dv(p, q))
-            k_tgt = kernel_basis(f.target.dv(p, q))
+            k_src = kernel_basis(f.source.d(0, p, q))
+            k_tgt = kernel_basis(f.target.d(0, p, q))
             induced = coordinates_in(k_tgt, f.component(p, q) @ k_src)
             if not is_surjective(induced):
                 zv_ok = False
@@ -509,7 +481,6 @@ def pushout(i, a):
     """Pushout of the identity-block inclusion i: A -> B along a: A -> X.
     Returns (X', inclusion X -> X'); the cokernel of the inclusion equals
     the cokernel of i."""
-    native_bic = isinstance(i, BicomplexMap)
     it, at = embed_map(i), embed_map(a)
     if at.source != it.source:
         raise BadParameter("pushout needs maps with a common source")
@@ -553,7 +524,7 @@ def pushout(i, a):
                 fam[(p, q)] = m
         if fam:
             ds[n] = fam
-    out = TwistedComplex(ring, ranks, ds)
+    out = complex_like((A, B, X), ring, ranks, ds)
     incl_comps = {
         pq: ExactMatrix.vstack(
             ring,
@@ -564,11 +535,7 @@ def pushout(i, a):
         )
         for pq in X.ranks
     }
-    incl = TwistedMap(X, out, incl_comps)
-    if native_bic:
-        out_b = to_bicomplex(out)
-        return out_b, BicomplexMap(a.target, out_b, incl.f)
-    return out, incl
+    return out, map_like(X, out, incl_comps)
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +621,10 @@ def _find_iso(x: Bicomplex, y: Bicomplex, rng, tries: int = 80):
     rank tables differ or no invertible combination is found."""
     if dict(x.ranks) != dict(y.ranks):
         return None
-    xq, yq = embed(x.to_ring(QQ)), embed(y.to_ring(QQ))
+    xq, yq = x.to_ring(QQ), y.to_ring(QQ)
     basis = morphism_space_basis(xq, yq)
     if basis.cols == 0:
-        return None if x.ranks else TwistedMap(xq, yq, {})
+        return None if x.ranks else map_like(xq, yq, {})
     for _ in range(tries):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(basis.cols)]
         vec = basis.apply(coeffs)
@@ -683,16 +650,14 @@ def _certify_map_identity(p: int, q: int, rng, tries: int = 80):
     phi1 = _find_iso(left.source, right.source, rng, tries)
     if phi1 is None:
         return False, "no isomorphism between the sources"
-    a2, b2 = embed(left.target), embed(right.target)
+    a2, b2 = left.target, right.target
     if dict(a2.ranks) != dict(b2.ranks):
         return False, "target rank tables differ"
     h_basis = morphism_space_basis(a2, b2)
-    lt = embed_map(left)
-    rt = embed_map(right)
     pmat = _morphism_matrix(
-        a2, b2, h_basis, lambda h: h.compose(lt), lt.source, b2
+        a2, b2, h_basis, lambda h: h.compose(left), left.source, b2
     )
-    rhs = morphism_to_vector(rt.compose(phi1))
+    rhs = morphism_to_vector(right.compose(phi1))
     part = solve_exact(pmat, rhs)
     if part is None:
         return False, "no map intertwining the two inclusions"

@@ -19,15 +19,13 @@ from .rings import RingSpec, ZZ, BadParameter
 from .matrices import ExactMatrix
 from .linalg import kernel_basis, solve_exact
 from .chain import ChainComplex
-from .bicomplex import Bicomplex, BicomplexMap, direct_sum as bic_direct_sum
+from .bicomplex import Bicomplex, BicomplexMap
 from .twisted import (
     TwistedComplex,
     TwistedMap,
-    embed,
-    embed_map,
+    direct_sum_twisted,
     morphism_from_vector,
     morphism_space_basis,
-    to_bicomplex,
 )
 
 
@@ -320,18 +318,11 @@ def random_twisted(
 def random_strict_map(rng: random.Random, x, y):
     """A random strict morphism x -> y (same category as the inputs),
     drawn from a basis of the exact morphism space."""
-    native_bic = isinstance(x, Bicomplex)
-    xt, yt = embed(x), embed(y)
-    ring = xt.ring
-    basis = morphism_space_basis(xt, yt)
+    basis = morphism_space_basis(x, y)
     if basis.cols == 0:
-        f = TwistedMap(xt, yt, {})
-    else:
-        coeffs = [_rand_scalar(rng, ring, 1) for _ in range(basis.cols)]
-        f = morphism_from_vector(xt, yt, basis.apply(coeffs))
-    if native_bic:
-        return BicomplexMap(x, y, f.f)
-    return f
+        return TwistedMap.zero(x, y)
+    coeffs = [_rand_scalar(rng, x.ring, 1) for _ in range(basis.cols)]
+    return morphism_from_vector(x, y, basis.apply(coeffs))
 
 
 def random_bicomplex_map(
@@ -354,7 +345,7 @@ def random_bicomplex_map(
     if kind == "zero":
         return BicomplexMap.zero(x, y)
     if kind == "projection":
-        s = bic_direct_sum([x, y])
+        s = direct_sum_twisted([x, y])
         comps = {
             pq: ExactMatrix.hstack(
                 ring,
@@ -367,7 +358,7 @@ def random_bicomplex_map(
         }
         return BicomplexMap(s, y, comps)
     if kind == "inclusion":
-        s = bic_direct_sum([x, y])
+        s = direct_sum_twisted([x, y])
         comps = {
             pq: ExactMatrix.vstack(
                 ring,
@@ -397,34 +388,7 @@ def random_twisted_map(
     if kind == "zero":
         return TwistedMap.zero(x, y)
     if kind == "projection":
-        ranks = {}
-        for pq in set(x.ranks) | set(y.ranks):
-            ranks[pq] = x.rank(*pq) + y.rank(*pq)
-        ds = {}
-        for i in sorted(set(x.indices()) | set(y.indices())):
-            fam = {}
-            for (p, q) in ranks:
-                tgt = (p - i, q + i - 1)
-                if ranks.get(tgt, 0) == 0:
-                    continue
-                m = ExactMatrix.block(
-                    ring,
-                    [
-                        [
-                            x.d(i, p, q),
-                            ExactMatrix.zero(ring, x.rank(*tgt), y.rank(p, q)),
-                        ],
-                        [
-                            ExactMatrix.zero(ring, y.rank(*tgt), x.rank(p, q)),
-                            y.d(i, p, q),
-                        ],
-                    ],
-                )
-                if not m.is_zero:
-                    fam[(p, q)] = m
-            if fam:
-                ds[i] = fam
-        s = TwistedComplex(ring, ranks, ds)
+        s = direct_sum_twisted([x, y])
         comps = {
             pq: ExactMatrix.hstack(
                 ring,

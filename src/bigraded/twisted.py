@@ -3,17 +3,19 @@ d_i of bidegree (-i, i-1) satisfying the quadratic relations
 
     sum_{i+j=n} d_i d_j = 0   for every n >= 0.
 
-Bicomplexes are the special case d_i = 0 for i >= 2 and chain complexes
-the special case of a single column.  The module also builds the free
-cell objects on one generator (the disc and its vertical boundary) from
-a word basis with an explicit rewriting algorithm, identifies boundary
+This is the one carrier type of the package.  A bicomplex is the
+subclass with d_i = 0 for i >= 2 (``bicomplex.Bicomplex``), and a chain
+complex embeds as a single column.  Every operation here serves both
+carriers; ``complex_like`` and ``map_like`` decide the type of a result
+from the types of the inputs.  The module also builds the free cell
+objects on one generator (the disc and its vertical boundary) from a
+word basis with an explicit rewriting algorithm, identifies boundary
 columns with simplicial cochain complexes, and provides totalisation,
-tensor and Hom, vertical homology, and the quotient down to bicomplexes.
+tensor and Hom, kernels, cokernels and direct sums, vertical homology,
+and the quotient down to bicomplexes.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
@@ -107,19 +109,31 @@ class TwistedComplex:
         )
 
     def __repr__(self) -> str:
-        return "TwistedComplex(%s, %d bidegrees)" % (self.ring, len(self.ranks))
+        return "%s(%s, %d bidegrees)" % (type(self).__name__, self.ring, len(self.ranks))
 
     def to_ring(self, ring: RingSpec) -> "TwistedComplex":
-        return TwistedComplex(
+        out = complex_like(
+            (self,),
             ring,
             dict(self.ranks),
             {i: {pq: m.to_ring(ring) for pq, m in fam.items()} for i, fam in self.ds.items()},
-            labels=self.labels,
         )
+        out.labels = self.labels
+        return out
+
+
+def _relation_name(n: int) -> str:
+    if n == 0:
+        return "d_0^2 != 0"
+    if n == 1:
+        return "d_0 and d_1 do not anticommute"
+    return f"relation n={n} fails"
 
 
 def validate_twisted(x: TwistedComplex) -> list:
-    """Empty list when valid, else a description of each violation."""
+    """Empty list when valid, else a description of each violation.
+    Only products of two present blocks enter a relation, so absent
+    structure maps cost nothing."""
     bad = []
     for (p, q), r in x.ranks.items():
         if p < 0:
@@ -135,17 +149,30 @@ def validate_twisted(x: TwistedComplex) -> list:
                 bad.append(f"d_{i} at ({p},{q}) has shape {m.rows}x{m.cols}")
     if bad:
         return bad
-    nmax = x.pmax + 1
-    for n in range(nmax + 1):
-        for (p, q) in x.ranks:
-            acc = None
-            for j in range(n + 1):
-                i = n - j
-                term = x.d(i, p - j, q + j - 1) @ x.d(j, p, q)
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero:
-                bad.append(f"relation n={n} fails at ({p},{q})")
-    return bad
+    fails = []
+    for k, (p, q) in enumerate(x.ranks):
+        sums = {}
+        for j, fam_j in x.ds.items():
+            first = fam_j.get((p, q))
+            if first is None:
+                continue
+            mid = (p - j, q + j - 1)
+            for i, fam_i in x.ds.items():
+                second = fam_i.get(mid)
+                if second is not None:
+                    term = second @ first
+                    n = i + j
+                    sums[n] = term if n not in sums else sums[n] + term
+        fails.extend((n, k, p, q) for n, acc in sums.items() if not acc.is_zero)
+    return [f"{_relation_name(n)} at ({p},{q})" for n, _, p, q in sorted(fails)]
+
+
+def _product(a, b):
+    """a @ b, or None when a factor is absent or the product is zero."""
+    if a is None or b is None:
+        return None
+    m = a @ b
+    return None if m.is_zero else m
 
 
 class TwistedMap:
@@ -159,16 +186,19 @@ class TwistedMap:
             self._validate()
 
     def _validate(self):
-        if self.source.ring != self.target.ring:
+        src, tgt = self.source, self.target
+        if src.ring != tgt.ring:
             raise BadParameter("map between different rings")
         for (p, q), m in self.f.items():
-            if m.cols != self.source.rank(p, q) or m.rows != self.target.rank(p, q):
+            if m.cols != src.rank(p, q) or m.rows != tgt.rank(p, q):
                 raise BadParameter(f"component at ({p},{q}) has wrong shape")
-        imax = max(self.source.pmax, self.target.pmax)
-        for (p, q) in set(self.source.ranks) | set(self.target.ranks):
-            for i in range(imax + 1):
-                lhs = self.target.d(i, p, q) @ self.component(p, q)
-                rhs = self.component(p - i, q + i - 1) @ self.source.d(i, p, q)
+        indices = sorted(set(src.ds) | set(tgt.ds))
+        for (p, q) in set(src.ranks) | set(tgt.ranks):
+            for i in indices:
+                lhs = _product(tgt.ds.get(i, {}).get((p, q)), self.f.get((p, q)))
+                rhs = _product(
+                    self.f.get((p - i, q + i - 1)), src.ds.get(i, {}).get((p, q))
+                )
                 if lhs != rhs:
                     raise BadParameter(f"map does not commute with d_{i} at ({p},{q})")
 
@@ -182,17 +212,17 @@ class TwistedMap:
 
     @staticmethod
     def identity(x: TwistedComplex) -> "TwistedMap":
-        return TwistedMap(
+        return map_like(
             x, x, {pq: ExactMatrix.identity(x.ring, r) for pq, r in x.ranks.items()}
         )
 
     @staticmethod
     def zero(source: TwistedComplex, target: TwistedComplex) -> "TwistedMap":
-        return TwistedMap(source, target, {})
+        return map_like(source, target, {})
 
     def compose(self, other: "TwistedMap") -> "TwistedMap":
         """self after other."""
-        return TwistedMap(
+        return map_like(
             other.source,
             self.target,
             {
@@ -201,6 +231,39 @@ class TwistedMap:
             },
             check=False,
         )
+
+
+# ---------------------------------------------------------------------------
+# The carrier of a result
+# ---------------------------------------------------------------------------
+
+def _bicomplex(ring, ranks, ds, check=True):
+    from .bicomplex import Bicomplex
+
+    if any(fam for i, fam in ds.items() if i >= 2):
+        raise BadParameter("structure maps above d_1 present")
+    return Bicomplex(ring, ranks, ds.get(1, {}), ds.get(0, {}), check=check)
+
+
+def complex_like(inputs, ring, ranks, ds, check=True) -> TwistedComplex:
+    """The object an operation computed from `inputs` returns: a
+    Bicomplex exactly when every input is one, else a TwistedComplex.
+    Which d_i happen to be nonzero never decides the type."""
+    from .bicomplex import Bicomplex
+
+    if all(isinstance(o, Bicomplex) for o in inputs):
+        return _bicomplex(ring, ranks, ds, check)
+    return TwistedComplex(ring, ranks, ds, check=check)
+
+
+def map_like(source, target, f, check=True) -> TwistedMap:
+    """A BicomplexMap exactly when both ends are bicomplexes, else a
+    TwistedMap."""
+    from .bicomplex import Bicomplex, BicomplexMap
+
+    if isinstance(source, Bicomplex) and isinstance(target, Bicomplex):
+        return BicomplexMap(source, target, f, check=check)
+    return TwistedMap(source, target, f, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +604,9 @@ def tensor_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
         r = sum(ra * rb for *_, ra, rb in lay)
         if r:
             ranks[pq] = r
-    imax = max(x.pmax, y.pmax)
     ds = {}
-    for i in range(imax + 1):
+    for i in sorted(set(x.ds) | set(y.ds)):
+        xi, yi = x.ds.get(i, {}), y.ds.get(i, {})
         fam = {}
         for (p, q), src in layouts.items():
             key = (p - i, q + i - 1)
@@ -557,25 +620,22 @@ def tensor_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
             ]
             hit = False
             for j, (a, b, a2, b2, ra, rb) in enumerate(src):
-                k1 = (a - i, b + i - 1, a2, b2)
-                if k1 in tpos:
-                    blk = x.d(i, a, b).kron(ExactMatrix.identity(ring, rb))
-                    if not blk.is_zero:
-                        grid[tpos[k1]][j] = blk
-                        hit = True
-                k2 = (a, b, a2 - i, b2 + i - 1)
-                if k2 in tpos:
-                    blk = ExactMatrix.identity(ring, ra).kron(y.d(i, a2, b2))
-                    if (a + b) % 2:
-                        blk = -blk
-                    if not blk.is_zero:
-                        grid[tpos[k2]][j] = blk
-                        hit = True
+                m = xi.get((a, b))
+                k = tpos.get((a - i, b + i - 1, a2, b2))
+                if m is not None and k is not None:
+                    grid[k][j] = m.kron(ExactMatrix.identity(ring, rb))
+                    hit = True
+                m = yi.get((a2, b2))
+                k = tpos.get((a, b, a2 - i, b2 + i - 1))
+                if m is not None and k is not None:
+                    blk = ExactMatrix.identity(ring, ra).kron(m)
+                    grid[k][j] = -blk if (a + b) % 2 else blk
+                    hit = True
             if hit:
                 fam[(p, q)] = ExactMatrix.block(ring, grid)
         if fam:
             ds[i] = fam
-    return TwistedComplex(ring, ranks, ds)
+    return complex_like((x, y), ring, ranks, ds)
 
 
 def tensor_twisted_map(f: TwistedMap, g: TwistedMap) -> TwistedMap:
@@ -602,7 +662,7 @@ def tensor_twisted_map(f: TwistedMap, g: TwistedMap) -> TwistedMap:
                 if not blk.is_zero:
                     grid[tpos[(a, b)]][j] = blk
         comps[pq] = ExactMatrix.block(ring, grid)
-    return TwistedMap(src_obj, tgt_obj, comps)
+    return map_like(src_obj, tgt_obj, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -631,21 +691,19 @@ def _hom_operator(x, y, p, q, i, sign):
     ring = x.ring
     src = _hom_summands(x, y, p, q)
     tgt = _hom_summands(x, y, p - i, q + i - 1)
-    spos = {}
-    off = 0
-    for (s, t, rx, ry) in src:
-        spos[(s, t)] = (off, rx, ry)
-        off += rx * ry
+    spos = {(s, t): k for k, (s, t, _, _) in enumerate(src)}
+    xi, yi = x.ds.get(i, {}), y.ds.get(i, {})
     grid = []
     for (s, t, rx, ry2) in tgt:
         row = [ExactMatrix.zero(ring, rx * ry2, rxs * rys) for _, _, rxs, rys in src]
-        if (s, t) in spos:
-            k = next(k for k, (ss, tt, _, _) in enumerate(src) if (ss, tt) == (s, t))
-            row[k] = y.d(i, s + p, t + q).kron(ExactMatrix.identity(ring, rx))
-        key = (s - i, t + i - 1)
-        if key in spos:
-            k = next(k for k, (ss, tt, _, _) in enumerate(src) if (ss, tt) == key)
-            blk = ExactMatrix.identity(ring, ry2).kron(x.d(i, s, t).transpose())
+        k = spos.get((s, t))
+        m = yi.get((s + p, t + q))
+        if k is not None and m is not None:
+            row[k] = m.kron(ExactMatrix.identity(ring, rx))
+        k = spos.get((s - i, t + i - 1))
+        m = xi.get((s, t))
+        if k is not None and m is not None:
+            blk = ExactMatrix.identity(ring, ry2).kron(m.transpose())
             row[k] = row[k] - blk.scale(ring.from_int(sign))
         grid.append(ExactMatrix.hstack(ring, row))
     if not grid:
@@ -658,10 +716,9 @@ def morphism_space_basis(x: TwistedComplex, y: TwistedComplex) -> ExactMatrix:
     flattened component families (summands of bidegree (0,0) in order,
     each component row-major)."""
     ring = x.ring
-    imax = max(x.pmax, y.pmax)
     src = _hom_summands(x, y, 0, 0)
     n = _hom_dim(src)
-    rows = [_hom_operator(x, y, 0, 0, i, 1) for i in range(imax + 1)]
+    rows = [_hom_operator(x, y, 0, 0, i, 1) for i in sorted(set(x.ds) | set(y.ds))]
     rows = [m for m in rows if m.rows]
     if not rows:
         return ExactMatrix.identity(ring, n)
@@ -677,7 +734,7 @@ def morphism_from_vector(x: TwistedComplex, y: TwistedComplex, vec, check=True) 
         block = [vec[off + k * rx : off + (k + 1) * rx] for k in range(ry)]
         off += rx * ry
         comps[(s, t)] = ExactMatrix.from_rows(ring, [list(r) for r in block])
-    return TwistedMap(x, y, comps, check=check)
+    return map_like(x, y, comps, check=check)
 
 
 def morphism_to_vector(f: TwistedMap) -> tuple:
@@ -697,9 +754,8 @@ def hom_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
         raise BadParameter("hom over different rings")
     ring = x.ring
     if x.is_zero or y.is_zero:
-        return TwistedComplex(ring, {}, {})
-    imax = max(x.pmax, y.pmax)
-    ps = [sp for sp, _ in x.ranks]
+        return complex_like((x, y), ring, {}, {})
+    indices = sorted(set(x.ds) | set(y.ds))
     ts = [t for _, t in x.ranks]
     yps = [sp for sp, _ in y.ranks]
     yts = [t for _, t in y.ranks]
@@ -713,9 +769,7 @@ def hom_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
             if n == 0:
                 continue
             sign = -1 if (p + q) % 2 else 1
-            cons = [
-                _hom_operator(x, y, p, q, i, sign) for i in range(p + 1, imax + 1)
-            ]
+            cons = [_hom_operator(x, y, p, q, i, sign) for i in indices if i > p]
             cons = [m for m in cons if m.rows]
             if cons:
                 basis = kernel_basis(ExactMatrix.vstack(ring, cons, cols=n))
@@ -725,7 +779,7 @@ def hom_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
                 bases[(p, q)] = basis
     ranks = {pq: b.cols for pq, b in bases.items()}
     ds = {}
-    for i in range(imax + 1):
+    for i in indices:
         fam = {}
         for (p, q), basis in bases.items():
             if i > p:
@@ -744,7 +798,7 @@ def hom_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
                 )
         if fam:
             ds[i] = fam
-    return TwistedComplex(ring, ranks, ds)
+    return complex_like((x, y), ring, ranks, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -753,41 +807,17 @@ def hom_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
 
 def vertical_homology_twisted(x: TwistedComplex):
     """Columnwise homology with respect to d_0, with the differential
-    induced by d_1, as a bicomplex with zero vertical differential."""
-    from .bicomplex import Bicomplex
+    induced by d_1 and zero vertical differential."""
+    from .bicomplex import directional_subquotient
 
     if not x.ring.is_field:
         raise UnsupportedRing("vertical homology needs a field")
-    ring = x.ring
-    kers = {}
-    quots = {}
-    reps = {}
-    for (p, q) in x.bidegrees():
-        k = kernel_basis(x.d(0, p, q))
-        b = image_basis(x.d(0, p, q + 1))
-        qm = QuotientModule(ring, k.cols, coordinates_in(k, b))
-        kers[(p, q)] = k
-        quots[(p, q)] = qm
-        reps[(p, q)] = k @ qm.reps
-    ranks = {pq: qm.rank for pq, qm in quots.items() if qm.rank}
-    dh = {}
-    for (p, q), r in ranks.items():
-        key = (p - 1, q)
-        if key not in ranks:
-            continue
-        img = x.d(1, p, q) @ reps[(p, q)]
-        coords = coordinates_in(kers[key], img)
-        m = quots[key].project(coords)
-        if not m.is_zero:
-            dh[(p, q)] = m
-    return Bicomplex(ring, ranks, dh, {})
+    return directional_subquotient(x, "v", "H")
 
 
 def quotient_to_bicomplex(x: TwistedComplex):
     """Quotient by the d_0,d_1-closure of the images of all d_i with
     i >= 2; the universal bicomplex receiving x."""
-    from .bicomplex import Bicomplex
-
     ring = x.ring
     spans = {}
 
@@ -831,43 +861,28 @@ def quotient_to_bicomplex(x: TwistedComplex):
             m = quots[key].project(x.d(i, p, q) @ quots[(p, q)].reps)
             if not m.is_zero:
                 induced[i][(p, q)] = m
-    return Bicomplex(ring, ranks, induced[1], induced[0])
+    return _bicomplex(ring, ranks, induced)
 
 
 def to_bicomplex(x: TwistedComplex):
     """Reinterpret a twisted complex with d_i = 0 for i >= 2."""
-    from .bicomplex import Bicomplex
-
-    if any(i >= 2 for i in x.indices()):
-        raise BadParameter("structure maps above d_1 present")
-    return Bicomplex(ring=x.ring, ranks=dict(x.ranks),
-                     d_h=dict(x.ds.get(1, {})), d_v=dict(x.ds.get(0, {})))
+    return _bicomplex(x.ring, dict(x.ranks), x.ds)
 
 
 def embed(obj) -> TwistedComplex:
-    """View a chain complex (column 0) or a bicomplex as a twisted
-    complex with vanishing higher structure maps."""
+    """View a chain complex as the twisted complex on column 0; a
+    twisted complex (bicomplexes included) is returned as it is."""
     if isinstance(obj, TwistedComplex):
         return obj
     if isinstance(obj, ChainComplex):
         ranks = {(0, n): r for n, r in obj.ranks.items()}
         d0 = {(0, n): m for n, m in obj.d.items()}
         return TwistedComplex(obj.ring, ranks, {0: d0}, check=False)
-    from .bicomplex import Bicomplex
-
-    if isinstance(obj, Bicomplex):
-        if obj.convention != "anticommute":
-            raise BadParameter("embed needs the anticommuting convention")
-        return TwistedComplex(
-            obj.ring, dict(obj.ranks), {0: dict(obj.d_v), 1: dict(obj.d_h)},
-            check=False,
-        )
     raise BadParameter(f"cannot embed {type(obj).__name__}")
 
 
 def embed_map(f) -> TwistedMap:
     from .chain import ChainMap
-    from .bicomplex import BicomplexMap
 
     if isinstance(f, TwistedMap):
         return f
@@ -876,9 +891,32 @@ def embed_map(f) -> TwistedMap:
             embed(f.source), embed(f.target),
             {(0, n): m for n, m in f.f.items()}, check=False,
         )
-    if isinstance(f, BicomplexMap):
-        return TwistedMap(embed(f.source), embed(f.target), dict(f.f), check=False)
     raise BadParameter(f"cannot embed {type(f).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Kernels, cokernels, sums, totalisation and columns of maps
+# ---------------------------------------------------------------------------
+
+def kernel_twisted(f: TwistedMap):
+    """Pointwise kernel with induced structure maps; returns the object
+    and its inclusion into the source."""
+    x = f.source
+    bases = {}
+    for pq in x.bidegrees():
+        k = kernel_basis(f.component(*pq))
+        if k.cols:
+            bases[pq] = k
+    ds = {}
+    for i, fam in x.ds.items():
+        ds[i] = {}
+        for (p, q), b in bases.items():
+            key = (p - i, q + i - 1)
+            if key in bases and (p, q) in fam:
+                ds[i][(p, q)] = coordinates_in(bases[key], fam[(p, q)] @ b)
+    ranks = {pq: b.cols for pq, b in bases.items()}
+    obj = complex_like((x, f.target), x.ring, ranks, ds)
+    return obj, map_like(obj, x, dict(bases))
 
 
 def cokernel_twisted(f: TwistedMap):
@@ -889,25 +927,20 @@ def cokernel_twisted(f: TwistedMap):
     ring = y.ring
     quots = {}
     for (p, q) in y.bidegrees():
-        qm = QuotientModule(ring, y.rank(p, q), image_basis_of(f, p, q))
+        qm = QuotientModule(ring, y.rank(p, q), image_basis(f.component(p, q)))
         if qm.torsion:
             raise TorsionCokernel(f"cokernel at ({p},{q}) has torsion {qm.torsion}")
         quots[(p, q)] = qm
     ranks = {pq: qm.rank for pq, qm in quots.items() if qm.rank}
     ds = {}
-    for i in y.indices():
-        fam = {}
+    for i, fam in y.ds.items():
+        ds[i] = {}
         for (p, q) in ranks:
             key = (p - i, q + i - 1)
-            if key not in quots or quots[key].rank == 0:
-                continue
-            m = quots[key].project(y.d(i, p, q) @ quots[(p, q)].reps)
-            if not m.is_zero:
-                fam[(p, q)] = m
-        if fam:
-            ds[i] = fam
-    coker = TwistedComplex(ring, ranks, ds)
-    proj = TwistedMap(
+            if key in ranks and (p, q) in fam:
+                ds[i][(p, q)] = quots[key].project(fam[(p, q)] @ quots[(p, q)].reps)
+    coker = complex_like((f.source, y), ring, ranks, ds)
+    proj = map_like(
         y,
         coker,
         {
@@ -918,8 +951,21 @@ def cokernel_twisted(f: TwistedMap):
     return coker, proj
 
 
-def image_basis_of(f: TwistedMap, p: int, q: int) -> ExactMatrix:
-    return image_basis(f.component(p, q))
+def direct_sum_twisted(objs) -> TwistedComplex:
+    objs = list(objs)
+    if not objs:
+        raise BadParameter("empty direct sum")
+    ring = objs[0].ring
+    support = sorted({pq for o in objs for pq in o.ranks})
+    ranks = {pq: sum(o.rank(*pq) for o in objs) for pq in support}
+    ds = {}
+    for i in sorted({i for o in objs for i in o.ds}):
+        ds[i] = {
+            (p, q): ExactMatrix.direct_sum(ring, [o.d(i, p, q) for o in objs])
+            for (p, q) in support
+            if (p - i, q + i - 1) in ranks
+        }
+    return complex_like(objs, ring, ranks, ds)
 
 
 def tot_twisted_map(f: TwistedMap):
@@ -948,8 +994,6 @@ def tot_twisted_map(f: TwistedMap):
 
 def column_twisted(x: TwistedComplex, p: int):
     """Column p with the degree-(0,-1) structure map as differential."""
-    from .chain import ChainComplex
-
     ranks = {q: r for (pp, q), r in x.ranks.items() if pp == p}
     d = {q: m for (pp, q), m in x.ds.get(0, {}).items() if pp == p}
     return ChainComplex(x.ring, ranks, d)

@@ -21,10 +21,11 @@ from .twisted import (
     MismatchAt,
     compare_to_simplex_cochain,
     tot_twisted,
+    tot_twisted_map,
     twisted_boundary,
     twisted_disc,
 )
-from .bicomplex import subquotient_map, tot_map
+from .bicomplex import directional_subquotient, e2, subquotient_map
 from .model import classify_map, rlp_report, verify_generator_identities
 from .spectral import convergence_check, pages
 from . import randgen
@@ -205,13 +206,7 @@ def check_spectral(seed: int, samples: int = 20) -> dict:
             if not res["ok"]:
                 bad.append(f"convergence fails on sample {k}: {res['table']}")
             data = pages(x, r_max=2)
-            from .bicomplex import e2
-            if hasattr(x, "d_h"):
-                expect = {pq: c for pq, c in e2(x).items() if c}
-            else:
-                from .twisted import vertical_homology_twisted
-                hv_b = vertical_homology_twisted(x)
-                expect = {pq: c for pq, c in e2_of_vertical(hv_b).items() if c}
+            expect = {pq: c for pq, c in e2(x).items() if c}
             got = {pq: d for pq, d in data.page(2).items() if d}
             if expect != got:
                 bad.append(f"page 2 mismatch on sample {k}")
@@ -219,7 +214,7 @@ def check_spectral(seed: int, samples: int = 20) -> dict:
         # weak equivalence; exercised on an inclusion with acyclic
         # complement and on a plain random map
         f = randgen.random_bicomplex_map(rng, QQ, p_range=(0, 2), q_range=(-1, 1))
-        if _e2_iso(f) and not is_quasi_iso(tot_map(f)):
+        if _e2_iso(f) and not is_quasi_iso(tot_twisted_map(f)):
             bad.append(f"page-2 iso without total weq on sample {k}")
     ok = not bad
     return {
@@ -232,8 +227,6 @@ def check_spectral(seed: int, samples: int = 20) -> dict:
 
 def e2_of_vertical(hv_bicomplex) -> dict:
     """Horizontal homology ranks of a vertical-homology bicomplex."""
-    from .bicomplex import directional_subquotient
-
     h = directional_subquotient(hv_bicomplex, "h", "H")
     return dict(h.ranks)
 

@@ -23,7 +23,6 @@ from bigraded.bicomplex import (
     direct_sum,
     e2,
     ev0,
-    from_commuting,
     h_boundary,
     include_chain,
     kernel,
@@ -33,15 +32,35 @@ from bigraded.bicomplex import (
     subquotient_map,
     tensor,
     tensor_map,
-    to_commuting,
     tot,
     tot_map,
     v_boundary,
     validate,
     z_row,
 )
+from bigraded.docio import serialize, to_document
 from bigraded.linalg import is_unimodular
+from bigraded.model import (
+    GeneratorRef,
+    LiftingProblem,
+    generator_map,
+    pushout,
+    solve_lift,
+)
 from bigraded.randgen import random_bicomplex, random_strict_map
+from bigraded.twisted import (
+    TwistedComplex,
+    TwistedMap,
+    boundary_inclusion,
+    cokernel_twisted,
+    direct_sum_twisted,
+    hom_twisted,
+    kernel_twisted,
+    tensor_twisted,
+    tensor_twisted_map,
+    twisted_boundary,
+    twisted_disc,
+)
 
 
 def I(ring=ZZ, n=1):
@@ -72,14 +91,6 @@ def test_include_chain_round_trip():
     c = ChainComplex(ZZ, {0: 2, 1: 1}, {1: ExactMatrix.from_rows(ZZ, [[2], [0]])})
     assert tot(include_chain(c)) == c
     assert ev0(include_chain(c)) == c
-
-
-def test_commuting_conventions():
-    d = bic_disc(1, 0, 1)
-    dc = to_commuting(d)
-    assert dc.convention == "commute"
-    assert validate(dc) == []
-    assert from_commuting(dc) == d
 
 
 def test_invalid_bicomplex_messages():
@@ -201,3 +212,44 @@ def test_standard_bicomplex_dispatch():
 def test_negative_column_rejected():
     with pytest.raises(BadParameter):
         Bicomplex(ZZ, {(-1, 0): 1}, {}, {})
+
+
+def _carrier_results(x, y, inc):
+    """Every operation under the carrier rule, applied to the objects x,
+    y and the identity-block inclusion inc."""
+    one_b = TwistedMap.identity(inc.target)
+    return [
+        ("tensor", tensor_twisted(x, y)),
+        ("tensor map", tensor_twisted_map(inc, inc)),
+        ("hom", hom_twisted(x, y)),
+        *zip(("kernel", "kernel inclusion"), kernel_twisted(inc)),
+        *zip(("cokernel", "cokernel projection"), cokernel_twisted(inc)),
+        ("direct sum", direct_sum_twisted([x, y])),
+        *zip(("pushout", "pushout inclusion"),
+             pushout(inc, TwistedMap.identity(inc.source))),
+        ("lift", solve_lift(LiftingProblem(inc, one_b, inc, one_b))),
+        ("compose", inc.compose(TwistedMap.identity(inc.source))),
+        ("identity", TwistedMap.identity(x)),
+        ("zero", TwistedMap.zero(x, y)),
+        ("to_ring", x.to_ring(QQ if x.ring == ZZ else x.ring)),
+        ("subquotient", directional_subquotient(x, "v", "H")),
+        ("subquotient map", subquotient_map(inc, "v", "H")),
+    ]
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)])
+def test_carrier_follows_inputs(ring):
+    inc = generator_map(GeneratorRef("TotI_VBoundaryToDisc", 1, 0), ring)
+    bic = _carrier_results(bic_disc(1, 0, 1, ring), v_boundary(2, 1, 1, ring), inc)
+    for name, out in bic:
+        assert type(out) in (Bicomplex, BicomplexMap), name
+    # twisted_disc(0, 0) has only d_0 and stays a twisted complex
+    disc = twisted_disc(0, 0, ring)
+    assert disc.indices() == [0]
+    twi = _carrier_results(disc, twisted_boundary(1, 0, ring),
+                           boundary_inclusion(0, 0, ring))
+    for name, out in twi + [("disc", disc)]:
+        assert type(out) in (TwistedComplex, TwistedMap), name
+        doc = to_document(out)
+        assert doc.get("map_kind", doc["kind"]) == "twisted", name
+    assert '"kind": "twisted"' in serialize(disc)

@@ -6,6 +6,7 @@ import pytest
 from bigraded.rings import ZZ, QQ, GF
 from bigraded.chain import ChainComplex, ChainMap, sphere
 from bigraded.matrices import ExactMatrix
+from bigraded.bicomplex import bic_disc
 from bigraded.twisted import twisted_boundary, twisted_disc
 from bigraded.docio import (
     DocumentSyntaxError,
@@ -74,6 +75,20 @@ def test_syntax_errors():
         parse('{"schema_version": 1, "kind": "what", "ring": "Z", "ranks": []}')
     with pytest.raises(DocumentSyntaxError):
         parse('{"schema_version": 1, "kind": "chain", "ring": "R", "ranks": []}')
+    # booleans are not integers, although JSON true parses as a Python int
+    for doc in (
+        '{"schema_version": true, "kind": "chain", "ring": "Z", "ranks": []}',
+        '{"schema_version": 1, "kind": "chain", "ring": "Z", "ranks": [[true, 1]]}',
+        '{"schema_version": 1, "kind": "chain", "ring": "Z", "ranks": [[0, true]]}',
+        '{"schema_version": 1, "kind": "bicomplex", "ring": "Z", '
+        '"ranks": [[0, false, 1]]}',
+        '{"schema_version": 1, "kind": "chain", "ring": "Z", '
+        '"ranks": [[0, 1], [1, 1]], "differentials": {"d": [[[true], [[0, 0, "1"]]]]}}',
+        '{"schema_version": 1, "kind": "chain", "ring": "Z", '
+        '"ranks": [[0, 1], [1, 1]], "differentials": {"d": [[[1], [[false, 0, "1"]]]]}}',
+    ):
+        with pytest.raises(DocumentSyntaxError):
+            parse(doc)
 
 
 def test_validation_error_cites_anticommutation():
@@ -85,6 +100,31 @@ def test_validation_error_cites_anticommutation():
     with pytest.raises(ValidationError) as info:
         parse(json.dumps(doc))
     assert any("anticommute" in v for v in info.value.violations)
+
+
+def _commuting_disc(corner="1"):
+    """bic_disc(1, 0, 1) in the commuting convention; its d_v out of the
+    corner (1, 0) is `corner` (the anticommuting form has -1 there)."""
+    return json.dumps({
+        "schema_version": 1, "kind": "bicomplex", "ring": "Z",
+        "convention": "commute",
+        "ranks": [[0, -1, 1], [0, 0, 1], [1, -1, 1], [1, 0, 1]],
+        "differentials": {
+            "dh": [[[1, -1], [[0, 0, "1"]]], [[1, 0], [[0, 0, "1"]]]],
+            "dv": [[[0, 0], [[0, 0, "1"]]], [[1, 0], [[0, 0, corner]]]]}})
+
+
+def test_commuting_convention_documents():
+    d = bic_disc(1, 0, 1)
+    got = parse(_commuting_disc())
+    assert got == d
+    assert serialize(got) == serialize(d)
+    with pytest.raises(ValidationError):
+        parse(_commuting_disc("-1"))  # squares anticommute, not commute
+    doc = json.loads(_commuting_disc())
+    doc["convention"] = "sideways"
+    with pytest.raises(DocumentSyntaxError):
+        parse(json.dumps(doc))
 
 
 def test_out_of_range_entry():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigraded.rings import ZZ, QQ, GF
+from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.matrices import ExactMatrix
 from bigraded.linalg import (
     FieldSolver,
@@ -58,6 +58,12 @@ def test_solve_exact_over_rings():
     af = a.to_ring(GF(5))
     x = solve_exact(af, (1, 0))
     assert af.apply(x) == (1, 0)
+    # a right-hand side of the wrong length is refused on every ring
+    tall = [[1, 0], [0, 1], [0, 0]]
+    for ring in (ZZ, GF(5), QQ, GF(4294967311)):
+        for b in ((1, 2), (1, 2, 0, 4)):
+            with pytest.raises(BadParameter):
+                solve_exact(M(tall, ring), b)
 
 
 def test_solve_inconsistent():
