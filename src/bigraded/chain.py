@@ -14,7 +14,7 @@ from math import comb
 
 from .rings import RingSpec, BadParameter
 from .matrices import ExactMatrix
-from .linalg import QuotientModule, kernel_basis, image_basis, coordinates_in
+from .linalg import QuotientModule, kernel_basis, image_basis, coordinates_in, rank
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,6 @@ class ChainComplex:
     @property
     def is_zero(self) -> bool:
         return not self.ranks
-
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
 
     def __eq__(self, other) -> bool:
         return (
@@ -321,6 +318,10 @@ def homology_at(c: ChainComplex, n: int) -> ModuleClass:
 
 
 def is_acyclic(c: ChainComplex) -> bool:
+    if c.ring.is_field:
+        # dim H_n = c_n - rk d_n - rk d_{n+1}: one rank per differential
+        rk = {n: rank(m) for n, m in c.d.items()}
+        return all(r == rk.get(n, 0) + rk.get(n + 1, 0) for n, r in c.ranks.items())
     return all(homology_at(c, n).is_zero for n in c.degrees())
 
 
@@ -343,7 +344,8 @@ def cone(f: ChainMap) -> ChainComplex:
             [f.component(n - 1), y.diff(n)],
         ]
         d[n] = ExactMatrix.block(ring, grid)
-    return ChainComplex(ring, ranks, d)
+    # d*d = 0 follows from that of x and y and f being a chain map
+    return ChainComplex(ring, ranks, d, check=False)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

@@ -18,6 +18,7 @@ exists.
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
 
 from .rings import RingSpec, BadParameter, ring_from_name
 from .matrices import ExactMatrix
@@ -26,6 +27,13 @@ from .bicomplex import Bicomplex, BicomplexMap, validate as validate_bicomplex
 from .twisted import TwistedComplex, TwistedMap, validate_twisted
 
 SCHEMA_VERSION = 1
+
+# The most matrix entries a document may declare, summed as rows x cols
+# over all its matrices.  Parsing builds every matrix densely, so this
+# bounds the memory a document can claim (about 8 bytes an entry).  The
+# largest document the tests and the benchmark parse, twisted_disc(9, 0),
+# declares 125,476 entries; twisted_disc(11, 0) declares 1,830,270.
+MAX_DENSE_CELLS = 1 << 22
 
 
 class DocumentSyntaxError(Exception):
@@ -188,7 +196,10 @@ def _parse_matrix(ring, rows, cols, triplets, where):
 
 
 def _parse_family(ring, entries, arity, shape_of, where):
-    """shape_of(key) -> (rows, cols) for the matrix with source `key`."""
+    """{key: (rows, cols, triplets, where)} for the matrices of a family,
+    with shape_of(key) -> (rows, cols) for the matrix with source `key`.
+    The matrices are built by _build_family, once the size of the whole
+    document is checked."""
     if not isinstance(entries, list):
         raise DocumentSyntaxError(f"differential family {where} must be a list")
     fam = {}
@@ -199,8 +210,24 @@ def _parse_family(ring, entries, arity, shape_of, where):
         if key in fam:
             raise DocumentSyntaxError(f"duplicate degree {key} in {where}")
         rows, cols = shape_of(key)
-        fam[key] = _parse_matrix(ring, rows, cols, e[1], f"{where}{key}")
+        fam[key] = (rows, cols, e[1], f"{where}{key}")
     return fam
+
+
+def _build_family(ring, fam) -> dict:
+    return {key: _parse_matrix(ring, *spec) for key, spec in fam.items()}
+
+
+def _cells(families) -> int:
+    return sum(rows * cols for fam in families for rows, cols, _, _ in fam.values())
+
+
+def _check_size(cells: int) -> None:
+    if cells > MAX_DENSE_CELLS:
+        raise ValidationError([
+            f"the document declares matrices with {cells} entries in all, "
+            f"more than {MAX_DENSE_CELLS}"
+        ])
 
 
 def _parse_ranks(raw, arity):
@@ -219,7 +246,18 @@ def _parse_ranks(raw, arity):
     return ranks
 
 
-def _object_from_document(doc) -> object:
+class _Pending(NamedTuple):
+    """A parsed complex whose matrices are not built yet: `cells` is the
+    sum of rows x cols over them, `build()` makes the object."""
+
+    kind: str
+    ring: RingSpec
+    ranks: dict
+    cells: int
+    build: Callable
+
+
+def _pending_object(doc) -> _Pending:
     kind = _need(doc, "kind", str)
     try:
         ring = ring_from_name(_need(doc, "ring", str))
@@ -235,10 +273,15 @@ def _object_from_document(doc) -> object:
         rank = lambda n: ranks.get(n, 0)
         d = _parse_family(ring, diffs.get("d", []), 1,
                           lambda n: (rank(n - 1), rank(n)), "d")
-        try:
-            return ChainComplex(ring, ranks, d)
-        except BadParameter as exc:
-            raise ValidationError([str(exc)])
+
+        def build():
+            mats = _build_family(ring, d)
+            try:
+                return ChainComplex(ring, ranks, mats)
+            except BadParameter as exc:
+                raise ValidationError([str(exc)])
+
+        return _Pending(kind, ring, ranks, _cells([d]), build)
 
     if kind == "bicomplex":
         ranks = _parse_ranks(raw_ranks, 2)
@@ -250,13 +293,18 @@ def _object_from_document(doc) -> object:
         convention = doc.get("convention", "anticommute")
         if convention not in ("anticommute", "commute"):
             raise DocumentSyntaxError(f"unknown convention {convention!r}")
-        if convention == "commute":
-            dv = {(p, q): -m if p % 2 else m for (p, q), m in dv.items()}
-        x = Bicomplex(ring, ranks, dh, dv, check=False)
-        bad = validate_bicomplex(x)
-        if bad:
-            raise ValidationError(bad)
-        return x
+
+        def build():
+            h, v = _build_family(ring, dh), _build_family(ring, dv)
+            if convention == "commute":
+                v = {(p, q): -m if p % 2 else m for (p, q), m in v.items()}
+            x = Bicomplex(ring, ranks, h, v, check=False)
+            bad = validate_bicomplex(x)
+            if bad:
+                raise ValidationError(bad)
+            return x
+
+        return _Pending(kind, ring, ranks, _cells([dh, dv]), build)
 
     if kind == "twisted":
         ranks = _parse_ranks(raw_ranks, 2)
@@ -271,16 +319,24 @@ def _object_from_document(doc) -> object:
                 ring, entries, 2,
                 lambda k, i=i: (rank(k[0] - i, k[1] + i - 1), rank(*k)), name,
             )
-        x = TwistedComplex(ring, ranks, ds, check=False)
-        bad = validate_twisted(x)
-        if bad:
-            raise ValidationError(bad)
-        return x
+
+        def build():
+            mats = {i: _build_family(ring, fam) for i, fam in ds.items()}
+            x = TwistedComplex(ring, ranks, mats, check=False)
+            bad = validate_twisted(x)
+            if bad:
+                raise ValidationError(bad)
+            return x
+
+        return _Pending(kind, ring, ranks, _cells(ds.values()), build)
 
     raise DocumentSyntaxError(f"unknown kind {kind!r}")
 
 
 def from_document(doc) -> object:
+    """The object or map a document describes.  A document whose
+    matrices have more than MAX_DENSE_CELLS entries in all is a
+    ValidationError, raised before any matrix is built."""
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("document must be a JSON object")
     version = _need(doc, "schema_version", int)
@@ -288,26 +344,28 @@ def from_document(doc) -> object:
         raise DocumentSyntaxError(f"unsupported schema version {version}")
     kind = _need(doc, "kind", str)
     if kind != "map":
-        return _object_from_document(doc)
+        obj = _pending_object(doc)
+        _check_size(obj.cells)
+        return obj.build()
 
     map_kind = _need(doc, "map_kind", str)
-    src = _object_from_document(_need(doc, "source", dict))
-    tgt = _object_from_document(_need(doc, "target", dict))
-    ring = src.ring
-    if kind_of(src) != map_kind or kind_of(tgt) != map_kind:
+    src = _pending_object(_need(doc, "source", dict))
+    tgt = _pending_object(_need(doc, "target", dict))
+    if src.kind != map_kind or tgt.kind != map_kind:
         raise DocumentSyntaxError("map endpoints do not match map_kind")
     if src.ring != tgt.ring:
         raise ValidationError(["source and target use different rings"])
     arity = 1 if map_kind == "chain" else 2
-    if map_kind == "chain":
-        shape = lambda n: (tgt.rank(n), src.rank(n))
-    else:
-        shape = lambda k: (tgt.rank(*k), src.rank(*k))
-    comps = _parse_family(ring, doc.get("components", []), arity, shape,
-                          "components")
+    comps = _parse_family(
+        src.ring, doc.get("components", []), arity,
+        lambda k: (tgt.ranks.get(k, 0), src.ranks.get(k, 0)), "components",
+    )
+    _check_size(src.cells + tgt.cells + _cells([comps]))
+    source, target = src.build(), tgt.build()
+    mats = _build_family(src.ring, comps)
     cls = {"chain": ChainMap, "bicomplex": BicomplexMap, "twisted": TwistedMap}
     try:
-        return cls[map_kind](src, tgt, comps)
+        return cls[map_kind](source, target, mats)
     except BadParameter as exc:
         raise ValidationError([str(exc)])
 

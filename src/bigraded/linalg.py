@@ -359,13 +359,6 @@ def image_basis(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_rows(ring, list(zip(*cols)))
 
 
-def rank_kernel_image(m: ExactMatrix):
-    """(rank, kernel basis vectors, image basis vectors)."""
-    k = kernel_basis(m)
-    im = image_basis(m)
-    return im.cols, k.col_vectors(), im.col_vectors()
-
-
 def is_surjective(m: ExactMatrix) -> bool:
     """Whether m is surjective onto the free target module."""
     if m.ring.is_field:
@@ -433,10 +426,6 @@ class QuotientModule:
                 if cols
                 else ExactMatrix.zero(ring, n, 0)
             )
-
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
 
     def project(self, vectors: ExactMatrix) -> ExactMatrix:
         """Free-part quotient coordinates of each column."""

@@ -64,12 +64,6 @@ class ExactMatrix:
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 
-    def col_matrix(self, j: int) -> "ExactMatrix":
-        return ExactMatrix.column(self.ring, self.col(j))
-
-    def col_vectors(self):
-        return [self.col(j) for j in range(self.cols)]
-
     @property
     def is_zero(self) -> bool:
         z = self.ring.zero()

@@ -17,12 +17,48 @@ Three structures are supported, named by strings:
   bicomplex is a twisted complex with d_v = d_0, so ``"tot"`` and
   ``"twisted-tot"`` share one classifier.
 
-Each structure comes with finite families of generating inclusions;
-every family member is a cell inclusion between standard spheres,
-discs and boundaries.  The module decides right lifting properties
-against these families exactly, classifies maps by the closed-form
-conditions above, computes pushouts along the generating inclusions,
-and builds pointwise free horizontal resolutions of chain complexes.
+``"tot"`` and ``"ce"`` refuse objects with some d_i != 0, i >= 2, up
+front with ``BadParameter``: their cells and conditions are those of
+bicomplexes.
+
+Each structure comes with finite families of generating inclusions
+A -> B; every family member is a cell inclusion between standard
+spheres, discs and boundaries.  The module decides right lifting
+properties against these families exactly, classifies maps by the
+closed-form conditions above, computes pushouts along the generating
+inclusions, and builds pointwise free horizontal resolutions of chain
+complexes.
+
+Lifting is decided by representability.  Every cell B is free on one
+generator b at a bidegree beta, subject to d_i b = 0 for i in a set
+R_B, so a map B -> X is one element of
+K_B^X = ker [d_i(X) at beta, i in R_B].  The source A is 0 or a cell of
+the same kind on a at alpha, the bidegree of d_k b, and the inclusion
+sends a to +-d_k b; the sign does not matter, because a -> -a is an
+automorphism of A.  For g: X -> Y the squares are the pairs
+(u, f) in K_A^X + K_B^Y with g u = d_k f, the diagonals give the
+squares (d_k h, g h) for h in K_B^X, and g has the right lifting
+property exactly when those fill all squares (`has_rlp`).  The data per
+family (`_CELLS`):
+
+===============================  ==========  ======  ======  =
+family                           beta        R_B     R_A     k
+===============================  ==========  ======  ======  =
+``TwI_BoundaryToDisc(p, q)``     (p, q)      {}      {0}     0
+``TwJ_ZeroToDisc0(q)``           (0, q)      {}      A = 0
+``TotI_SphereToHBoundary(q)``    (0, q)      {1}     {0, 1}  0
+``TotI_VBoundaryToDisc(p, q)``   (p, q)      {}      {0}     0
+``TotJ_ZeroToHBoundary(q)``      (0, q)      {1}     A = 0
+``CEI_ZeroToHBoundary(q)``       (0, q)      {1}     A = 0
+``CEI_ZeroToSphere(q)``          (0, q)      {0, 1}  A = 0
+``CEI_SphereToVBoundary(p, q)``  (p, q - 1)  {0}     {0, 1}  1
+``CEI_HBoundaryToDisc(p, q)``    (p, q)      {}      {1}     1
+``CEJ_ZeroToVBoundary(p, q)``    (p, q - 1)  {0}     A = 0
+===============================  ==========  ======  ======  =
+
+alpha = beta + (-k, k - 1).  The generating maps themselves are built
+by `generator_map`, for `solve_lift`, `pushout` and the tensor
+identities; the tests check `has_rlp` against whole Hom spaces.
 """
 
 from __future__ import annotations
@@ -34,11 +70,11 @@ from fractions import Fraction
 from .rings import RingSpec, ZZ, QQ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import (
+    NoSolution,
     coordinates_in,
     image_basis,
     is_surjective,
     kernel_basis,
-    make_solver,
     rank,
     solve_exact,
 )
@@ -95,6 +131,22 @@ def structure_name(structure) -> str:
     raise BadParameter(f"unknown structure {structure!r}")
 
 
+def _checked_structure(structure, *objs) -> str:
+    """The structure name, once the objects are checked to be valid for
+    it: "tot" and "ce" (their cells, conditions and lifting data) need
+    d_i = 0 for i >= 2."""
+    structure = structure_name(structure)
+    if structure != "twisted-tot":
+        for x in objs:
+            extra = [i for i in x.indices() if i >= 2]
+            if extra:
+                raise BadParameter(
+                    f"structure {structure!r} needs bicomplexes, "
+                    f"but an input has d_{extra[0]} != 0"
+                )
+    return structure
+
+
 # ---------------------------------------------------------------------------
 # Generating inclusions
 # ---------------------------------------------------------------------------
@@ -109,23 +161,48 @@ class GeneratorRef:
     q: int = 0
 
 
-# families indexed by q only (no p parameter)
-_Q_ONLY = {
-    "TotI_SphereToHBoundary",
-    "TotJ_ZeroToHBoundary",
-    "CEI_ZeroToSphere",
-    "CEI_ZeroToHBoundary",
-    "TwJ_ZeroToDisc0",
+@dataclass(frozen=True)
+class _Cell:
+    """A generating family as generator data.  The target cell B is free
+    on one generator b, subject to d_i b = 0 for i in `rel_b`; b sits in
+    column 0 when `pmin` is None (a family indexed by q alone), else in
+    column p, and in row q + `dq`.  The source A is 0 when `rel_a` is
+    None; otherwise it is free on a at the bidegree of d_k b, subject to
+    d_i a = 0 for i in `rel_a`, and the inclusion sends a to +-d_k b."""
+
+    pmin: int | None
+    dq: int
+    rel_b: tuple
+    rel_a: tuple | None
+    k: int = 0
+
+
+_CELLS = {
+    "TwI_BoundaryToDisc": _Cell(0, 0, (), (0,)),
+    "TwJ_ZeroToDisc0": _Cell(None, 0, (), None),
+    "TotI_SphereToHBoundary": _Cell(None, 0, (1,), (0, 1)),
+    "TotI_VBoundaryToDisc": _Cell(1, 0, (), (0,)),
+    "TotJ_ZeroToHBoundary": _Cell(None, 0, (1,), None),
+    "CEI_ZeroToHBoundary": _Cell(None, 0, (1,), None),
+    "CEI_ZeroToSphere": _Cell(None, 0, (0, 1), None),
+    "CEI_SphereToVBoundary": _Cell(1, -1, (0,), (0, 1), k=1),
+    "CEI_HBoundaryToDisc": _Cell(1, 0, (), (1,), k=1),
+    "CEJ_ZeroToVBoundary": _Cell(1, -1, (0,), None),
 }
 
-# smallest legal p for the (p, q)-indexed families
-_P_MIN = {
-    "TotI_VBoundaryToDisc": 1,
-    "CEI_SphereToVBoundary": 1,
-    "CEI_HBoundaryToDisc": 1,
-    "CEJ_ZeroToVBoundary": 1,
-    "TwI_BoundaryToDisc": 0,
-}
+
+def _cell(ref: GeneratorRef) -> tuple:
+    """(table entry, bidegree of the generator b of the target cell) for
+    `ref`; BadParameter for an unknown family or a p below its range."""
+    cell = _CELLS.get(ref.family)
+    if cell is None:
+        raise BadParameter(f"unknown generator family {ref.family!r}")
+    if cell.pmin is None:
+        return cell, (0, ref.q + cell.dq)
+    if ref.p < cell.pmin:
+        raise BadParameter(f"{ref.family} needs p >= {cell.pmin}")
+    return cell, (ref.p, ref.q + cell.dq)
+
 
 GENERATING_FAMILIES = {
     ("tot", "I"): ("TotI_SphereToHBoundary", "TotI_VBoundaryToDisc"),
@@ -160,12 +237,10 @@ def generator_map(ref: GeneratorRef, ring: RingSpec = ZZ):
 
 
 def _generator_map(ref: GeneratorRef, ring: RingSpec):
+    _cell(ref)  # BadParameter for an unknown family or a p out of range
     fam, p, q = ref.family, ref.p, ref.q
     one = ExactMatrix.identity(ring, 1)
     empty = Bicomplex(ring, {}, {}, {})
-    if fam not in _Q_ONLY:
-        if p < _P_MIN.get(fam, 0):
-            raise BadParameter(f"{fam} needs p >= {_P_MIN[fam]}")
     if fam == "TotI_SphereToHBoundary":
         a = bic_sphere(0, q - 1, 1, ring)
         b = h_boundary(1, q, 1, ring)
@@ -190,9 +265,7 @@ def _generator_map(ref: GeneratorRef, ring: RingSpec):
         return BicomplexMap(empty, v_boundary(p, q, 1, ring), {})
     if fam == "TwI_BoundaryToDisc":
         return boundary_inclusion(p, q, ring)
-    if fam == "TwJ_ZeroToDisc0":
-        return TwistedMap(TwistedComplex(ring, {}, {}), twisted_disc(0, q, ring), {})
-    raise BadParameter(f"unknown generator family {fam!r}")
+    return TwistedMap(TwistedComplex(ring, {}, {}), twisted_disc(0, q, ring), {})
 
 
 def relevant_generators(f, structure, which: str) -> list:
@@ -211,10 +284,10 @@ def relevant_generators(f, structure, which: str) -> list:
     qlo, qhi = min(qs) - 1, max(qs) + 1
     out = []
     for fam in GENERATING_FAMILIES[(structure, which)]:
-        if fam in _Q_ONLY:
+        pmin = _CELLS[fam].pmin
+        if pmin is None:
             out.extend(GeneratorRef(fam, 0, q) for q in range(qlo, qhi + 1))
         else:
-            pmin = _P_MIN[fam]
             if fam == "TwI_BoundaryToDisc" and which == "J":
                 pmin = 1
             out.extend(
@@ -287,43 +360,73 @@ def solve_lift(problem: LiftingProblem):
     return morphism_from_vector(b, x, vec)
 
 
-def has_rlp(g, gen) -> bool:
-    """Whether g has the right lifting property against the inclusion
-    `gen`: every commuting square admits a diagonal.  Decided exactly by
-    comparing the space of squares with the image of the space of
-    candidate diagonals."""
-    it = embed_map(gen)
-    gt = embed_map(g)
-    a, b = it.source, it.target
-    x, y = gt.source, gt.target
+def _cycles(x, pq, rels) -> ExactMatrix:
+    """Columns: a basis of the elements of x at pq killed by every d_i
+    with i in `rels`, that is of Mor(B, x) for a cell B free on one
+    generator at pq subject to those relations (Yoneda)."""
+    ds = [x.ds[i][pq] for i in rels if pq in x.ds.get(i, {})]
+    if not ds:
+        return ExactMatrix.identity(x.ring, x.rank(*pq))
+    return kernel_basis(ExactMatrix.vstack(x.ring, ds))
+
+
+def _spans(gens: ExactMatrix, vectors: ExactMatrix) -> bool:
+    """Whether every column of `vectors` lies in the span of the columns
+    of `gens` (over Z: in the lattice they generate)."""
+    try:
+        coordinates_in(gens, vectors)
+    except NoSolution:
+        return False
+    return True
+
+
+def has_rlp(g, ref: GeneratorRef) -> bool:
+    """Whether g: X -> Y has the right lifting property against the
+    generating inclusion i: A -> B named by `ref`.
+
+    Every generating cell is free on one generator, so the question is
+    decided at one or two bidegrees, by the table of the module
+    docstring (stored as `_CELLS`).  A map B -> W is an element of
+    K_B^W, the elements of W at the bidegree beta of b killed by the
+    relations of b; likewise for A at alpha, the bidegree of d_k b.
+    With i(a) = d_k b (the sign of the inclusion does not matter),
+
+    * the squares are S = {(u, f) in K_A^X + K_B^Y : g u = d_k f};
+    * a diagonal h in K_B^X gives the square Phi(h) = (d_k h, g h);
+    * g has the property exactly when im Phi contains S: a rank
+      comparison over a field, lattice containment over Z.
+
+    When A = 0 this is surjectivity of g: K_B^X -> K_B^Y.  Valid for the
+    bicomplex families only when X and Y are bicomplexes."""
+    cell, beta = _cell(ref)
+    g = embed_map(g)
+    x, y = g.source, g.target
     ring = x.ring
-    u_basis = morphism_space_basis(a, x)
-    f_basis = morphism_space_basis(b, y)
-    n_u, n_f = u_basis.cols, f_basis.cols
-    if n_u + n_f == 0:
+    kby = _cycles(y, beta, cell.rel_b)
+    if cell.rel_a is None:
+        if kby.cols == 0:
+            return True
+        lifts = g.component(*beta) @ _cycles(x, beta, cell.rel_b)
+        if ring.is_field:
+            return rank(lifts) == kby.cols
+        return _spans(lifts, kby)
+    alpha = (beta[0] - cell.k, beta[1] + cell.k - 1)
+    kax = _cycles(x, alpha, cell.rel_a)
+    if kax.cols + kby.cols == 0:
         return True
-    # squares: pairs (u, f) with f∘i = g∘u, in morphism-basis coordinates
-    pu = _morphism_matrix(a, x, u_basis, lambda u: gt.compose(u), a, y)
-    pf = _morphism_matrix(b, y, f_basis, lambda f: f.compose(it), a, y)
-    squares = kernel_basis(ExactMatrix.hstack(ring, [pu, -pf]))
-    if squares.cols == 0:
-        return True
-    # image of a diagonal h: the square (h∘i, g∘h)
-    h_basis = morphism_space_basis(b, x)
-    top = _morphism_matrix(b, x, h_basis, lambda h: h.compose(it), a, x)
-    bot = _morphism_matrix(b, x, h_basis, lambda h: gt.compose(h), b, y)
-    psi = ExactMatrix.vstack(
-        ring,
-        [coordinates_in(u_basis, top), coordinates_in(f_basis, bot)],
-        cols=h_basis.cols,
-    )
+    kbx = _cycles(x, beta, cell.rel_b)
+    # S in coordinates of K_A^X + K_B^Y is the kernel of `relation`
+    relation = ExactMatrix.hstack(ring, [
+        g.component(*alpha) @ kax, -(y.d(cell.k, *beta) @ kby),
+    ])
+    lifts = ExactMatrix.vstack(ring, [x.d(cell.k, *beta), g.component(*beta)]) @ kbx
     if ring.is_field:
-        both = ExactMatrix.hstack(ring, [psi, squares])
-        return rank(both) == rank(psi)
-    solver = make_solver(psi)
-    return all(
-        solver.solve(squares.col(j)) is not None for j in range(squares.cols)
-    )
+        # im Phi lies in S, so it contains S when the dimensions agree
+        return rank(lifts) == relation.cols - rank(relation)
+    coords = kernel_basis(relation)
+    if coords.cols == 0:
+        return True
+    return _spans(lifts, ExactMatrix.direct_sum(ring, [kax, kby]) @ coords)
 
 
 @dataclass
@@ -337,7 +440,7 @@ class RLPReport:
 def rlp_report(f, structure) -> RLPReport:
     """Decide the right lifting property of f against every relevant
     generator of both families of the structure."""
-    structure = structure_name(structure)
+    structure = _checked_structure(structure, f.source, f.target)
     cache = {}
     per = {}
     flags = {}
@@ -345,7 +448,7 @@ def rlp_report(f, structure) -> RLPReport:
         ok = True
         for ref in relevant_generators(f, structure, which):
             if ref not in cache:
-                cache[ref] = has_rlp(f, generator_map(ref, f.source.ring))
+                cache[ref] = has_rlp(f, ref)
             per[(which, ref)] = cache[ref]
             ok = ok and cache[ref]
         flags[which] = ok
@@ -375,7 +478,7 @@ def _pointwise_surjective(f) -> tuple:
 def classify_map(f, structure) -> ClassifyReport:
     """Evaluate the closed-form fibration / trivial-fibration / weak
     equivalence conditions of the structure on a bounded map."""
-    structure = structure_name(structure)
+    structure = _checked_structure(structure, f.source, f.target)
     evidence = {}
     surj, surj_fail = _pointwise_surjective(f)
     evidence["surjective"] = surj
@@ -444,7 +547,7 @@ class CofibrancyReport:
 
 
 def cofibrancy_report(x, structure) -> CofibrancyReport:
-    structure = structure_name(structure)
+    structure = _checked_structure(structure, x)
     conds = {}
     if structure in ("tot", "twisted-tot"):
         # objects are pointwise free by construction

@@ -94,9 +94,6 @@ class TwistedComplex:
     def is_zero(self) -> bool:
         return not self.ranks
 
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
-
     def indices(self):
         return sorted(self.ds)
 

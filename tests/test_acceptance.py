@@ -9,6 +9,7 @@ its wall-clock budget, and prints a single pass/fail line.  Criteria:
  3. simplicial cochain identifications, absolute and relative
  4. the tensor identity suite with explicit invertible intertwiners
  5. lifting-property flags equal classifier flags on seeded random maps
+    over F2 and F3, and over Z and Q
  6. spectral page two, strong convergence, page-two-iso implies
     total weak equivalence
  7. projective resolution contracts on random bounded free complexes
@@ -137,7 +138,27 @@ def test_criterion_5_rlp_agreement():
             assert rep.has_rlp_J == cls.is_fibration, (structure, k)
             assert rep.has_rlp_I == cls.is_trivial_fibration, (structure, k)
     report(5, f"{3 * per_structure} maps: lifting flags == classifier flags",
-           t0, 120)
+           t0, 30)
+
+
+def test_criterion_5_rlp_agreement_over_z_and_q():
+    t0 = time.time()
+    rng = random.Random(43)
+    per_structure = 60
+    for ring in (ZZ, QQ):
+        for structure in ("tot", "ce", "twisted-tot"):
+            for k in range(per_structure):
+                if structure == "twisted-tot":
+                    f = randgen.random_twisted_map(rng, ring)
+                else:
+                    f = randgen.random_bicomplex_map(rng, ring)
+                rep = rlp_report(f, structure)
+                cls = classify_map(f, structure)
+                assert rep.has_rlp_J == cls.is_fibration, (ring, structure, k)
+                assert rep.has_rlp_I == cls.is_trivial_fibration, \
+                    (ring, structure, k)
+    report(5, f"{6 * per_structure} maps over Z and Q: lifting flags == "
+           "classifier flags", t0, 30)
 
 
 def test_criterion_6_spectral_consistency():

@@ -146,3 +146,18 @@ def test_euler_characteristic_additive_under_tensor():
         y = random_chain_complex(rng, QQ, degrees=(0, 2))
         chi = lambda c: sum((-1) ** n * r for n, r in c.ranks.items())
         assert chi(tensor(x, y)) == chi(x) * chi(y)
+
+
+def test_is_acyclic_over_fields_matches_homology():
+    # the rank count over a field against the homology it replaces, on
+    # random complexes, the acyclic cones of identities and zero maps
+    rng = random.Random(7)
+    seen = set()
+    for ring in (GF(2), GF(3), QQ):
+        for _ in range(20):
+            c = random_chain_complex(rng, ring, degrees=(-1, 3))
+            for x in (c, cone(ChainMap.identity(c)), cone(ChainMap.zero(c, c))):
+                expect = all(homology_at(x, n).is_zero for n in x.degrees())
+                assert is_acyclic(x) == expect
+                seen.add(expect)
+    assert seen == {True, False}

@@ -10,6 +10,7 @@ from bigraded.bicomplex import bic_disc
 from bigraded.twisted import twisted_boundary, twisted_disc
 from bigraded.docio import (
     DocumentSyntaxError,
+    MAX_DENSE_CELLS,
     ValidationError,
     parse,
     serialize,
@@ -132,6 +133,36 @@ def test_out_of_range_entry():
            "ranks": [[0, 1], [1, 1]],
            "differentials": {"d": [[[1], [[5, 0, "1"]]]]}}
     with pytest.raises(ValidationError):
+        parse(json.dumps(doc))
+
+
+def test_oversized_documents_rejected_before_allocation():
+    # 118 bytes declaring one 20000 x 20000 matrix: rejected by its
+    # declared size, not after building 4e8 dense entries
+    text = ('{"schema_version":1,"kind":"chain","ring":"Z",'
+            '"ranks":[[0,20000],[1,20000]],'
+            '"differentials":{"d":[[[1],[[0,0,"1"]]]]}}')
+    assert len(text) == 118
+    with pytest.raises(ValidationError, match="entries"):
+        parse(text)
+    # the limit is on the sum over all matrices of the document: two
+    # families of a twisted complex, each below it
+    n = 1500
+    assert n * n <= MAX_DENSE_CELLS < 2 * n * n
+    doc = {"schema_version": 1, "kind": "twisted", "ring": "F3",
+           "ranks": [[1, 0, n], [0, 0, n], [1, 1, n]],
+           "differentials": {"d0": [[[1, 1], []]], "d1": [[[1, 0], []]]}}
+    with pytest.raises(ValidationError, match="entries"):
+        parse(json.dumps(doc))
+    # and a map counts its components with its ends
+    doc = {"schema_version": 1, "kind": "map", "ring": "Z",
+           "map_kind": "chain",
+           "source": {"schema_version": 1, "kind": "chain", "ring": "Z",
+                      "ranks": [[0, 3000]]},
+           "target": {"schema_version": 1, "kind": "chain", "ring": "Z",
+                      "ranks": [[0, 3000]]},
+           "components": [[[0], []]]}
+    with pytest.raises(ValidationError, match="entries"):
         parse(json.dumps(doc))
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.matrices import ExactMatrix
+from bigraded.linalg import coordinates_in, kernel_basis, make_solver, rank
 from bigraded.chain import ChainComplex, homology, is_acyclic, is_quasi_iso
 from bigraded.bicomplex import (
     Bicomplex,
@@ -15,13 +16,26 @@ from bigraded.bicomplex import (
     tot_map,
     v_boundary,
 )
-from bigraded.twisted import TwistedMap, tot_twisted, twisted_disc
+from bigraded.twisted import (
+    TwistedMap,
+    embed_map,
+    morphism_space_basis,
+    tot_twisted,
+    twisted_disc,
+)
+from bigraded.randgen import (
+    random_bicomplex_map,
+    random_twisted,
+    random_twisted_map,
+)
 from bigraded.model import (
     GENERATING_FAMILIES,
+    STRUCTURES,
     BadSquare,
     GeneratorRef,
     LiftingProblem,
     NoLift,
+    _morphism_matrix,
     ce_resolution,
     classify_map,
     cofibrancy_report,
@@ -37,6 +51,44 @@ from bigraded.model import (
 
 def I(ring=ZZ, n=1):
     return ExactMatrix.identity(ring, n)
+
+
+def oracle_has_rlp(g, gen) -> bool:
+    """Whether g has the right lifting property against the inclusion
+    `gen`, decided on whole Hom spaces: every commuting square (u, f) is
+    (h∘i, g∘h) for a diagonal h.  Slow and independent of the generator
+    data that `has_rlp` uses."""
+    it = embed_map(gen)
+    gt = embed_map(g)
+    a, b = it.source, it.target
+    x, y = gt.source, gt.target
+    ring = x.ring
+    u_basis = morphism_space_basis(a, x)
+    f_basis = morphism_space_basis(b, y)
+    if u_basis.cols + f_basis.cols == 0:
+        return True
+    # squares: pairs (u, f) with f∘i = g∘u, in morphism-basis coordinates
+    pu = _morphism_matrix(a, x, u_basis, lambda u: gt.compose(u), a, y)
+    pf = _morphism_matrix(b, y, f_basis, lambda f: f.compose(it), a, y)
+    squares = kernel_basis(ExactMatrix.hstack(ring, [pu, -pf]))
+    if squares.cols == 0:
+        return True
+    # image of a diagonal h: the square (h∘i, g∘h)
+    h_basis = morphism_space_basis(b, x)
+    top = _morphism_matrix(b, x, h_basis, lambda h: h.compose(it), a, x)
+    bot = _morphism_matrix(b, x, h_basis, lambda h: gt.compose(h), b, y)
+    psi = ExactMatrix.vstack(
+        ring,
+        [coordinates_in(u_basis, top), coordinates_in(f_basis, bot)],
+        cols=h_basis.cols,
+    )
+    if ring.is_field:
+        both = ExactMatrix.hstack(ring, [psi, squares])
+        return rank(both) == rank(psi)
+    solver = make_solver(psi)
+    return all(
+        solver.solve(squares.col(j)) is not None for j in range(squares.cols)
+    )
 
 
 def proj_disc_to_vboundary(p, q, ring=ZZ):
@@ -121,8 +173,39 @@ def test_has_rlp_hand_verified_negative():
     # boundary inclusion in the same bidegree: the candidate diagonal is
     # a scalar forced two different ways
     g = proj_disc_to_vboundary(2, 0, QQ)
-    gen = generator_map(GeneratorRef("TotI_VBoundaryToDisc", 2, 0), QQ)
-    assert not has_rlp(g, gen)
+    ref = GeneratorRef("TotI_VBoundaryToDisc", 2, 0)
+    assert not has_rlp(g, ref)
+    assert not oracle_has_rlp(g, generator_map(ref, QQ))
+
+
+def test_has_rlp_rejects_bad_refs():
+    g = proj_disc_to_vboundary(2, 0, QQ)
+    with pytest.raises(BadParameter):
+        has_rlp(g, GeneratorRef("NoSuchFamily", 1, 0))
+    with pytest.raises(BadParameter):
+        has_rlp(g, GeneratorRef("CEI_HBoundaryToDisc", 0, 0))
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), QQ, ZZ], ids=str)
+def test_has_rlp_matches_hom_space_oracle(ring):
+    # 30 seeded maps per structure; every (map, generator) pair of
+    # rlp_report against the Hom-space oracle
+    rng = random.Random(1802)
+    families = {fam for fams in GENERATING_FAMILIES.values() for fam in fams}
+    seen = set()
+    for structure in STRUCTURES:
+        make = random_twisted_map if structure == "twisted-tot" else random_bicomplex_map
+        for k in range(30):
+            f = make(rng, ring, p_range=(0, 2), q_range=(-1, 1))
+            rep = rlp_report(f, structure)
+            oracle = {}
+            for (which, ref), flag in rep.per_generator.items():
+                if ref not in oracle:
+                    oracle[ref] = oracle_has_rlp(f, generator_map(ref, ring))
+                assert flag == oracle[ref], (structure, k, which, ref)
+                seen.add((ref.family, flag))
+    assert {fam for fam, _ in seen} == families
+    assert {flag for _, flag in seen} == {True, False}
 
 
 def test_identity_has_rlp_against_everything():
@@ -139,6 +222,32 @@ def test_identity_has_rlp_against_everything():
 
 
 # --- classification ----------------------------------------------------------
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=str)
+def test_bicomplex_structures_refuse_twisted_inputs(ring):
+    rng = random.Random(5)
+    x = random_twisted(rng, ring, p_range=(0, 3), q_range=(-1, 1))
+    while not any(i >= 2 for i in x.indices()):
+        x = random_twisted(rng, ring, p_range=(0, 3), q_range=(-1, 1))
+    f = TwistedMap.identity(x)
+    i = min(i for i in x.indices() if i >= 2)
+    cell = twisted_disc(3, 0, ring)
+    for structure in ("tot", "ce"):
+        for call, index in (
+            (lambda: rlp_report(f, structure), i),
+            (lambda: classify_map(f, structure), i),
+            (lambda: cofibrancy_report(x, structure), i),
+            (lambda: cofibrancy_report(cell, structure), 2),
+        ):
+            with pytest.raises(BadParameter, match=f"'{structure}'.*d_{index} "):
+                call()
+    # twisted-tot takes both carriers
+    assert rlp_report(f, "twisted-tot").has_rlp_J
+    assert classify_map(f, "twisted-tot").is_fibration
+    bic = BicomplexMap.identity(bic_disc(2, 0, 1, ring))
+    assert rlp_report(bic, "twisted-tot").has_rlp_I
+    assert classify_map(bic, "twisted-tot").is_trivial_fibration
+    assert cofibrancy_report(bic.source, "twisted-tot").passes
 
 def test_classify_quotient_map():
     # weak equivalence for the total structure, but not a fibration:
