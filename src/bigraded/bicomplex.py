@@ -20,19 +20,12 @@ from .chain import ChainComplex, ChainMap
 from .twisted import (
     TwistedComplex,
     TwistedMap,
-    cokernel_twisted,
     column_twisted,
     column_twisted_map,
     complex_like,
-    direct_sum_twisted,
-    hom_twisted,
-    kernel_twisted,
     map_like,
     tensor_layout,
     tensor_twisted,
-    tensor_twisted_map,
-    tot_twisted,
-    tot_twisted_map,
     validate_twisted,
 )
 
@@ -184,27 +177,12 @@ def standard_bicomplex(kind: str, *params, ring: RingSpec = ZZ) -> Bicomplex:
     raise BadParameter(f"unknown bicomplex kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Operations shared with twisted complexes, under their bicomplex names
-# ---------------------------------------------------------------------------
-
-tot = tot_twisted
-tot_map = tot_twisted_map
-tensor = tensor_twisted
-tensor_map = tensor_twisted_map
-hom_bicomplex = hom_twisted
-column = column_twisted
-kernel = kernel_twisted
-cokernel = cokernel_twisted
-direct_sum = direct_sum_twisted
-
-
 def koszul_swap(x: Bicomplex, y: Bicomplex) -> BicomplexMap:
     """The symmetry X (x) Y -> Y (x) X with sign (-1)^{|x||y|} on total
     degrees."""
     ring = x.ring
-    src_obj = tensor(x, y)
-    tgt_obj = tensor(y, x)
+    src_obj = tensor_twisted(x, y)
+    tgt_obj = tensor_twisted(y, x)
     comps = {}
     for pq in src_obj.ranks:
         src = tensor_layout(x, y, *pq)
@@ -346,4 +324,4 @@ def e2(x: TwistedComplex) -> dict:
 
 def ev0(x: TwistedComplex) -> ChainComplex:
     """The column p = 0 with its vertical differential."""
-    return column(x, 0)
+    return column_twisted(x, 0)

@@ -14,7 +14,7 @@ from math import comb
 
 from .rings import RingSpec, BadParameter
 from .matrices import ExactMatrix
-from .linalg import QuotientModule, kernel_basis, image_basis, coordinates_in, rank
+from .linalg import kernel_basis, coordinates_in, rank, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,14 @@ class ModuleClass:
         return " + ".join(parts) if parts else "0"
 
 
+def _product(a, b):
+    """a @ b, or None when a factor is absent or the product is zero."""
+    if a is None or b is None:
+        return None
+    m = a @ b
+    return None if m.is_zero else m
+
+
 class ChainComplex:
     def __init__(self, ring: RingSpec, ranks: dict, d: dict, check: bool = True):
         self.ring = ring
@@ -58,8 +66,8 @@ class ChainComplex:
         for n, m in self.d.items():
             if m.cols != self.rank(n) or m.rows != self.rank(n - 1):
                 raise BadParameter("differential at degree %d has wrong shape" % n)
-        for n in self.d:
-            if not (self.diff(n - 1) @ self.diff(n)).is_zero:
+        for n, m in self.d.items():
+            if _product(self.d.get(n - 1), m) is not None:
                 raise BadParameter("d*d != 0 at degree %d" % n)
 
     # -- access --------------------------------------------------------
@@ -117,8 +125,8 @@ class ChainMap:
             if m.cols != self.source.rank(n) or m.rows != self.target.rank(n):
                 raise BadParameter("component at degree %d has wrong shape" % n)
         for n in set(self.f) | set(self.source.d):
-            lhs = self.target.diff(n) @ self.component(n)
-            rhs = self.component(n - 1) @ self.source.diff(n)
+            lhs = _product(self.target.d.get(n), self.f.get(n))
+            rhs = _product(self.f.get(n - 1), self.source.d.get(n))
             if lhs != rhs:
                 raise BadParameter("chain map does not commute at degree %d" % n)
 
@@ -299,30 +307,49 @@ def standard_chain(kind: str, *params, ring: RingSpec = None) -> ChainComplex:
 # Homology and quasi-isomorphisms
 # ---------------------------------------------------------------------------
 
+def _factor(m: ExactMatrix | None) -> tuple:
+    """(rank, non-unit invariant factors) of one differential: a rank over
+    a field, one Smith normal form over Z.  An absent differential is
+    the zero map."""
+    if m is None:
+        return 0, ()
+    if m.ring.is_field:
+        return rank(m), ()
+    factors = smith_normal_form(m).invariant_factors
+    return len(factors), tuple(f for f in factors if f != 1)
+
+
+def _homology_class(c_n: int, d_n: tuple, d_up: tuple) -> ModuleClass:
+    """H_n from the factorisations of d_n and d_{n+1}.  The cycles Z_n are
+    a direct summand of C_n, since C_n / Z_n embeds in the free C_{n-1};
+    so H_n = Z_n / B_n has free rank c_n - rk d_n - rk d_{n+1} and the
+    torsion of coker d_{n+1}."""
+    return ModuleClass(c_n - d_n[0] - d_up[0], d_up[1])
+
+
 def homology(c: ChainComplex) -> dict:
-    """Degreewise homology classes; zero degrees are omitted."""
+    """Degreewise homology classes; zero degrees are omitted.  Each
+    differential is factored once and shared by its two degrees."""
+    factors = {n: _factor(m) for n, m in c.d.items()}
+    zero = _factor(None)
     out = {}
     for n in c.degrees():
-        cls = homology_at(c, n)
+        cls = _homology_class(
+            c.rank(n), factors.get(n, zero), factors.get(n + 1, zero)
+        )
         if not cls.is_zero:
             out[n] = cls
     return out
 
 
 def homology_at(c: ChainComplex, n: int) -> ModuleClass:
-    cycles = kernel_basis(c.diff(n))
-    boundaries = image_basis(c.diff(n + 1))
-    rels = coordinates_in(cycles, boundaries)
-    q = QuotientModule(c.ring, cycles.cols, rels)
-    return ModuleClass(q.rank, q.torsion)
+    return _homology_class(
+        c.rank(n), _factor(c.d.get(n)), _factor(c.d.get(n + 1))
+    )
 
 
 def is_acyclic(c: ChainComplex) -> bool:
-    if c.ring.is_field:
-        # dim H_n = c_n - rk d_n - rk d_{n+1}: one rank per differential
-        rk = {n: rank(m) for n, m in c.d.items()}
-        return all(r == rk.get(n, 0) + rk.get(n + 1, 0) for n, r in c.ranks.items())
-    return all(homology_at(c, n).is_zero for n in c.degrees())
+    return not homology(c)
 
 
 def cone(f: ChainMap) -> ChainComplex:
@@ -337,8 +364,8 @@ def cone(f: ChainMap) -> ChainComplex:
             ranks[n] = r
     d = {}
     for n in ranks:
-        if x.rank(n - 2) + y.rank(n - 1) == 0:
-            continue
+        if x.d.get(n - 1) is None and f.f.get(n - 1) is None and y.d.get(n) is None:
+            continue  # the zero map, which is never built
         grid = [
             [-x.diff(n - 1), ExactMatrix.zero(ring, x.rank(n - 2), y.rank(n))],
             [f.component(n - 1), y.diff(n)],

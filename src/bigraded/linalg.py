@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 
@@ -23,76 +21,52 @@ class NoSolution(Exception):
 # Field echelon form
 # ---------------------------------------------------------------------------
 
-def _rref_field(ring: RingSpec, rows, limit: int | None = None):
-    """Reduced row echelon form over a field.
+def _rref(ring: RingSpec, rows, limit: int | None = None):
+    """Reduced row echelon form over a field, by Gauss-Jordan elimination.
 
-    Returns (reduced rows, pivot column list).  Input is a list of row
-    lists; it is consumed.  Pivots are only chosen among the first
-    `limit` columns (all columns when None), so augmented systems keep
-    their right-hand block passive.
+    Takes a sequence of rows, which it leaves unchanged, and returns
+    (reduced rows as lists, pivot column list).  Pivots are only chosen
+    among the first `limit` columns (all columns when None), so
+    augmented systems keep their right-hand block passive.  The pivot of
+    column c is the first remaining row with a nonzero entry there.
+    While reducing, each row is a {column: nonzero entry} dict, because
+    the matrices of this package are mostly sparse; over F_p every new
+    entry is reduced mod p.
     """
-    if ring.kind == "F":
-        return _rref_fp(ring.p, rows, limit)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    p = ring.p if ring.kind == "F" else None
+    ncols = len(rows[0]) if rows else 0
+    work = [{j: x for j, x in enumerate(row) if x} for row in rows]
     pivots = []
     r = 0
     for c in range(ncols if limit is None else min(limit, ncols)):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
+        if r == len(work):
+            break
+        pr = next((i for i in range(r, len(work)) if c in work[i]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ring.inv(rows[r][c])
+        pivot = work[pr]
+        work[pr] = work[r]
+        inv = ring.inv(pivot[c])
         if inv != 1:
-            rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [
-                    ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                ]
+            pivot = {j: ring.mul(inv, x) for j, x in pivot.items()}
+        work[r] = pivot
+        entries = list(pivot.items())
+        for i, row in enumerate(work):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, y in entries:
+                v = row.get(j, 0) - f * y
+                if p:
+                    v %= p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def _rref_fp(p: int, rows, limit: int | None = None):
-    """Mod-p RREF via numpy; returns (row lists, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return [list(r) for r in rows], []
-    # int64 holds every intermediate, |x - c*y| <= (p-1)^2 + (p-1), only
-    # for small p; above that the arithmetic runs on Python ints
-    dtype = np.int64 if (p - 1) * p < 2**63 else object
-    a = np.array(rows, dtype=dtype) % p
-    pivots = []
-    r = 0
-    for c in range(ncols if limit is None else min(limit, ncols)):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a.tolist(), pivots
+    zero = ring.zero()
+    return [[row.get(j, zero) for j in range(ncols)] for row in work], pivots
 
 
 class FieldSolver:
@@ -106,7 +80,7 @@ class FieldSolver:
         n, m = a.rows, a.cols
         aug = [list(r) + [a.ring.one() if i == j else a.ring.zero() for j in range(n)]
                for i, r in enumerate(a.entries)]
-        red, pivots = _rref_field(a.ring, aug, limit=m)
+        red, pivots = _rref(a.ring, aug, limit=m)
         self.pivots = pivots
         self.rank = len(pivots)
         self.red = red
@@ -122,12 +96,8 @@ class FieldSolver:
             )
         b = [ring.normalize(x) for x in b]
         # y = E b where E is the recorded row transform
-        ys = []
-        for i in range(self.n):
-            erow = self.red[i][self.m:]
-            ys.append(sum((ring.mul(e, x) for e, x in zip(erow, b)), ring.zero())
-                      if ring.kind == "Q" else
-                      sum(e * x for e, x in zip(erow, b)) % ring.p)
+        ys = [ring.normalize(sum(e * x for e, x in zip(row[self.m:], b)))
+              for row in self.red]
         for i in range(self.rank, self.n):
             if ys[i] != 0:
                 return None
@@ -307,7 +277,7 @@ def solve_exact(a: ExactMatrix, b):
 
 def rank(m: ExactMatrix) -> int:
     if m.ring.is_field:
-        _, pivots = _rref_field(m.ring, [list(r) for r in m.entries])
+        _, pivots = _rref(m.ring, m.entries)
         return len(pivots)
     return smith_normal_form(m).rank
 
@@ -320,7 +290,7 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     """
     ring = m.ring
     if ring.is_field:
-        red, pivots = _rref_field(ring, [list(r) for r in m.entries])
+        red, pivots = _rref(ring, m.entries)
         free = [c for c in range(m.cols) if c not in pivots]
         cols = []
         for c in free:
@@ -345,7 +315,7 @@ def image_basis(m: ExactMatrix) -> ExactMatrix:
     """Columns form a basis of im m (a Z-basis of the image over Z)."""
     ring = m.ring
     if ring.is_field:
-        _, pivots = _rref_field(ring, [list(r) for r in m.entries])
+        _, pivots = _rref(ring, m.entries)
         cols = [m.col(c) for c in pivots]
         if not cols:
             return ExactMatrix.zero(ring, m.rows, 0)
@@ -368,12 +338,7 @@ def is_surjective(m: ExactMatrix) -> bool:
 
 
 def is_unimodular(m: ExactMatrix) -> bool:
-    if not m.is_square:
-        return False
-    if m.ring.is_field:
-        return rank(m) == m.rows
-    snf = smith_normal_form(m)
-    return snf.rank == m.rows and all(f == 1 for f in snf.invariant_factors)
+    return m.is_square and is_surjective(m)
 
 
 class QuotientModule:
@@ -396,9 +361,7 @@ class QuotientModule:
             raise ValueError("relation matrix has wrong ambient dimension")
         self.relations = relations
         if ring.is_field:
-            red, pivots = _rref_field(
-                ring, [list(r) for r in relations.transpose().entries]
-            )
+            red, pivots = _rref(ring, relations.transpose().entries)
             self._echelon = [(p, red[i]) for i, p in enumerate(pivots)]
             self.torsion = ()
             free = [j for j in range(n) if j not in pivots]
@@ -485,10 +448,8 @@ def _field_coordinates(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
     m, k = basis.cols, vectors.cols
     if k == 0:
         return ExactMatrix.zero(ring, m, 0)
-    red, pivots = _rref_field(
-        ring,
-        [list(a) + list(b) for a, b in zip(basis.entries, vectors.entries)],
-        limit=m,
+    red, pivots = _rref(
+        ring, [a + b for a, b in zip(basis.entries, vectors.entries)], limit=m
     )
     for j in range(k):
         if any(row[m + j] for row in red[len(pivots):]):

@@ -85,15 +85,11 @@ from .bicomplex import (
     TorsionInSubquotient,
     bic_disc,
     bic_sphere,
-    column,
-    direct_sum,
     h_boundary,
     include_chain,
     line_quasi_iso,
     row,
     subquotient_map,
-    tensor,
-    tensor_map,
     v_boundary,
 )
 from .twisted import (
@@ -102,13 +98,17 @@ from .twisted import (
     _hom_dim,
     _hom_summands,
     boundary_inclusion,
+    column_twisted,
     column_twisted_map,
     complex_like,
+    direct_sum_twisted,
     embed_map,
     map_like,
     morphism_from_vector,
     morphism_space_basis,
     morphism_to_vector,
+    tensor_twisted,
+    tensor_twisted_map,
     tot_twisted_map,
     twisted_disc,
 )
@@ -569,7 +569,7 @@ def cofibrancy_report(x, structure) -> CofibrancyReport:
         conds["vertical_boundaries_projective"] = True
         ok = True
         for p in sorted({pp for pp, _ in x.ranks}):
-            h = homology(column(x, p))
+            h = homology(column_twisted(x, p))
             if any(cls.torsion for cls in h.values()):
                 ok = False
         conds["vertical_homology_projective"] = ok
@@ -745,7 +745,7 @@ def _certify_map_identity(p: int, q: int, rng, tries: int = 80):
     horizontal-boundary-to-disc inclusion, up to explicitly constructed
     isomorphisms on both ends."""
     hb = h_boundary(1, 1, 1, QQ)
-    left = tensor_map(
+    left = tensor_twisted_map(
         BicomplexMap.identity(hb),
         generator_map(GeneratorRef("CEI_SphereToVBoundary", p, q), QQ),
     )
@@ -802,34 +802,34 @@ def verify_generator_identities(pmax: int = 3, qs=(-1, 0, 2), seed: int = 0):
             check(
                 "sphere⊗sphere",
                 (q, t),
-                tensor(bic_sphere(0, q), bic_sphere(0, t)),
+                tensor_twisted(bic_sphere(0, q), bic_sphere(0, t)),
                 bic_sphere(0, q + t),
             )
             check(
                 "sphere⊗h-boundary",
                 (q, t),
-                tensor(bic_sphere(0, q), h_boundary(1, t)),
+                tensor_twisted(bic_sphere(0, q), h_boundary(1, t)),
                 h_boundary(1, t + q),
             )
             for p in range(1, pmax + 1):
                 check(
                     "v-boundary⊗sphere",
                     (p, q, t),
-                    tensor(v_boundary(p, q), bic_sphere(0, t)),
+                    tensor_twisted(v_boundary(p, q), bic_sphere(0, t)),
                     v_boundary(p, q + t),
                 )
                 check(
                     "v-boundary⊗h-boundary",
                     (p, q, t),
-                    tensor(v_boundary(p, q), h_boundary(1, t)),
+                    tensor_twisted(v_boundary(p, q), h_boundary(1, t)),
                     bic_disc(p, q + t - 1),
                 )
                 for s in range(1, pmax + 1):
                     check(
                         "v-boundary⊗v-boundary",
                         (p, q, s, t),
-                        tensor(v_boundary(p, q), v_boundary(s, t)),
-                        direct_sum(
+                        tensor_twisted(v_boundary(p, q), v_boundary(s, t)),
+                        direct_sum_twisted(
                             [
                                 v_boundary(p + s, q + t - 1),
                                 v_boundary(p + s - 1, q + t - 1),

@@ -27,7 +27,7 @@ from .linalg import (
     coordinates_in,
     rank as matrix_rank,
 )
-from .chain import ChainComplex
+from .chain import ChainComplex, _product
 
 
 class NonSplitConstraint(Exception):
@@ -162,14 +162,6 @@ def validate_twisted(x: TwistedComplex) -> list:
                     sums[n] = term if n not in sums else sums[n] + term
         fails.extend((n, k, p, q) for n, acc in sums.items() if not acc.is_zero)
     return [f"{_relation_name(n)} at ({p},{q})" for n, _, p, q in sorted(fails)]
-
-
-def _product(a, b):
-    """a @ b, or None when a factor is absent or the product is zero."""
-    if a is None or b is None:
-        return None
-    m = a @ b
-    return None if m.is_zero else m
 
 
 class TwistedMap:
@@ -746,9 +738,18 @@ def morphism_to_vector(f: TwistedMap) -> tuple:
 def hom_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
     """Internal Hom: degree (p, q) is the subspace of families
     X_{s,t} -> Y_{s+p,t+q} with d_i f = (-1)^{p+q} f d_i for all i > p,
-    with structure maps d_i(f) = d_i f - (-1)^{p+q} f d_i for i <= p."""
+    with structure maps d_i(f) = d_i f - (-1)^{p+q} f d_i for i <= p.
+    Only defined here for inputs with d_i = 0 for i >= 2: on the others
+    the structure maps need not preserve the chosen bases."""
     if x.ring != y.ring:
         raise BadParameter("hom over different rings")
+    for obj in (x, y):
+        extra = [i for i in obj.indices() if i >= 2]
+        if extra:
+            raise BadParameter(
+                f"hom_twisted needs d_i = 0 for i >= 2, but an input has "
+                f"d_{extra[0]} != 0"
+            )
     ring = x.ring
     if x.is_zero or y.is_zero:
         return complex_like((x, y), ring, {}, {})

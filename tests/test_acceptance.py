@@ -36,16 +36,15 @@ from bigraded.bicomplex import (
     BicomplexMap,
     bic_disc,
     bic_sphere,
-    direct_sum as bic_direct_sum,
     directional_subquotient,
     ev0,
     include_chain,
-    tot,
-    tot_map,
 )
 from bigraded.twisted import (
     compare_to_simplex_cochain,
+    direct_sum_twisted,
     tot_twisted,
+    tot_twisted_map,
     twisted_boundary,
     twisted_disc,
 )
@@ -187,17 +186,17 @@ def test_criterion_6_spectral_consistency():
         f = randgen.random_bicomplex_map(rng, QQ, p_range=(0, 2),
                                          q_range=(-1, 1))
         if _e2_iso(f):
-            assert is_quasi_iso(tot_map(f))
+            assert is_quasi_iso(tot_twisted_map(f))
         x = randgen.random_bicomplex(rng, QQ, p_range=(0, 2), q_range=(-1, 1))
         d = bic_disc(1 + k % 2, 0, 1, QQ)
-        s = bic_direct_sum([x, d])
+        s = direct_sum_twisted([x, d])
         incl = BicomplexMap(x, s, {
             pq: ExactMatrix.vstack(QQ, [
                 ExactMatrix.identity(QQ, r),
                 ExactMatrix.zero(QQ, d.rank(*pq), r),
             ]) for pq, r in x.ranks.items()})
         assert _e2_iso(incl)
-        assert is_quasi_iso(tot_map(incl))
+        assert is_quasi_iso(tot_twisted_map(incl))
     report(6, f"{n} objects: page two, convergence, page-two-iso => tot-weq",
            t0, 60)
 
@@ -229,7 +228,7 @@ def test_criterion_8_adjunction_sanity():
         c = randgen.random_chain_complex(rng, ZZ, degrees=(0, 3))
         x = include_chain(c)
         assert ev0(x) == c
-        assert homology(tot(x)) == homology(c)
+        assert homology(tot_twisted(x)) == homology(c)
     # a complex concentrated in column zero is fibrant for the total
     # structure; its column computes the homology of the totalisation
     for y in (include_chain(randgen.random_chain_complex(rng, QQ)),
@@ -240,7 +239,7 @@ def test_criterion_8_adjunction_sanity():
         col = ChainComplex(y.ring,
                            {q: r for (p, q), r in y.ranks.items() if p == 0},
                            {q: m for (p, q), m in y.d_v.items() if p == 0})
-        assert homology(col) == homology(tot(y))
+        assert homology(col) == homology(tot_twisted(y))
     report(8, "column-zero inclusion and evaluation adjunction sanity", t0, 10)
 
 

@@ -1,0 +1,40 @@
+"""The package runs on the Python standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bigraded"
+
+
+def _imported_modules(path):
+    """Top-level names of the absolute imports in one source file;
+    relative imports stay inside the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    foreign = {
+        (path.name, name)
+        for path in sources
+        for name in _imported_modules(path)
+        if name != "bigraded" and name not in sys.stdlib_module_names
+    }
+    assert not foreign
+
+
+def test_no_install_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []

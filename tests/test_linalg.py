@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +12,7 @@ from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.matrices import ExactMatrix
 from bigraded.linalg import (
     FieldSolver,
+    _rref,
     NoSolution,
     QuotientModule,
     coordinates_in,
@@ -239,3 +244,83 @@ def test_coordinates_in_matches_field_solver(ring):
     basis = ExactMatrix.identity(ring, 3)
     assert coordinates_in(basis, ExactMatrix.zero(ring, 3, 0)) == \
         ExactMatrix.zero(ring, 3, 0)
+
+
+def _sympy_rref(ring, rows, ncols):
+    """sympy's reduced row echelon form of `rows`, as row lists over ring."""
+    from sympy import GF as SGF, QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    dom = SQQ if ring.kind == "Q" else SGF(ring.p)
+    data = [[dom(int(x)) if ring.kind == "F" else
+             dom(x.numerator, x.denominator) for x in row] for row in rows]
+    red, pivots = DomainMatrix(data, (len(rows), ncols), dom).rref()
+
+    def back(x):
+        s = dom.to_sympy(x)
+        return ring.normalize(Fraction(int(s.p), int(s.q)))
+
+    return [[back(x) for x in row] for row in red.to_list()], list(pivots)
+
+
+@pytest.mark.parametrize(
+    "ring", [QQ, GF(2), GF(3), GF(2**31 - 1), GF(4294967311)], ids=str
+)
+def test_rref_matches_sympy(ring):
+    rng = random.Random(19)
+
+    def entry():
+        if rng.random() < 0.5:
+            return ring.zero()
+        if ring.kind == "Q":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return ring.normalize(rng.randint(-ring.p, ring.p))
+
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1), (3, 8), (8, 3)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(60)]
+    for n, m in shapes:
+        rows = [[entry() for _ in range(m)] for _ in range(n)]
+        if n > 2 and rng.random() < 0.5:
+            # a repeated row makes the rank deficient
+            rows[-1] = list(rows[0])
+        assert _rref(ring, rows) == _sympy_rref(ring, rows, m), (n, m)
+        # pivots among the first `limit` columns: those columns of the
+        # result are the reduced form of that block
+        limit = rng.randint(0, m)
+        red, pivots = _rref(ring, rows, limit)
+        expect, expect_pivots = _sympy_rref(ring, [r[:limit] for r in rows], limit)
+        assert pivots == expect_pivots, (n, m, limit)
+        assert [r[:limit] for r in red[:len(pivots)]] == expect[:len(pivots)]
+
+
+def test_field_linear_algebra_runs_without_numpy():
+    # numpy is not a dependency: with it unimportable, the field kernel,
+    # solving and spectral pages still run, over Q and a prime above 2^32
+    code = """
+import sys
+sys.modules["numpy"] = None
+from bigraded.rings import QQ, GF
+from bigraded.matrices import ExactMatrix
+from bigraded.linalg import kernel_basis, rank, solve_exact
+from bigraded.spectral import pages
+from bigraded.twisted import twisted_boundary
+for ring in (QQ, GF(4294967311)):
+    m = ExactMatrix.from_rows(ring, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert rank(m) == 2
+    k = kernel_basis(m)
+    assert k.cols == 1 and (m @ k).is_zero
+    b = m.apply((1, 1, 1))
+    assert m.apply(solve_exact(m, b)) == b
+    data = pages(twisted_boundary(3, 0, ring))
+    assert data.page(1) == {(2, -1): 1, (3, -1): 1} and not data.einf
+print("ok")
+"""
+    src = str(Path(__import__("bigraded").__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"

