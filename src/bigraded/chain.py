@@ -364,13 +364,14 @@ def cone(f: ChainMap) -> ChainComplex:
             ranks[n] = r
     d = {}
     for n in ranks:
-        if x.d.get(n - 1) is None and f.f.get(n - 1) is None and y.d.get(n) is None:
-            continue  # the zero map, which is never built
-        grid = [
-            [-x.diff(n - 1), ExactMatrix.zero(ring, x.rank(n - 2), y.rank(n))],
-            [f.component(n - 1), y.diff(n)],
-        ]
-        d[n] = ExactMatrix.block(ring, grid)
+        blocks = {(1, 0): f.f.get(n - 1), (1, 1): y.d.get(n)}
+        if n - 1 in x.d:
+            blocks[(0, 0)] = -x.d[n - 1]
+        blocks = {k: m for k, m in blocks.items() if m is not None}
+        if blocks:
+            d[n] = ExactMatrix.block(
+                ring, [x.rank(n - 2), y.rank(n - 1)], [x.rank(n - 1), y.rank(n)], blocks
+            )
     # d*d = 0 follows from that of x and y and f being a chain map
     return ChainComplex(ring, ranks, d, check=False)
 
@@ -405,51 +406,20 @@ def direct_sum(complexes) -> ChainComplex:
     ranks = {n: sum(c.rank(n) for c in complexes) for n in degs}
     d = {}
     for n in degs:
-        d[n] = ExactMatrix.direct_sum(ring, [c.diff(n) for c in complexes])
+        blocks = {(k, k): c.d[n] for k, c in enumerate(complexes) if n in c.d}
+        if blocks:
+            d[n] = ExactMatrix.block(
+                ring,
+                [c.rank(n - 1) for c in complexes],
+                [c.rank(n) for c in complexes],
+                blocks,
+            )
     return ChainComplex(ring, ranks, d)
-
-
-def tensor_layout(x: ChainComplex, y: ChainComplex, n: int):
-    """Summands (a, b, rank_a, rank_b) of degree n of the tensor product,
-    ordered by increasing first-factor degree."""
-    out = []
-    for a in x.degrees():
-        b = n - a
-        if y.rank(b):
-            out.append((a, b, x.rank(a), y.rank(b)))
-    return out
 
 
 def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
-    """Tensor product with the sign (-1)^{|x|} on the second factor."""
-    ring = x.ring
-    ranks = {}
-    degs = set()
-    for a in x.degrees():
-        for b in y.degrees():
-            degs.add(a + b)
-    for n in degs:
-        r = sum(ra * rb for _, _, ra, rb in tensor_layout(x, y, n))
-        if r:
-            ranks[n] = r
-    d = {}
-    for n in ranks:
-        src = tensor_layout(x, y, n)
-        tgt = tensor_layout(x, y, n - 1)
-        tpos = {(a, b): i for i, (a, b, _, _) in enumerate(tgt)}
-        grid = [
-            [ExactMatrix.zero(ring, ta * tb, ra * rb) for _, _, ra, rb in src]
-            for _, _, ta, tb in tgt
-        ]
-        for j, (a, b, ra, rb) in enumerate(src):
-            if (a - 1, b) in tpos:
-                blk = x.diff(a).kron(ExactMatrix.identity(ring, rb))
-                grid[tpos[(a - 1, b)]][j] = blk
-            if (a, b - 1) in tpos:
-                blk = ExactMatrix.identity(ring, ra).kron(y.diff(b))
-                if a % 2:
-                    blk = -blk
-                grid[tpos[(a, b - 1)]][j] = blk
-        if tgt:
-            d[n] = ExactMatrix.block(ring, grid)
-    return ChainComplex(ring, ranks, d)
+    """Tensor product with the sign (-1)^{|x|} on the second factor: the
+    column 0 of the tensor product of the two embedded columns."""
+    from .twisted import column_twisted, embed, tensor_twisted
+
+    return column_twisted(tensor_twisted(embed(x), embed(y)), 0)

@@ -311,10 +311,12 @@ def _pending_object(doc) -> _Pending:
         rank = lambda p, q: ranks.get((p, q), 0)
         ds = {}
         for name, entries in diffs.items():
-            if not (isinstance(name, str) and name.startswith("d")
-                    and name[1:].isdigit()):
+            digits = name[1:] if name.startswith("d") else ""
+            # ASCII digits only ("d²" is a digit to str.isdigit but not to
+            # int), and few enough that int() never meets its length limit
+            if not (digits.isascii() and digits.isdigit() and len(digits) < 10):
                 raise DocumentSyntaxError(f"unknown differential key {name!r}")
-            i = int(name[1:])
+            i = int(digits)
             ds[i] = _parse_family(
                 ring, entries, 2,
                 lambda k, i=i: (rank(k[0] - i, k[1] + i - 1), rank(*k)), name,

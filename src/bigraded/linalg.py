@@ -112,14 +112,14 @@ class FieldSolver:
 def _snf_core(mat, n, m):
     """Smith normal form of an n x m integer matrix given as list of lists.
 
-    Returns (d, u, v, uinv, vinv) with u*mat*v = d diagonal, u, v
-    unimodular, and the diagonal satisfying the divisibility chain.
+    Returns (d, u, v, uinv) with u*mat*v = d diagonal, u, v unimodular,
+    uinv the inverse of u, and the diagonal satisfying the divisibility
+    chain.
     """
     d = [list(map(int, r)) for r in mat]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
@@ -132,7 +132,6 @@ def _snf_core(mat, n, m):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_add(i, j, k):
         # row_i += k * row_j ; uinv col_j -= k * uinv col_i
@@ -142,12 +141,11 @@ def _snf_core(mat, n, m):
             r[j] -= k * r[i]
 
     def col_add(i, j, k):
-        # col_i += k * col_j ; vinv row_j -= k * vinv row_i
+        # col_i += k * col_j
         for r in d:
             r[i] += k * r[j]
         for r in v:
             r[i] += k * r[j]
-        vinv[j] = [a - k * b for a, b in zip(vinv[j], vinv[i])]
 
     def row_neg(i):
         d[i] = [-a for a in d[i]]
@@ -204,7 +202,7 @@ def _snf_core(mat, n, m):
             row_add(t, offender, 1)
             continue
         t += 1
-    return d, u, v, uinv, vinv
+    return d, u, v, uinv
 
 
 @dataclass(frozen=True)
@@ -215,7 +213,6 @@ class SNFResult:
     D: ExactMatrix
     V: ExactMatrix
     U_inv: ExactMatrix
-    V_inv: ExactMatrix
     invariant_factors: tuple
 
     @property
@@ -226,7 +223,7 @@ class SNFResult:
 def smith_normal_form(m: ExactMatrix) -> SNFResult:
     if m.ring != ZZ:
         raise UnsupportedRing("Smith normal form requires the integers")
-    d, u, v, uinv, vinv = _snf_core(m.entries, m.rows, m.cols)
+    d, u, v, uinv = _snf_core(m.entries, m.rows, m.cols)
     factors = tuple(
         d[i][i] for i in range(min(m.rows, m.cols)) if d[i][i] != 0
     )
@@ -238,7 +235,6 @@ def smith_normal_form(m: ExactMatrix) -> SNFResult:
         D=mk(d, m.rows, m.cols),
         V=mk(v, m.cols, m.cols),
         U_inv=mk(uinv, m.rows, m.rows),
-        V_inv=mk(vinv, m.cols, m.cols),
         invariant_factors=factors,
     )
 

@@ -178,48 +178,52 @@ class ExactMatrix:
         return ExactMatrix(ring, sum(m.rows for m in mats), c, data)
 
     @staticmethod
-    def block(ring: RingSpec, grid) -> "ExactMatrix":
-        """Assemble from a 2d list of matrices (None means zero block)."""
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
-        row_sizes = [None] * nrows
-        col_sizes = [None] * ncols
-        for i in range(nrows):
-            for j in range(ncols):
-                m = grid[i][j]
-                if m is None:
-                    continue
-                if row_sizes[i] is None:
-                    row_sizes[i] = m.rows
-                elif row_sizes[i] != m.rows:
-                    raise BadParameter("block row size mismatch")
-                if col_sizes[j] is None:
-                    col_sizes[j] = m.cols
-                elif col_sizes[j] != m.cols:
-                    raise BadParameter("block col size mismatch")
-        if any(s is None for s in row_sizes) or any(s is None for s in col_sizes):
-            raise BadParameter("block sizes undetermined")
-        rows = []
-        for i in range(nrows):
-            blocks = [
-                grid[i][j]
-                if grid[i][j] is not None
-                else ExactMatrix.zero(ring, row_sizes[i], col_sizes[j])
-                for j in range(ncols)
-            ]
-            rows.append(ExactMatrix.hstack(ring, blocks))
-        return ExactMatrix.vstack(ring, rows)
+    def block(ring: RingSpec, row_sizes, col_sizes, blocks) -> "ExactMatrix":
+        """Assemble a block matrix with block rows and block columns of the
+        given sizes from ``blocks``, a dict {(i, j): matrix} of the blocks
+        that are present.  Every other block is zero and is never built:
+        rows that no block touches share one zero row."""
+        row_off, col_off = [0], [0]
+        for s in row_sizes:
+            row_off.append(row_off[-1] + s)
+        for s in col_sizes:
+            col_off.append(col_off[-1] + s)
+        ncols, zero = col_off[-1], ring.zero()
+        out = [None] * row_off[-1]
+        for (i, j), m in blocks.items():
+            if not (0 <= i < len(row_sizes) and 0 <= j < len(col_sizes)):
+                raise BadParameter(f"block ({i},{j}) outside the block grid")
+            if m.rows != row_sizes[i] or m.cols != col_sizes[j]:
+                raise BadParameter(
+                    f"block ({i},{j}) is {m.rows}x{m.cols}, "
+                    f"expected {row_sizes[i]}x{col_sizes[j]}"
+                )
+            c0, c1 = col_off[j], col_off[j + 1]
+            if c1 - c0 == ncols:
+                # the block spans its rows, which no other block touches
+                out[row_off[i]:row_off[i + 1]] = m.entries
+            elif c0 < c1:
+                for r, row in enumerate(m.entries, row_off[i]):
+                    if out[r] is None:
+                        out[r] = [zero] * ncols
+                    out[r][c0:c1] = row
+        zero_row = (zero,) * ncols
+        return ExactMatrix(
+            ring,
+            len(out),
+            ncols,
+            tuple(zero_row if r is None else tuple(r) for r in out),
+        )
 
     @staticmethod
     def direct_sum(ring: RingSpec, mats) -> "ExactMatrix":
         mats = list(mats)
-        n = len(mats)
-        grid = [
-            [mats[i] if i == j else None for j in range(n)] for i in range(n)
-        ]
-        if not mats:
-            return ExactMatrix.zero(ring, 0, 0)
-        return ExactMatrix.block(ring, grid)
+        return ExactMatrix.block(
+            ring,
+            [m.rows for m in mats],
+            [m.cols for m in mats],
+            {(k, k): m for k, m in enumerate(mats)},
+        )
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product: (self kron other)[(i,k),(j,l)] = self[i,j]*other[k,l]."""

@@ -78,7 +78,7 @@ from .linalg import (
     rank,
     solve_exact,
 )
-from .chain import ChainComplex, homology, is_quasi_iso
+from .chain import ChainComplex, _product, homology, is_quasi_iso
 from .bicomplex import (
     Bicomplex,
     BicomplexMap,
@@ -590,8 +590,7 @@ def pushout(i, a):
     A, B, X = it.source, it.target, at.target
     ring = B.ring
     for pq, r in A.ranks.items():
-        comp = it.component(*pq)
-        if r != B.rank(*pq) or comp != ExactMatrix.identity(ring, r):
+        if r != B.rank(*pq) or it.f.get(pq) != ExactMatrix.identity(ring, r):
             raise BadParameter("pushout requires an identity-block inclusion")
     extra = {pq: r for pq, r in B.ranks.items() if A.rank(*pq) == 0}
     ranks = {}
@@ -602,41 +601,30 @@ def pushout(i, a):
         fam = {}
         for (p, q) in ranks:
             tgt = (p - n, q + n - 1)
-            rt = ranks.get(tgt, 0)
-            if rt == 0:
-                continue
-            xs, cs = X.rank(p, q), extra.get((p, q), 0)
-            xt, ct = X.rank(*tgt), extra.get(tgt, 0)
-            top_left = X.d(n, p, q)
-            top_right = ExactMatrix.zero(ring, xt, cs)
-            bot_right = ExactMatrix.zero(ring, ct, cs)
-            if cs:
-                db = B.d(n, p, q)
-                if ct:
-                    bot_right = db
-                elif A.rank(*tgt):
-                    top_right = at.component(*tgt) @ db
-            m = ExactMatrix.block(
-                ring,
-                [
-                    [top_left, top_right],
-                    [ExactMatrix.zero(ring, ct, xs), bot_right],
-                ],
-            )
-            if not m.is_zero:
-                fam[(p, q)] = m
+            # d_n of B on a new summand lands in the new summands, or
+            # through a in X where B agrees with A
+            db = B.ds.get(n, {}).get((p, q)) if (p, q) in extra else None
+            blocks = {
+                (0, 0): X.ds.get(n, {}).get((p, q)),
+                (0, 1): None if tgt in extra else _product(at.f.get(tgt), db),
+                (1, 1): db if tgt in extra else None,
+            }
+            blocks = {k: m for k, m in blocks.items() if m is not None}
+            if blocks:
+                fam[(p, q)] = ExactMatrix.block(
+                    ring,
+                    [X.rank(*tgt), extra.get(tgt, 0)],
+                    [X.rank(p, q), extra.get((p, q), 0)],
+                    blocks,
+                )
         if fam:
             ds[n] = fam
     out = complex_like((A, B, X), ring, ranks, ds)
     incl_comps = {
-        pq: ExactMatrix.vstack(
-            ring,
-            [
-                ExactMatrix.identity(ring, X.rank(*pq)),
-                ExactMatrix.zero(ring, extra.get(pq, 0), X.rank(*pq)),
-            ],
+        pq: ExactMatrix.block(
+            ring, [r, extra.get(pq, 0)], [r], {(0, 0): ExactMatrix.identity(ring, r)}
         )
-        for pq in X.ranks
+        for pq, r in X.ranks.items()
     }
     return out, map_like(X, out, incl_comps)
 
@@ -664,50 +652,32 @@ def ce_resolution(y: ChainComplex):
         bmat = image_basis(y.diff(q + 1))
         kmat = kernel_basis(y.diff(q))
         bprev = image_basis(y.diff(q))
-        sig_cols = []
-        for j in range(bprev.cols):
-            sol = solve_exact(y.diff(q), bprev.col(j))
-            assert sol is not None
-            sig_cols.append(sol)
-        sigma = (
-            ExactMatrix.from_rows(ring, list(zip(*sig_cols)))
-            if sig_cols
-            else ExactMatrix.zero(ring, y.rank(q), 0)
-        )
-        mrel = coordinates_in(kmat, bmat)
-        data[q] = (bmat.cols, kmat.cols, bprev.cols)
-        ranks[(0, q)] = bmat.cols + kmat.cols + bprev.cols
+        sizes = [bmat.cols, kmat.cols, bprev.cols]
+        data[q] = sizes
+        ranks[(0, q)] = sum(sizes)
+        eps_blocks = {(0, 0): bmat, (0, 1): kmat}
+        if bprev.cols:
+            sig_cols = []
+            for j in range(bprev.cols):
+                sol = solve_exact(y.diff(q), bprev.col(j))
+                assert sol is not None
+                sig_cols.append(sol)
+            eps_blocks[(0, 2)] = ExactMatrix.from_rows(ring, list(zip(*sig_cols)))
+        eps[(0, q)] = ExactMatrix.block(ring, [y.rank(q)], sizes, eps_blocks)
         if bmat.cols:
             ranks[(1, q)] = bmat.cols
-            d_h[(1, q)] = ExactMatrix.vstack(
-                ring,
-                [
-                    -ExactMatrix.identity(ring, bmat.cols),
-                    mrel,
-                    ExactMatrix.zero(ring, bprev.cols, bmat.cols),
-                ],
+            d_h[(1, q)] = ExactMatrix.block(
+                ring, sizes, [bmat.cols], {
+                    (0, 0): -ExactMatrix.identity(ring, bmat.cols),
+                    (1, 0): coordinates_in(kmat, bmat),
+                },
             )
-        eps[(0, q)] = ExactMatrix.hstack(ring, [bmat, kmat, sigma], rows=y.rank(q))
     for q, (b, z, bp) in data.items():
-        if (0, q - 1) not in ranks:
-            continue
-        b2, z2, bp2 = data[q - 1]
-        # boundaries one degree down are covered by the third block
-        blk = ExactMatrix.block(
-            ring,
-            [
-                [
-                    ExactMatrix.zero(ring, b2, b + z),
-                    ExactMatrix.identity(ring, bp),
-                ],
-                [
-                    ExactMatrix.zero(ring, z2 + bp2, b + z),
-                    ExactMatrix.zero(ring, z2 + bp2, bp),
-                ],
-            ],
-        ) if bp else ExactMatrix.zero(ring, ranks[(0, q - 1)], ranks[(0, q)])
-        if not blk.is_zero:
-            d_v[(0, q)] = blk
+        if bp and (0, q - 1) in ranks:
+            # boundaries one degree down are covered by the third block
+            d_v[(0, q)] = ExactMatrix.block(
+                ring, data[q - 1], [b, z, bp], {(0, 2): ExactMatrix.identity(ring, bp)}
+            )
     p_obj = Bicomplex(ring, ranks, d_h, d_v)
     target = include_chain(y)
     eps_map = BicomplexMap(p_obj, target, eps)

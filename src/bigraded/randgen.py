@@ -14,6 +14,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from .rings import RingSpec, ZZ, BadParameter
 from .matrices import ExactMatrix
@@ -62,13 +63,11 @@ class MatrixSystem:
     def __init__(self, ring: RingSpec, shapes: dict):
         self.ring = ring
         self.shapes = {k: s for k, s in shapes.items() if s[0] and s[1]}
-        self.offsets = {}
-        off = 0
-        for k in sorted(self.shapes):
-            r, c = self.shapes[k]
-            self.offsets[k] = off
-            off += r * c
-        self.nvars = off
+        keys = sorted(self.shapes)
+        self.sizes = [r * c for r, c in map(self.shapes.get, keys)]
+        self.position = {k: n for n, k in enumerate(keys)}
+        self.offsets = dict(zip(keys, accumulate(self.sizes, initial=0)))
+        self.nvars = sum(self.sizes)
         self.blocks = []  # (coefficient row-block, rhs flat tuple)
 
     def add_equation(self, terms, rhs: ExactMatrix):
@@ -76,9 +75,7 @@ class MatrixSystem:
         er, ec = rhs.rows, rhs.cols
         if er == 0 or ec == 0:
             return
-        width = er * ec
-        row = ExactMatrix.zero(ring, width, self.nvars)
-        touched = False
+        blocks = {}
         for (key, left, right, sign) in terms:
             if key not in self.shapes:
                 continue
@@ -86,19 +83,10 @@ class MatrixSystem:
             l = left if left is not None else ExactMatrix.identity(ring, r)
             rm = right if right is not None else ExactMatrix.identity(ring, c)
             blk = l.kron(rm.transpose()).scale(ring.from_int(sign))
-            off = self.offsets[key]
-            pad = ExactMatrix.hstack(
-                ring,
-                [
-                    ExactMatrix.zero(ring, width, off),
-                    blk,
-                    ExactMatrix.zero(ring, width, self.nvars - off - r * c),
-                ],
-                rows=width,
-            )
-            row = row + pad
-            touched = True
-        if touched or not rhs.is_zero:
+            k = (0, self.position[key])
+            blocks[k] = blocks[k] + blk if k in blocks else blk
+        if blocks or not rhs.is_zero:
+            row = ExactMatrix.block(ring, [er * ec], self.sizes, blocks)
             self.blocks.append((row, tuple(x for rr in rhs.entries for x in rr)))
 
     def solve_random(self, rng, bound: int = 1):
@@ -347,12 +335,8 @@ def random_bicomplex_map(
     if kind == "projection":
         s = direct_sum_twisted([x, y])
         comps = {
-            pq: ExactMatrix.hstack(
-                ring,
-                [
-                    ExactMatrix.zero(ring, r, x.rank(*pq)),
-                    ExactMatrix.identity(ring, r),
-                ],
+            pq: ExactMatrix.block(
+                ring, [r], [x.rank(*pq), r], {(0, 1): ExactMatrix.identity(ring, r)}
             )
             for pq, r in y.ranks.items()
         }
@@ -360,12 +344,8 @@ def random_bicomplex_map(
     if kind == "inclusion":
         s = direct_sum_twisted([x, y])
         comps = {
-            pq: ExactMatrix.vstack(
-                ring,
-                [
-                    ExactMatrix.zero(ring, x.rank(*pq), r),
-                    ExactMatrix.identity(ring, r),
-                ],
+            pq: ExactMatrix.block(
+                ring, [x.rank(*pq), r], [r], {(1, 0): ExactMatrix.identity(ring, r)}
             )
             for pq, r in y.ranks.items()
         }
@@ -390,12 +370,8 @@ def random_twisted_map(
     if kind == "projection":
         s = direct_sum_twisted([x, y])
         comps = {
-            pq: ExactMatrix.hstack(
-                ring,
-                [
-                    ExactMatrix.zero(ring, r, x.rank(*pq)),
-                    ExactMatrix.identity(ring, r),
-                ],
+            pq: ExactMatrix.block(
+                ring, [r], [x.rank(*pq), r], {(0, 1): ExactMatrix.identity(ring, r)}
             )
             for pq, r in y.ranks.items()
         }

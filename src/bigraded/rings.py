@@ -140,7 +140,10 @@ class RingSpec:
             if self.kind != "Q":
                 raise BadParameter(f"fraction {s!r} not valid over {self}")
             num, den = s.split("/")
-            return Fraction(int(num), int(den))
+            num, den = int(num), int(den)
+            if den == 0:
+                raise BadParameter(f"zero denominator in {s!r}")
+            return Fraction(num, den)
         return self.normalize(int(s))
 
     def __str__(self) -> str:
@@ -161,8 +164,16 @@ def ring_from_name(name: str) -> RingSpec:
         return ZZ
     if name in ("Q", "QQ"):
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        return GF(int(name[1:]))
     if name.startswith("GF(") and name.endswith(")"):
-        return GF(int(name[3:-1]))
-    raise BadParameter(f"unknown ring {name!r}")
+        digits = name[3:-1]
+    elif name.startswith("F"):
+        digits = name[1:]
+    else:
+        digits = ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise BadParameter(f"unknown ring {name!r}")
+    # longer than any certifiable prime: refused before int() is asked
+    # to convert it
+    if len(digits.lstrip("0")) > len(str(PRIME_BOUND)):
+        raise BadParameter(f"prime of {len(digits)} digits is too large to certify")
+    return GF(int(digits))

@@ -54,14 +54,6 @@ def _slice(m: ExactMatrix, rows: slice, cols: slice) -> ExactMatrix:
     )
 
 
-def _pad_rows(m: ExactMatrix, rows: int) -> ExactMatrix:
-    """m with zero rows appended up to `rows`."""
-    zero = (m.ring.zero(),) * m.cols
-    return ExactMatrix(
-        m.ring, rows, m.cols, m.entries + (zero,) * (rows - m.rows)
-    )
-
-
 class _PageWorker:
     """Approximate cycles in filtration coordinates.
 
@@ -110,10 +102,14 @@ class _PageWorker:
         """(basis of Z^r, quotient structure) for E^r_{p,q}."""
         n = p + q
         znum = self.z_basis(r, p, n)
+        lower = self.z_basis(r - 1, p - 1, n)
         den = ExactMatrix.hstack(
             self.ring,
             [
-                _pad_rows(self.z_basis(r - 1, p - 1, n), znum.rows),
+                ExactMatrix.block(
+                    self.ring, [lower.rows, znum.rows - lower.rows], [lower.cols],
+                    {(0, 0): lower},
+                ),
                 self.boundary(n + 1, self.z_basis(r - 1, p + r - 1, n + 1),
                               znum.rows),
             ],

@@ -211,13 +211,12 @@ class TwistedMap:
 
     def compose(self, other: "TwistedMap") -> "TwistedMap":
         """self after other."""
+        if other.target is not self.source and other.target != self.source:
+            raise BadParameter("composition mismatch")
         return map_like(
             other.source,
             self.target,
-            {
-                pq: self.component(*pq) @ other.component(*pq)
-                for pq in other.source.ranks
-            },
+            {pq: _product(self.f.get(pq), m) for pq, m in other.f.items()},
             check=False,
         )
 
@@ -533,30 +532,26 @@ def tot_layout(x: TwistedComplex, n: int):
 
 def tot_twisted(x: TwistedComplex) -> ChainComplex:
     """Total complex: degree n is the sum of the bidegrees with p+q = n
-    (columns in increasing order) and the differential is sum_i d_i."""
-    ring = x.ring
-    degs = sorted({p + q for p, q in x.ranks})
-    ranks = {n: sum(r for _, _, r in tot_layout(x, n)) for n in degs}
+    (columns in increasing order) and the differential is sum_i d_i.
+    The d_i out of one bidegree land in distinct summands."""
+    layouts = {n: tot_layout(x, n) for n in sorted({p + q for p, q in x.ranks})}
+    sizes = {n: [r for *_, r in lay] for n, lay in layouts.items()}
+    ranks = {n: sum(rs) for n, rs in sizes.items()}
     d = {}
-    for n in degs:
-        src = tot_layout(x, n)
-        tgt = tot_layout(x, n - 1)
+    for n, src in layouts.items():
+        tgt = layouts.get(n - 1)
         if not tgt:
             continue
         tpos = {(p, q): k for k, (p, q, _) in enumerate(tgt)}
-        grid = [
-            [ExactMatrix.zero(ring, rt, rs) for _, _, rs in src]
-            for _, _, rt, in tgt
-        ]
-        for j, (p, q, rs) in enumerate(src):
-            for i in x.indices():
-                key = (p - i, q + i - 1)
-                if key in tpos:
-                    blk = x.d(i, p, q)
-                    if not blk.is_zero:
-                        grid[tpos[key]][j] = grid[tpos[key]][j] + blk
-        d[n] = ExactMatrix.block(ring, grid)
-    return ChainComplex(ring, ranks, d)
+        blocks = {
+            (tpos[(p - i, q + i - 1)], j): fam[(p, q)]
+            for j, (p, q, _) in enumerate(src)
+            for i, fam in x.ds.items()
+            if (p, q) in fam
+        }
+        if blocks:
+            d[n] = ExactMatrix.block(x.ring, sizes[n - 1], sizes[n], blocks)
+    return ChainComplex(x.ring, ranks, d)
 
 
 # ---------------------------------------------------------------------------
@@ -585,43 +580,34 @@ def tensor_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
     for (a, b) in x.ranks:
         for (a2, b2) in y.ranks:
             support.add((a + a2, b + b2))
-    ranks = {}
-    layouts = {}
-    for pq in support:
-        lay = tensor_layout(x, y, *pq)
-        layouts[pq] = lay
-        r = sum(ra * rb for *_, ra, rb in lay)
-        if r:
-            ranks[pq] = r
+    layouts = {pq: tensor_layout(x, y, *pq) for pq in support}
+    sizes = {pq: [ra * rb for *_, ra, rb in lay] for pq, lay in layouts.items()}
+    ranks = {pq: sum(rs) for pq, rs in sizes.items()}
     ds = {}
     for i in sorted(set(x.ds) | set(y.ds)):
         xi, yi = x.ds.get(i, {}), y.ds.get(i, {})
         fam = {}
         for (p, q), src in layouts.items():
             key = (p - i, q + i - 1)
-            tgt = layouts.get(key)
-            if not tgt or not src:
+            if key not in layouts:
                 continue
-            tpos = {(a, b, a2, b2): k for k, (a, b, a2, b2, _, _) in enumerate(tgt)}
-            grid = [
-                [ExactMatrix.zero(ring, ta * tb, ra * rb) for *_, ra, rb in src]
-                for *_, ta, tb in tgt
-            ]
-            hit = False
+            tpos = {
+                (a, b, a2, b2): k
+                for k, (a, b, a2, b2, _, _) in enumerate(layouts[key])
+            }
+            blocks = {}
             for j, (a, b, a2, b2, ra, rb) in enumerate(src):
                 m = xi.get((a, b))
-                k = tpos.get((a - i, b + i - 1, a2, b2))
-                if m is not None and k is not None:
-                    grid[k][j] = m.kron(ExactMatrix.identity(ring, rb))
-                    hit = True
+                if m is not None:
+                    k = tpos[(a - i, b + i - 1, a2, b2)]
+                    blocks[(k, j)] = m.kron(ExactMatrix.identity(ring, rb))
                 m = yi.get((a2, b2))
-                k = tpos.get((a, b, a2 - i, b2 + i - 1))
-                if m is not None and k is not None:
+                if m is not None:
+                    k = tpos[(a, b, a2 - i, b2 + i - 1)]
                     blk = ExactMatrix.identity(ring, ra).kron(m)
-                    grid[k][j] = -blk if (a + b) % 2 else blk
-                    hit = True
-            if hit:
-                fam[(p, q)] = ExactMatrix.block(ring, grid)
+                    blocks[(k, j)] = -blk if (a + b) % 2 else blk
+            if blocks:
+                fam[(p, q)] = ExactMatrix.block(ring, sizes[key], sizes[(p, q)], blocks)
         if fam:
             ds[i] = fam
     return complex_like((x, y), ring, ranks, ds)
@@ -638,19 +624,19 @@ def tensor_twisted_map(f: TwistedMap, g: TwistedMap) -> TwistedMap:
     for pq in src_obj.ranks:
         src = tensor_layout(sx, sy, *pq)
         tgt = tensor_layout(tx, ty, *pq)
-        if not tgt:
-            continue
-        tpos = {(a, b): k for k, (a, b, _, _, _, _) in enumerate(tgt)}
-        grid = [
-            [ExactMatrix.zero(ring, ta * tb, ra * rb) for *_, ra, rb in src]
-            for *_, ta, tb in tgt
-        ]
-        for j, (a, b, a2, b2, ra, rb) in enumerate(src):
-            if (a, b) in tpos:
-                blk = f.component(a, b).kron(g.component(a2, b2))
-                if not blk.is_zero:
-                    grid[tpos[(a, b)]][j] = blk
-        comps[pq] = ExactMatrix.block(ring, grid)
+        tpos = {(a, b): k for k, (a, b, *_) in enumerate(tgt)}
+        blocks = {
+            (tpos[(a, b)], j): f.f[(a, b)].kron(g.f[(a2, b2)])
+            for j, (a, b, a2, b2, _, _) in enumerate(src)
+            if (a, b) in f.f and (a2, b2) in g.f
+        }
+        if blocks:
+            comps[pq] = ExactMatrix.block(
+                ring,
+                [ta * tb for *_, ta, tb in tgt],
+                [ra * rb for *_, ra, rb in src],
+                blocks,
+            )
     return map_like(src_obj, tgt_obj, comps)
 
 
@@ -682,22 +668,20 @@ def _hom_operator(x, y, p, q, i, sign):
     tgt = _hom_summands(x, y, p - i, q + i - 1)
     spos = {(s, t): k for k, (s, t, _, _) in enumerate(src)}
     xi, yi = x.ds.get(i, {}), y.ds.get(i, {})
-    grid = []
-    for (s, t, rx, ry2) in tgt:
-        row = [ExactMatrix.zero(ring, rx * ry2, rxs * rys) for _, _, rxs, rys in src]
-        k = spos.get((s, t))
+    blocks = {}
+    for r, (s, t, rx, ry2) in enumerate(tgt):
         m = yi.get((s + p, t + q))
-        if k is not None and m is not None:
-            row[k] = m.kron(ExactMatrix.identity(ring, rx))
-        k = spos.get((s - i, t + i - 1))
+        if m is not None:
+            blocks[(r, spos[(s, t)])] = m.kron(ExactMatrix.identity(ring, rx))
         m = xi.get((s, t))
-        if k is not None and m is not None:
+        if m is not None:
+            key = (r, spos[(s - i, t + i - 1)])
             blk = ExactMatrix.identity(ring, ry2).kron(m.transpose())
-            row[k] = row[k] - blk.scale(ring.from_int(sign))
-        grid.append(ExactMatrix.hstack(ring, row))
-    if not grid:
-        return ExactMatrix.zero(ring, 0, _hom_dim(src))
-    return ExactMatrix.vstack(ring, grid)
+            blk = blk.scale(ring.from_int(-sign))
+            blocks[key] = blocks[key] + blk if key in blocks else blk
+    return ExactMatrix.block(
+        ring, [rx * ry for *_, rx, ry in tgt], [rx * ry for *_, rx, ry in src], blocks
+    )
 
 
 def morphism_space_basis(x: TwistedComplex, y: TwistedComplex) -> ExactMatrix:
@@ -958,11 +942,20 @@ def direct_sum_twisted(objs) -> TwistedComplex:
     ranks = {pq: sum(o.rank(*pq) for o in objs) for pq in support}
     ds = {}
     for i in sorted({i for o in objs for i in o.ds}):
-        ds[i] = {
-            (p, q): ExactMatrix.direct_sum(ring, [o.d(i, p, q) for o in objs])
-            for (p, q) in support
-            if (p - i, q + i - 1) in ranks
-        }
+        ds[i] = fam = {}
+        for (p, q) in support:
+            blocks = {
+                (k, k): o.ds[i][(p, q)]
+                for k, o in enumerate(objs)
+                if (p, q) in o.ds.get(i, {})
+            }
+            if blocks:
+                fam[(p, q)] = ExactMatrix.block(
+                    ring,
+                    [o.rank(p - i, q + i - 1) for o in objs],
+                    [o.rank(p, q) for o in objs],
+                    blocks,
+                )
     return complex_like(objs, ring, ranks, ds)
 
 
@@ -970,23 +963,21 @@ def tot_twisted_map(f: TwistedMap):
     """Totalisation of a strict map, blockwise over the column layout."""
     from .chain import ChainMap
 
-    ring = f.source.ring
     tx, ty = tot_twisted(f.source), tot_twisted(f.target)
     comps = {}
-    for n in set(tx.ranks) | set(ty.ranks):
+    for n in set(tx.ranks) & set(ty.ranks):
         src = tot_layout(f.source, n)
         tgt = tot_layout(f.target, n)
-        if not src or not tgt:
-            continue
-        grid = [
-            [
-                f.component(p, q) if (p, q) == (p2, q2)
-                else ExactMatrix.zero(ring, rt, rs)
-                for (p, q, rs) in src
-            ]
-            for (p2, q2, rt) in tgt
-        ]
-        comps[n] = ExactMatrix.block(ring, grid)
+        tpos = {(p, q): k for k, (p, q, _) in enumerate(tgt)}
+        blocks = {
+            (tpos[(p, q)], j): f.f[(p, q)]
+            for j, (p, q, _) in enumerate(src)
+            if (p, q) in f.f
+        }
+        if blocks:
+            comps[n] = ExactMatrix.block(
+                tx.ring, [r for *_, r in tgt], [r for *_, r in src], blocks
+            )
     return ChainMap(tx, ty, comps)
 
 

@@ -32,6 +32,15 @@ def test_check_rejects_garbage(tmp_path, capsys):
     code, _, err = run(capsys, "check", f)
     assert code == 1
     assert "JSON" in err
+    # a bad ring or scalar is one line on stderr, not a traceback
+    for ring, entry in (("Q", "1/0"), ("GF(x)", "1"), ("F" + "9" * 5000, "1")):
+        with open(f, "w") as fh:
+            json.dump({"schema_version": 1, "kind": "chain", "ring": ring,
+                       "ranks": [[0, 1], [1, 1]],
+                       "differentials": {"d": [[[1], [[0, 0, entry]]]]}}, fh)
+        code, _, err = run(capsys, "check", f)
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f)
 
 
 def test_homology_output(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigraded.rings import ZZ, QQ, GF
 from bigraded.chain import ChainComplex, ChainMap, sphere
@@ -196,3 +197,93 @@ def test_no_floats_anywhere():
                 walk(v)
 
     walk(doc)
+
+
+# --- malformed documents ---------------------------------------------------------
+#
+# A document is mutated at random places: the ring, scalars, degree keys,
+# ranks, matrix shapes and entries, field names and whole fields.  Parsing
+# must either succeed or raise one of the two document errors.
+
+_HOSTILE = [
+    None, True, 1.5, "", "x", [], {}, -1, 0, 1, 2, 7, 10**30, 2**63,
+    "1/0", "-3/0", "1/2", "1/2/3", "9" * 5000, " 4 ", "0/1",
+    "Z", "Q", "F2", "F4", "F", "GF(x)", "GF()", "F²", "F" + "9" * 5000,
+    [0], [0, 0], [1, 2, 3], [True, 0], [0, 10**20, "1"], [-1, 0, "1"],
+    [[0, 0, "1/0"]], [[0, 0]], [[1], []], [[0, 1, 1]],
+]
+_HOSTILE_NAMES = ["d²", "d" + "9" * 5000, "d-1", "x1", "d", "dh", "dv", "d0", "d7"]
+
+
+def _seed_documents():
+    rng = random.Random(11)
+    objs = [
+        random_chain_complex(rng, QQ),
+        random_bicomplex(rng, GF(3)),
+        random_twisted(rng, ZZ),
+        twisted_boundary(2, 0, QQ),
+        ChainMap.identity(random_chain_complex(rng, ZZ)),
+        random_bicomplex_map(rng, GF(2)),
+        random_twisted_map(rng, QQ),
+    ]
+    return [to_document(o) for o in objs]
+
+
+_SEEDS = _seed_documents()
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(node, list):
+        for k, v in enumerate(node):
+            yield from _paths(v, path + (k,))
+
+
+@st.composite
+def malformed_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_SEEDS))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(doc) if p]
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "rename"]))
+        if action == "rename" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(_HOSTILE_NAMES))] = parent.pop(last)
+        elif action == "delete":
+            del parent[last]
+        else:
+            parent[last] = json.loads(json.dumps(draw(st.sampled_from(_HOSTILE))))
+    return json.dumps(doc)
+
+
+def _parse_or_document_error(text):
+    try:
+        parse(text)
+    except (DocumentSyntaxError, ValidationError):
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(malformed_documents())
+def test_malformed_documents_raise_only_document_errors(text):
+    _parse_or_document_error(text)
+
+
+@pytest.mark.parametrize("ring, entry", [
+    ("Q", "1/0"),
+    ("GF(x)", "1"),
+    ("F" + "9" * 5000, "1"),
+], ids=["zero-denominator", "GF(x)", "F-5000-digits"])
+def test_hostile_ring_and_scalar_are_syntax_errors(ring, entry):
+    doc = {"schema_version": 1, "kind": "chain", "ring": ring,
+           "ranks": [[0, 1], [1, 1]],
+           "differentials": {"d": [[[1], [[0, 0, entry]]]]}}
+    with pytest.raises(DocumentSyntaxError):
+        parse(json.dumps(doc))

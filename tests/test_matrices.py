@@ -55,14 +55,62 @@ def test_transpose_involution_and_degenerate():
 def test_block_and_stacks():
     a = M([[1]])
     b = M([[2, 3]])
-    grid = ExactMatrix.block(ZZ, [[a, None], [None, b.transpose() @ b]])
-    assert grid.rows == 3 and grid.cols == 3
+    grid = ExactMatrix.block(ZZ, [1, 2], [1, 2], {(0, 0): a, (1, 1): b.transpose() @ b})
+    assert grid == M([[1, 0, 0], [0, 4, 6], [0, 6, 9]])
     with pytest.raises(BadParameter):
-        ExactMatrix.block(ZZ, [[None, None]])
+        ExactMatrix.block(ZZ, [1, 1], [2], {(0, 0): a})
+    with pytest.raises(BadParameter):
+        ExactMatrix.block(ZZ, [1], [1], {(0, 1): a})
     h = ExactMatrix.hstack(ZZ, [a, M([[7]])])
     assert h == M([[1, 7]])
     v = ExactMatrix.vstack(ZZ, [a, M([[7]])])
     assert v == M([[1], [7]])
+
+
+def _block_reference(ring, row_sizes, col_sizes, blocks):
+    """Entry by entry: the entry of block (i, j) at (k, l), else zero."""
+    def locate(sizes, n):
+        for i, size in enumerate(sizes):
+            if n < size:
+                return i, n
+            n -= size
+
+    out = []
+    for r in range(sum(row_sizes)):
+        i, k = locate(row_sizes, r)
+        row = []
+        for c in range(sum(col_sizes)):
+            j, l = locate(col_sizes, c)
+            m = blocks.get((i, j))
+            row.append(m[k, l] if m is not None else ring.zero())
+        out.append(tuple(row))
+    return ExactMatrix(ring, len(out), sum(col_sizes), tuple(out))
+
+
+@st.composite
+def block_layouts(draw):
+    ring = draw(st.sampled_from([ZZ, QQ, GF(3)]))
+    sizes = st.lists(st.integers(0, 3), max_size=4)
+    row_sizes, col_sizes = draw(sizes), draw(sizes)
+    blocks = {}
+    for i, r in enumerate(row_sizes):
+        for j, c in enumerate(col_sizes):
+            if draw(st.booleans()):
+                blocks[(i, j)] = ExactMatrix(ring, r, c, tuple(
+                    tuple(ring.from_int(draw(small_int)) for _ in range(c))
+                    for _ in range(r)
+                ))
+    return ring, row_sizes, col_sizes, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_layouts())
+def test_block_matches_entrywise_reference(layout):
+    ring, row_sizes, col_sizes, blocks = layout
+    got = ExactMatrix.block(ring, row_sizes, col_sizes, blocks)
+    assert got == _block_reference(ring, row_sizes, col_sizes, blocks)
+    assert (got.rows, got.cols) == (sum(row_sizes), sum(col_sizes))
+    assert all(type(x) is type(ring.zero()) for row in got.entries for x in row)
 
 
 def test_direct_sum():
@@ -156,3 +204,29 @@ def test_matmul_matches_triple_loop():
         # all-zero rows hold the ring's own zero (a Fraction over Q)
         z = ExactMatrix.zero(ring, 2, 3) @ ExactMatrix.identity(ring, 3)
         assert all(type(x) is type(ring.zero()) for row in z.entries for x in row)
+
+
+def test_assemblies_build_no_zero_matrix(monkeypatch):
+    from bigraded.bicomplex import bic_disc
+    from bigraded.chain import cone
+    from bigraded.twisted import (
+        boundary_inclusion, hom_twisted, tensor_twisted, tot_twisted,
+        tot_twisted_map, twisted_boundary, twisted_disc,
+    )
+
+    x, y = twisted_disc(5, 0), twisted_boundary(3, 1)
+    f = boundary_inclusion(3, 0)
+    # no constraint system of Hom(a, b) has a trivial kernel, which
+    # kernel_basis returns as an empty zero matrix (elimination, not
+    # assembly)
+    a, b = bic_disc(1, 1), bic_disc(2, 0)
+    calls = []
+    real = ExactMatrix.zero
+    monkeypatch.setattr(
+        ExactMatrix, "zero", staticmethod(lambda *args: calls.append(args) or real(*args))
+    )
+    assert tot_twisted(x).ranks
+    assert tensor_twisted(twisted_disc(2, 0), y).ranks
+    assert hom_twisted(a, b).ranks
+    assert cone(tot_twisted_map(f)).ranks
+    assert calls == []

@@ -269,3 +269,21 @@ def test_invalid_twisted_rejected():
             {(1, 0): 1, (0, 0): 1, (0, -1): 1, (1, -1): 1},
             {0: {(0, 0): one, (1, 0): one}, 1: {(1, 0): one}},
         )
+
+
+def test_compose_refuses_a_map_into_another_object():
+    # Y and Y2 have equal ranks; only Y has d_0, so the identity
+    # components of id_Y after id_Y2 would not commute with it at (0,0)
+    ranks = {(0, 0): 1, (0, -1): 1}
+    one = ExactMatrix.identity(ZZ, 1)
+    y = TwistedComplex(ZZ, ranks, {0: {(0, 0): one}})
+    y2 = TwistedComplex(ZZ, ranks, {})
+    with pytest.raises(BadParameter, match="composition"):
+        TwistedMap.identity(y).compose(TwistedMap.identity(y2))
+    by, by2 = to_bicomplex(y), to_bicomplex(y2)
+    with pytest.raises(BadParameter, match="composition"):
+        TwistedMap.identity(by).compose(TwistedMap.identity(by2))
+    # an equal copy of the source is accepted
+    same = TwistedComplex(ZZ, ranks, {0: {(0, 0): one}})
+    assert TwistedMap.identity(y).compose(TwistedMap.identity(same)).f == \
+        TwistedMap.identity(y).f
