@@ -3,10 +3,9 @@ total.  A line counts unless it is blank or its first non-blank
 character is '#', the rule of ``grep -cvE '^\\s*(#|$)'``; docstrings
 count.
 
-    python3 scripts/source_lines.py [package-dir]
+    python3 scripts/source_lines.py
 """
 
-import argparse
 import re
 from pathlib import Path
 
@@ -20,10 +19,7 @@ def counted_lines(path: Path) -> int:
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("package", nargs="?", type=Path, default=PACKAGE)
-    args = ap.parse_args()
-    counts = {p.name: counted_lines(p) for p in sorted(args.package.glob("*.py"))}
+    counts = {p.name: counted_lines(p) for p in sorted(PACKAGE.glob("*.py"))}
     width = max(map(len, counts), default=0)
     for name, n in counts.items():
         print(f"{name:<{width}}  {n:>5}")

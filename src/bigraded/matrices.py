@@ -199,14 +199,10 @@ class ExactMatrix:
                     f"expected {row_sizes[i]}x{col_sizes[j]}"
                 )
             c0, c1 = col_off[j], col_off[j + 1]
-            if c1 - c0 == ncols:
-                # the block spans its rows, which no other block touches
-                out[row_off[i]:row_off[i + 1]] = m.entries
-            elif c0 < c1:
-                for r, row in enumerate(m.entries, row_off[i]):
-                    if out[r] is None:
-                        out[r] = [zero] * ncols
-                    out[r][c0:c1] = row
+            for r, row in enumerate(m.entries, row_off[i]):
+                if out[r] is None:
+                    out[r] = [zero] * ncols
+                out[r][c0:c1] = row
         zero_row = (zero,) * ncols
         return ExactMatrix(
             ring,

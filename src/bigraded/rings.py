@@ -172,8 +172,8 @@ def ring_from_name(name: str) -> RingSpec:
         digits = ""
     if not (digits.isascii() and digits.isdigit()):
         raise BadParameter(f"unknown ring {name!r}")
-    # longer than any certifiable prime: refused before int() is asked
-    # to convert it
-    if len(digits.lstrip("0")) > len(str(PRIME_BOUND)):
-        raise BadParameter(f"prime of {len(digits)} digits is too large to certify")
+    # longer than any certifiable prime: refused before int() is asked to
+    # convert it (int() counts leading zeros toward its limit, so do we)
+    if len(digits) > len(str(PRIME_BOUND)):
+        raise BadParameter(f"modulus of {len(digits)} digits is too large to certify")
     return GF(int(digits))

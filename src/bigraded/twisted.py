@@ -675,10 +675,10 @@ def _hom_operator(x, y, p, q, i, sign):
             blocks[(r, spos[(s, t)])] = m.kron(ExactMatrix.identity(ring, rx))
         m = xi.get((s, t))
         if m is not None:
-            key = (r, spos[(s - i, t + i - 1)])
+            # d_i f sits in summand (s, t), f d_i in (s-i, t+i-1): never the
+            # same one, since i = 0 and i = 1 cannot both hold
             blk = ExactMatrix.identity(ring, ry2).kron(m.transpose())
-            blk = blk.scale(ring.from_int(-sign))
-            blocks[key] = blocks[key] + blk if key in blocks else blk
+            blocks[(r, spos[(s - i, t + i - 1)])] = blk.scale(ring.from_int(-sign))
     return ExactMatrix.block(
         ring, [rx * ry for *_, rx, ry in tgt], [rx * ry for *_, rx, ry in src], blocks
     )

@@ -209,6 +209,7 @@ _HOSTILE = [
     None, True, 1.5, "", "x", [], {}, -1, 0, 1, 2, 7, 10**30, 2**63,
     "1/0", "-3/0", "1/2", "1/2/3", "9" * 5000, " 4 ", "0/1",
     "Z", "Q", "F2", "F4", "F", "GF(x)", "GF()", "F²", "F" + "9" * 5000,
+    "F" + "0" * 5000 + "7", "GF(" + "0" * 5000 + "7)",
     [0], [0, 0], [1, 2, 3], [True, 0], [0, 10**20, "1"], [-1, 0, "1"],
     [[0, 0, "1/0"]], [[0, 0]], [[1], []], [[0, 1, 1]],
 ]
@@ -280,7 +281,8 @@ def test_malformed_documents_raise_only_document_errors(text):
     ("Q", "1/0"),
     ("GF(x)", "1"),
     ("F" + "9" * 5000, "1"),
-], ids=["zero-denominator", "GF(x)", "F-5000-digits"])
+    ("F" + "0" * 5000 + "7", "1"),
+], ids=["zero-denominator", "GF(x)", "F-5000-digits", "F-zero-padded"])
 def test_hostile_ring_and_scalar_are_syntax_errors(ring, entry):
     doc = {"schema_version": 1, "kind": "chain", "ring": ring,
            "ranks": [[0, 1], [1, 1]],
