@@ -14,7 +14,7 @@ from math import comb
 
 from .rings import RingSpec, BadParameter
 from .matrices import ExactMatrix
-from .linalg import kernel_basis, coordinates_in, rank, smith_normal_form
+from .linalg import kernel_basis, coordinates_in, invariant_factors, rank
 
 
 @dataclass(frozen=True)
@@ -309,13 +309,13 @@ def standard_chain(kind: str, *params, ring: RingSpec = None) -> ChainComplex:
 
 def _factor(m: ExactMatrix | None) -> tuple:
     """(rank, non-unit invariant factors) of one differential: a rank over
-    a field, one Smith normal form over Z.  An absent differential is
-    the zero map."""
+    a field, the invariant factors alone over Z.  An absent differential
+    is the zero map."""
     if m is None:
         return 0, ()
     if m.ring.is_field:
         return rank(m), ()
-    factors = smith_normal_form(m).invariant_factors
+    factors = invariant_factors(m)
     return len(factors), tuple(f for f in factors if f != 1)
 
 

@@ -1,13 +1,14 @@
 """Exact linear algebra kernel.
 
-Smith normal form over Z, reduced echelon form over fields, ranks,
-kernels, images, and exact (Diophantine) solving.  Everything downstream
-in the package reduces to these routines.
+Invariant factors and Smith normal form over Z, reduced echelon form
+over fields, ranks, kernels, images, and exact (Diophantine) solving.
+Everything downstream in the package reduces to these routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
@@ -227,15 +228,90 @@ def smith_normal_form(m: ExactMatrix) -> SNFResult:
     factors = tuple(
         d[i][i] for i in range(min(m.rows, m.cols)) if d[i][i] != 0
     )
-    mk = lambda data, r, c: (
-        ExactMatrix.from_rows(ZZ, data) if r and c else ExactMatrix.zero(ZZ, r, c)
-    )
+    # _snf_core works on Python ints, so its rows are normalised already
+    mk = lambda data, r, c: ExactMatrix(ZZ, r, c, tuple(map(tuple, data)))
     return SNFResult(
         U=mk(u, m.rows, m.rows),
         D=mk(d, m.rows, m.cols),
         V=mk(v, m.cols, m.cols),
         U_inv=mk(uinv, m.rows, m.rows),
         invariant_factors=factors,
+    )
+
+
+def _has_unit(row: dict) -> bool:
+    return any(x == 1 or x == -1 for x in row.values())
+
+
+def invariant_factors(m: ExactMatrix) -> tuple:
+    """The nonzero invariant factors of an integer matrix, each dividing
+    the next, without building a transform.
+
+    Cell differentials are sparse with mostly +-1 entries, so units go
+    first: take a +-1 entry from the sparsest row that has one (in its
+    sparsest column), clear that column from the other rows with
+    integer row operations, and drop the pivot row and column.  Column
+    operations could then clear the rest of the pivot row without
+    touching another row, so this is a unimodular change, and the
+    factors of m are a 1 per unit pivot followed by the factors of what
+    is left.  Only that leftover goes to the dense Smith normal form.
+    See Kaczynski, Mrozek and Slusarek, "Homology computation by
+    reduction of chain complexes", 1998.
+    """
+    if m.ring != ZZ:
+        raise UnsupportedRing("invariant factors require the integers")
+    rows = {}
+    cols = {}  # column -> ids of the rows with an entry there
+    for i, r in enumerate(m.entries):
+        row = {j: x for j, x in enumerate(r) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    # (length, row id) of rows with a unit; an entry is stale when the
+    # row has gone or changed length, and the row is pushed again on
+    # every change
+    heap = [(len(row), i) for i, row in rows.items() if _has_unit(row)]
+    heapify(heap)
+    units = 0
+    while heap:
+        n, i = heappop(heap)
+        pivot = rows.get(i)
+        if pivot is None or len(pivot) != n:
+            continue
+        c = min((j for j, x in pivot.items() if x == 1 or x == -1),
+                key=lambda j: len(cols[j]), default=None)
+        if c is None:
+            continue
+        del rows[i]
+        for j in pivot:
+            cols[j].discard(i)
+        s = pivot[c]  # +-1 is its own inverse
+        others = [(j, y) for j, y in pivot.items() if j != c]
+        for k in cols.pop(c):
+            row = rows[k]
+            f = row.pop(c) * s
+            for j, y in others:
+                v = row.get(j, 0) - f * y
+                if v:
+                    if j not in row:
+                        cols[j].add(k)
+                    row[j] = v
+                else:
+                    del row[j]
+                    cols[j].discard(k)
+            if not row:
+                del rows[k]
+            elif _has_unit(row):
+                heappush(heap, (len(row), k))
+        units += 1
+    live = sorted(j for j, ids in cols.items() if ids)
+    d, _, _, _ = _snf_core(
+        [[row.get(j, 0) for j in live] for row in rows.values()],
+        len(rows), len(live),
+    )
+    return (1,) * units + tuple(
+        d[t][t] for t in range(min(len(rows), len(live))) if d[t][t]
     )
 
 
@@ -248,6 +324,10 @@ class ZSolver:
         self.rank = self.snf.rank
 
     def solve(self, b):
+        if len(b) != self.a.rows:
+            raise BadParameter(
+                f"right-hand side has length {len(b)}, expected {self.a.rows}"
+            )
         snf = self.snf
         ub = snf.U.apply(b)
         y = [0] * self.a.cols
@@ -275,7 +355,7 @@ def rank(m: ExactMatrix) -> int:
     if m.ring.is_field:
         _, pivots = _rref(m.ring, m.entries)
         return len(pivots)
-    return smith_normal_form(m).rank
+    return len(invariant_factors(m))
 
 
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
@@ -329,8 +409,8 @@ def is_surjective(m: ExactMatrix) -> bool:
     """Whether m is surjective onto the free target module."""
     if m.ring.is_field:
         return rank(m) == m.rows
-    snf = smith_normal_form(m)
-    return snf.rank == m.rows and all(f == 1 for f in snf.invariant_factors)
+    factors = invariant_factors(m)
+    return len(factors) == m.rows and all(f == 1 for f in factors)
 
 
 def is_unimodular(m: ExactMatrix) -> bool:

@@ -17,6 +17,7 @@ from bigraded.linalg import (
     QuotientModule,
     coordinates_in,
     image_basis,
+    invariant_factors,
     is_surjective,
     is_unimodular,
     kernel_basis,
@@ -53,6 +54,58 @@ def test_snf_contract_random():
         assert all(facts[i + 1] % facts[i] == 0 for i in range(len(facts) - 1))
 
 
+def _sympy_invariant_factors(m):
+    from sympy import Matrix, ZZ as SZZ
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    flat = [x for r in m.entries for x in r]
+    factors = sympy_factors(Matrix(m.rows, m.cols, flat), domain=SZZ)
+    return tuple(int(f) for f in factors if f)
+
+
+def _hidden_block(rng, k, block):
+    """[[I_k, X], [Y, Y X + K]]: unimodularly equivalent to diag(I_k, K),
+    so its factors are k ones followed by those of K."""
+    a, b = block.rows, block.cols
+    x = [[rng.randint(-2, 2) for _ in range(b)] for _ in range(k)]
+    y = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(a)]
+    top = [[int(i == j) for j in range(k)] + x[i] for i in range(k)]
+    bottom = [y[i] + [sum(y[i][t] * x[t][j] for t in range(k)) + block[i, j]
+                      for j in range(b)] for i in range(a)]
+    return M(top + bottom)
+
+
+def test_invariant_factors_match_sympy_and_snf():
+    from test_chain import planted_torsion_complex
+
+    rng = random.Random(31)
+    cases = [ExactMatrix.zero(ZZ, r, c) for r, c in ((0, 0), (0, 4), (4, 0))]
+    for _ in range(25):
+        r, c = rng.randint(1, 12), rng.randint(1, 12)
+        # sparse +-1, as in cell differentials
+        cases.append(M([[rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(c)]
+                        for _ in range(r)]))
+        # no unit entry at all: everything is left for the Smith form
+        no_unit = M([[rng.choice((0, 2, -2, 3, -4, 6, 9)) for _ in range(c)]
+                     for _ in range(r)])
+        cases.append(no_unit)
+        # a dense unit-free leftover behind a block of units
+        cases.append(_hidden_block(rng, rng.randint(0, 5), no_unit))
+        # entries of about 200 bits beside a few units; kept to 6 x 6,
+        # where the transforms of smith_normal_form stay cheap
+        r, c = min(r, 6), min(c, 6)
+        big = [[rng.choice((0, 1, -1, rng.getrandbits(200) - 2**199))
+                for _ in range(c)] for _ in range(r)]
+        big[0][0] = 2**199 + 1
+        cases.append(M(big))
+    for n0 in range(5, 11):
+        cases.append(planted_torsion_complex(rng, n0)[0].d[1])
+    for m in cases:
+        got = invariant_factors(m)
+        assert got == _sympy_invariant_factors(m), m
+        assert got == smith_normal_form(m).invariant_factors, m
+
+
 def test_solve_exact_over_rings():
     a = M([[2, 0], [0, 3]])
     assert solve_exact(a, (4, 9)) == (2, 3)
@@ -66,7 +119,7 @@ def test_solve_exact_over_rings():
     tall = [[1, 0], [0, 1], [0, 0]]
     for ring in (ZZ, GF(5), QQ, GF(4294967311)):
         for b in ((1, 2), (1, 2, 0, 4)):
-            with pytest.raises(BadParameter):
+            with pytest.raises(BadParameter, match=f"length {len(b)}, expected 3"):
                 solve_exact(M(tall, ring), b)
 
 
