@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
-from .linalg import QuotientModule, kernel_basis, image_basis, coordinates_in
+from .linalg import Subquotient, kernel_basis, image_basis
 from .chain import ChainComplex, ChainMap
 from .twisted import (
     TwistedComplex,
@@ -23,6 +23,7 @@ from .twisted import (
     column_twisted,
     column_twisted_map,
     complex_like,
+    induced_structure,
     map_like,
     tensor_layout,
     tensor_twisted,
@@ -237,10 +238,9 @@ def line_quasi_iso(f: TwistedMap, direction: str, index: int) -> bool:
     return is_quasi_iso(line_map(f, direction, index))
 
 
-def _subquotient_data(x: TwistedComplex, direction: str, kind: str):
+def _subquotients(x: TwistedComplex, direction: str, kind: str):
     """Shared worker for directional_subquotient and subquotient_map:
-    returns (object, bases, kernels, quotients) with one chosen basis per
-    bidegree of x."""
+    the object and its nonzero Subquotient per bidegree of x."""
     if direction not in ("h", "v") or kind not in ("Z", "B", "H"):
         raise BadParameter("direction in {h,v}, kind in {Z,B,H}")
     if direction == "h" and any(i >= 2 for i in x.indices()):
@@ -248,67 +248,47 @@ def _subquotient_data(x: TwistedComplex, direction: str, kind: str):
     ring = x.ring
     # own: the differential taken homology of; other: the induced one
     own, other = (0, 1) if direction == "v" else (1, 0)
-
-    bases = {}
-    kerns = {}
-    quots = {}
+    d = x.ds.get(own, {})
+    sqs = {}
     for (p, q) in x.bidegrees():
-        if kind == "Z":
-            b = kernel_basis(x.d(own, p, q))
-        elif kind == "B":
-            b = image_basis(x.d(own, p + own, q - own + 1))
+        # an absent d_own has every element as a cycle and no boundaries
+        d_out, d_in = d.get((p, q)), d.get((p + own, q - own + 1))
+        img = None if d_in is None or kind == "Z" else image_basis(d_in)
+        if kind == "B":
+            if img is None:
+                continue
+            sq = Subquotient(ring, img.rows, sub=img)
         else:
-            k = kernel_basis(x.d(own, p, q))
-            img = image_basis(x.d(own, p + own, q - own + 1))
-            qm = QuotientModule(ring, k.cols, coordinates_in(k, img))
-            if qm.torsion:
+            sq = Subquotient(ring, x.rank(p, q), rel=img,
+                             sub=None if d_out is None else kernel_basis(d_out))
+            if sq.torsion:
                 raise TorsionInSubquotient(
-                    f"homology at ({p},{q}) has torsion {qm.torsion}"
+                    f"homology at ({p},{q}) has torsion {sq.torsion}"
                 )
-            kerns[(p, q)] = k
-            quots[(p, q)] = qm
-            b = k @ qm.reps
-        bases[(p, q)] = b
-    ranks = {pq: b.cols for pq, b in bases.items() if b.cols}
-    induced = {}
-    for (p, q), b in bases.items():
-        if not b.cols:
-            continue
-        key = (p - other, q + other - 1)
-        if key not in ranks:
-            continue
-        img = x.d(other, p, q) @ b
-        if kind == "H":
-            m = quots[key].project(coordinates_in(kerns[key], img))
-        else:
-            m = coordinates_in(bases[key], img)
-        if not m.is_zero:
-            induced[(p, q)] = m
-    obj = complex_like((x,), ring, ranks, {other: induced})
-    return obj, bases, kerns, quots
+        if sq.rank:
+            sqs[(p, q)] = sq
+    ranks = {pq: sq.rank for pq, sq in sqs.items()}
+    induced = induced_structure({other: x.ds.get(other, {})}, sqs)
+    return complex_like((x,), ring, ranks, induced), sqs
 
 
 def directional_subquotient(x: TwistedComplex, direction: str, kind: str) -> TwistedComplex:
     """Cycles (Z), boundaries (B) or homology (H) with respect to one
     differential (d_v = d_0 or d_h = d_1), with that differential trivial
     and the induced differential in the other direction."""
-    return _subquotient_data(x, direction, kind)[0]
+    return _subquotients(x, direction, kind)[0]
 
 
 def subquotient_map(f: TwistedMap, direction: str, kind: str) -> TwistedMap:
     """The map induced on the one-directional cycles, boundaries or
     homology, in the bases chosen by directional_subquotient."""
-    src_obj, src_b, _, _ = _subquotient_data(f.source, direction, kind)
-    tgt_obj, tgt_b, tgt_k, tgt_q = _subquotient_data(f.target, direction, kind)
-    comps = {}
-    for pq, b in src_b.items():
-        if not b.cols or tgt_obj.rank(*pq) == 0:
-            continue
-        img = f.component(*pq) @ b
-        if kind == "H":
-            comps[pq] = tgt_q[pq].project(coordinates_in(tgt_k[pq], img))
-        else:
-            comps[pq] = coordinates_in(tgt_b[pq], img)
+    src_obj, src = _subquotients(f.source, direction, kind)
+    tgt_obj, tgt = _subquotients(f.target, direction, kind)
+    comps = {
+        pq: tgt[pq].classes(f.f[pq] @ sq.reps)
+        for pq, sq in src.items()
+        if pq in tgt and pq in f.f
+    }
     return map_like(src_obj, tgt_obj, comps)
 
 

@@ -201,7 +201,7 @@ def simplex_boundary(n: int, t: int, ring: RingSpec) -> ExactMatrix:
         for i in range(len(s)):
             face = s[:i] + s[i + 1:]
             m[index[face]][j] = ring.from_int(-1 if i % 2 else 1)
-    return ExactMatrix.from_rows(ring, m) if tgt else ExactMatrix.zero(ring, 0, len(src))
+    return ExactMatrix(ring, len(tgt), len(src), tuple(map(tuple, m)))
 
 
 def simplex_chain(n: int, ring: RingSpec = None) -> ChainComplex:
@@ -250,11 +250,7 @@ def simplex_cochain_data(n: int, ring: RingSpec, min_vertex_above: int | None = 
                 j = sidx.get(face)
                 if j is not None:
                     m[i][j] = ring.from_int(-1 if pos % 2 else 1)
-        delta[t] = (
-            ExactMatrix.from_rows(ring, m)
-            if tgt
-            else ExactMatrix.zero(ring, 0, len(src))
-        )
+        delta[t] = ExactMatrix(ring, len(tgt), len(src), tuple(map(tuple, m)))
     return bases, delta
 
 

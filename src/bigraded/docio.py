@@ -192,7 +192,9 @@ def _parse_matrix(ring, rows, cols, triplets, where):
             data[i][j] = ring.parse_scalar(str(v))
         except (ValueError, BadParameter) as exc:
             raise DocumentSyntaxError(f"bad scalar {v!r} at {where}: {exc}")
-    return ExactMatrix.from_rows(ring, data)
+    # ring.parse_scalar normalises, and the declared shape is kept even
+    # with no rows
+    return ExactMatrix(ring, rows, cols, tuple(map(tuple, data)))
 
 
 def _parse_family(ring, entries, arity, shape_of, where):

@@ -8,6 +8,7 @@ Everything downstream in the package reduces to these routines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
@@ -375,16 +376,11 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
             for i, pc in enumerate(pivots):
                 vec[pc] = ring.neg(red[i][c])
             cols.append(vec)
-        if not cols:
-            return ExactMatrix.zero(ring, m.cols, 0)
-        # the entries come from ring operations and are normalized already
-        return ExactMatrix(ring, m.cols, len(cols), tuple(zip(*cols)))
+        return ExactMatrix.from_cols(ring, m.cols, cols)
     snf = smith_normal_form(m)
-    r = snf.rank
-    cols = [snf.V.col(j) for j in range(r, m.cols)]
-    if not cols:
-        return ExactMatrix.zero(ring, m.cols, 0)
-    return ExactMatrix.from_rows(ring, list(zip(*cols)))
+    return ExactMatrix.from_cols(
+        ring, m.cols, (snf.V.col(j) for j in range(snf.rank, m.cols))
+    )
 
 
 def image_basis(m: ExactMatrix) -> ExactMatrix:
@@ -392,17 +388,11 @@ def image_basis(m: ExactMatrix) -> ExactMatrix:
     ring = m.ring
     if ring.is_field:
         _, pivots = _rref(ring, m.entries)
-        cols = [m.col(c) for c in pivots]
-        if not cols:
-            return ExactMatrix.zero(ring, m.rows, 0)
-        return ExactMatrix.from_rows(ring, list(zip(*cols)))
+        return ExactMatrix.from_cols(ring, m.rows, (m.col(c) for c in pivots))
     snf = smith_normal_form(m)
-    cols = [
+    return ExactMatrix.from_cols(ring, m.rows, (
         tuple(x * snf.D[i, i] for x in snf.U_inv.col(i)) for i in range(snf.rank)
-    ]
-    if not cols:
-        return ExactMatrix.zero(ring, m.rows, 0)
-    return ExactMatrix.from_rows(ring, list(zip(*cols)))
+    ))
 
 
 def is_surjective(m: ExactMatrix) -> bool:
@@ -435,7 +425,6 @@ class QuotientModule:
             relations = ExactMatrix.zero(ring, n, 0)
         if relations.rows != n:
             raise ValueError("relation matrix has wrong ambient dimension")
-        self.relations = relations
         if ring.is_field:
             red, pivots = _rref(ring, relations.transpose().entries)
             self._echelon = [(p, red[i]) for i, p in enumerate(pivots)]
@@ -448,22 +437,15 @@ class QuotientModule:
                 v = [ring.zero()] * n
                 v[j] = ring.one()
                 cols.append(v)
-            self.reps = (
-                ExactMatrix.from_rows(ring, list(zip(*cols)))
-                if cols
-                else ExactMatrix.zero(ring, n, 0)
-            )
+            self.reps = ExactMatrix.from_cols(ring, n, cols)
         else:
             snf = smith_normal_form(relations)
             r = snf.rank
             self._snf = snf
             self.torsion = tuple(f for f in snf.invariant_factors if f != 1)
             self.rank = n - r
-            cols = [snf.U_inv.col(j) for j in range(r, n)]
-            self.reps = (
-                ExactMatrix.from_rows(ring, list(zip(*cols)))
-                if cols
-                else ExactMatrix.zero(ring, n, 0)
+            self.reps = ExactMatrix.from_cols(
+                ring, n, (snf.U_inv.col(j) for j in range(r, n))
             )
 
     def project(self, vectors: ExactMatrix) -> ExactMatrix:
@@ -480,15 +462,53 @@ class QuotientModule:
                     if c != 0:
                         v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
                 out.append([v[i] for i in self.free_coords])
-            if not out:
-                return ExactMatrix.zero(ring, self.rank, 0)
-            return ExactMatrix.from_rows(ring, list(zip(*out)))
-        r = self.ambient_dim - self.rank
+            return ExactMatrix.from_cols(ring, self.rank, out)
         full = self._snf.U @ vectors
-        rows = full.entries[r:]
-        if not rows:
-            return ExactMatrix.zero(ring, 0, vectors.cols)
-        return ExactMatrix.from_rows(ring, rows)
+        return ExactMatrix(
+            ring, self.rank, vectors.cols, full.entries[self.ambient_dim - self.rank:]
+        )
+
+
+class Subquotient:
+    """The subquotient span(sub) / span(rel) of k^n.
+
+    `sub` None stands for the whole of k^n and `rel` None for no
+    relations; span(rel) must lie in span(sub).  `rank` is the free
+    rank, `torsion` the torsion invariant factors (over Z), `reps` one
+    representative in k^n per free basis class, and `classes(vectors)`
+    the coordinates of the classes of vectors of span(sub) in that
+    basis.  It raises NoSolution for a vector outside span(sub).
+
+    The relations are written in the coordinates of `sub` and factored
+    by a QuotientModule; without relations no quotient is factored, the
+    representatives are `sub` and the classes are coordinates in it.
+    """
+
+    def __init__(self, ring: RingSpec, n: int, rel: ExactMatrix | None = None,
+                 sub: ExactMatrix | None = None):
+        self.ring, self.n, self.sub = ring, n, sub
+        self._qm = None
+        self.rank, self.torsion = (n if sub is None else sub.cols), ()
+        if rel is not None and rel.cols:
+            self._qm = QuotientModule(
+                ring, self.rank, rel if sub is None else coordinates_in(sub, rel)
+            )
+            self.rank, self.torsion = self._qm.rank, self._qm.torsion
+
+    @cached_property
+    def reps(self) -> ExactMatrix:
+        if self._qm is None:
+            return ExactMatrix.identity(self.ring, self.n) if self.sub is None else self.sub
+        return self._qm.reps if self.sub is None else self.sub @ self._qm.reps
+
+    def classes(self, vectors: ExactMatrix) -> ExactMatrix:
+        if vectors.rows != self.n:
+            raise BadParameter(
+                f"vectors have {vectors.rows} rows, the ambient module {self.n}"
+            )
+        if self.sub is not None:
+            vectors = coordinates_in(self.sub, vectors)
+        return vectors if self._qm is None else self._qm.project(vectors)
 
 
 def coordinates_in(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
@@ -506,9 +526,7 @@ def coordinates_in(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
         if x is None:
             raise NoSolution(f"column {j} not in span")
         cols.append(x)
-    if not cols or basis.cols == 0:
-        return ExactMatrix.zero(basis.ring, basis.cols, vectors.cols)
-    return ExactMatrix.from_rows(basis.ring, list(zip(*cols)))
+    return ExactMatrix.from_cols(basis.ring, basis.cols, cols)
 
 
 def _field_coordinates(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:

@@ -37,6 +37,14 @@ class ExactMatrix:
         return ExactMatrix(ring, len(rows), ncols, rows)
 
     @staticmethod
+    def from_cols(ring: RingSpec, nrows: int, cols) -> "ExactMatrix":
+        """The nrows-row matrix with the given columns, whose entries are
+        normalised already; no columns give an nrows x 0 matrix."""
+        cols = list(cols)
+        rows = tuple(zip(*cols)) if cols else ((),) * nrows
+        return ExactMatrix(ring, nrows, len(cols), rows)
+
+    @staticmethod
     def zero(ring: RingSpec, rows: int, cols: int) -> "ExactMatrix":
         z = ring.zero()
         return ExactMatrix(ring, rows, cols, tuple((z,) * cols for _ in range(rows)))

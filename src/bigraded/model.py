@@ -324,13 +324,13 @@ def _morphism_matrix(src, tgt, basis, post, out_src, out_tgt) -> ExactMatrix:
     Mor(out_src, out_tgt)."""
     ring = src.ring
     nrows = _hom_dim(_hom_summands(out_src, out_tgt, 0, 0))
-    if nrows == 0 or basis.cols == 0:
+    if nrows == 0:
         return ExactMatrix.zero(ring, nrows, basis.cols)
     cols = []
     for j in range(basis.cols):
         m = morphism_from_vector(src, tgt, basis.col(j), check=False)
         cols.append(morphism_to_vector(post(m)))
-    return ExactMatrix.from_rows(ring, list(zip(*cols)))
+    return ExactMatrix.from_cols(ring, nrows, cols)
 
 
 def solve_lift(problem: LiftingProblem):
@@ -495,24 +495,18 @@ def classify_map(f, structure) -> ClassifyReport:
         triv = surj and all(col_iso.values())
         report = ClassifyReport(structure, weq, fib, triv, evidence)
     else:
-        zv_ok = True
-        zv_fail = []
-        for (p, q) in f.target.ranks:
-            if p <= 0:
-                continue
-            k_src = kernel_basis(f.source.d(0, p, q))
-            k_tgt = kernel_basis(f.target.d(0, p, q))
-            induced = coordinates_in(k_tgt, f.component(p, q) @ k_src)
-            if not is_surjective(induced):
-                zv_ok = False
-                zv_fail.append((p, q))
+        zf = subquotient_map(f, "v", "Z")
+        zv_fail = [
+            (p, q) for (p, q) in f.target.ranks
+            if p > 0 and not is_surjective(zf.component(p, q))
+        ]
+        zv_ok = not zv_fail
         evidence["vertical_cycles_surjective"] = zv_ok
         if zv_fail:
             evidence["vertical_cycles_failures"] = zv_fail
         hh_iso = {q: line_quasi_iso(f, "h", q) for q in rows}
         evidence["row_homology_iso"] = hh_iso
         fib = surj and zv_ok and all(hh_iso.values())
-        zf = subquotient_map(f, "v", "Z")
         zrows = sorted({q for _, q in set(zf.source.ranks) | set(zf.target.ranks)})
         hh_zv = {q: line_quasi_iso(zf, "h", q) for q in zrows}
         evidence["row_homology_of_vertical_cycles_iso"] = hh_zv
@@ -662,7 +656,7 @@ def ce_resolution(y: ChainComplex):
                 sol = solve_exact(y.diff(q), bprev.col(j))
                 assert sol is not None
                 sig_cols.append(sol)
-            eps_blocks[(0, 2)] = ExactMatrix.from_rows(ring, list(zip(*sig_cols)))
+            eps_blocks[(0, 2)] = ExactMatrix.from_cols(ring, y.rank(q), sig_cols)
         eps[(0, q)] = ExactMatrix.block(ring, [y.rank(q)], sizes, eps_blocks)
         if bmat.cols:
             ranks[(1, q)] = bmat.cols

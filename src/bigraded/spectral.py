@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .rings import RingSpec, UnsupportedRing
 from .matrices import ExactMatrix
-from .linalg import QuotientModule, coordinates_in, kernel_basis
+from .linalg import Subquotient, kernel_basis
 from .chain import homology
 from .twisted import TwistedComplex, embed, tot_layout, tot_twisted
 
@@ -59,7 +59,9 @@ class _PageWorker:
 
     Z^r_{p,n} is stored as a basis in the first prefix(n, p) coordinates
     of Tot_n: its elements lie in F_p, and every coordinate past that
-    prefix is zero."""
+    prefix is zero.  Cycles and E-terms are cached by the prefixes of
+    the slices of the total differential they read, not by r: columns
+    without summands give equal prefixes, so many (r, p) share one."""
 
     def __init__(self, xt: TwistedComplex):
         self.x = xt
@@ -67,6 +69,7 @@ class _PageWorker:
         self.tot = tot_twisted(xt)
         self.prefixes = {}
         self.z_cache = {}
+        self.e_cache = {}
 
     def prefix(self, n, p) -> int:
         """Number of coordinates of F_p Tot_n."""
@@ -80,7 +83,7 @@ class _PageWorker:
     def z_basis(self, r, p, n) -> ExactMatrix:
         """Basis of the elements of filtration <= p whose boundary has
         filtration <= p - r, as prefix(n, p) x dim matrix."""
-        key = (r, p, n)
+        key = (n, self.prefix(n - 1, p - r), self.prefix(n, p))
         if key not in self.z_cache:
             k = self.prefix(n, p)
             d = _slice(self.tot.diff(n), slice(self.prefix(n - 1, p - r), None),
@@ -98,25 +101,29 @@ class _PageWorker:
         Tot_{n-1}; the caller knows the rest vanish."""
         return _slice(self.tot.diff(n), slice(None, k), slice(None, z.rows)) @ z
 
-    def e_term(self, r, p, q):
-        """(basis of Z^r, quotient structure) for E^r_{p,q}."""
+    def e_term(self, r, p, q) -> Subquotient:
+        """E^r_{p,q} as a subquotient of the first prefix(p + q, p)
+        coordinates of Tot_{p+q}."""
         n = p + q
-        znum = self.z_basis(r, p, n)
-        lower = self.z_basis(r - 1, p - 1, n)
-        den = ExactMatrix.hstack(
-            self.ring,
-            [
-                ExactMatrix.block(
-                    self.ring, [lower.rows, znum.rows - lower.rows], [lower.cols],
-                    {(0, 0): lower},
-                ),
-                self.boundary(n + 1, self.z_basis(r - 1, p + r - 1, n + 1),
-                              znum.rows),
-            ],
-            rows=znum.rows,
-        )
-        qm = QuotientModule(self.ring, znum.cols, coordinates_in(znum, den))
-        return znum, qm
+        key = (n, self.prefix(n - 1, p - r), self.prefix(n, p),
+               self.prefix(n, p - 1), self.prefix(n + 1, p + r - 1))
+        if key not in self.e_cache:
+            znum = self.z_basis(r, p, n)
+            lower = self.z_basis(r - 1, p - 1, n)
+            den = ExactMatrix.hstack(
+                self.ring,
+                [
+                    ExactMatrix.block(
+                        self.ring, [lower.rows, znum.rows - lower.rows],
+                        [lower.cols], {(0, 0): lower},
+                    ),
+                    self.boundary(n + 1, self.z_basis(r - 1, p + r - 1, n + 1),
+                                  znum.rows),
+                ],
+                rows=znum.rows,
+            )
+            self.e_cache[key] = Subquotient(self.ring, znum.rows, rel=den, sub=znum)
+        return self.e_cache[key]
 
 
 def pages(x, r_max: int | None = None) -> SpectralData:
@@ -136,25 +143,16 @@ def pages(x, r_max: int | None = None) -> SpectralData:
     for r in range(1, max(r_max, stable) + 1):
         terms = {}
         for (p, q) in support:
-            znum, qm = worker.e_term(r, p, q)
-            if qm.rank:
-                terms[(p, q)] = (znum, qm)
-        page_tables[r] = {pq: t[1].rank for pq, t in terms.items()}
+            term = worker.e_term(r, p, q)
+            if term.rank:
+                terms[(p, q)] = term
+        page_tables[r] = {pq: term.rank for pq, term in terms.items()}
         diffs = {}
-        for (p, q), (znum, qm) in terms.items():
-            tgt = (p - r, q + r - 1)
-            if tgt not in terms:
+        for (p, q), term in terms.items():
+            target = terms.get((p - r, q + r - 1))
+            if target is None:
                 continue
-            z_t, qm_t = terms[tgt]
-            # the quotient representatives are standard basis vectors, so
-            # znum @ qm.reps is a choice of columns
-            reps = ExactMatrix(
-                ring, znum.rows, qm.rank,
-                tuple(tuple(row[j] for j in qm.free_coords)
-                      for row in znum.entries),
-            )
-            img = worker.boundary(p + q, reps, z_t.rows)
-            m = qm_t.project(coordinates_in(z_t, img))
+            m = target.classes(worker.boundary(p + q, term.reps, target.n))
             if not m.is_zero:
                 diffs[(p, q)] = m
         diff_tables[r] = diffs

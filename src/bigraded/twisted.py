@@ -20,8 +20,8 @@ from __future__ import annotations
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import (
-    QuotientModule,
     NoSolution,
+    Subquotient,
     kernel_basis,
     image_basis,
     coordinates_in,
@@ -329,9 +329,8 @@ def _matrix_from_action(ring, src_words, tgt_words, action):
     for j, w in enumerate(src_words):
         for w2, c in action(w).items():
             m[index[w2]][j] = ring.from_int(c)
-    return ExactMatrix.from_rows(ring, m) if tgt_words else ExactMatrix.zero(
-        ring, 0, len(src_words)
-    )
+    # ring.from_int normalises, so the rows are taken as they are
+    return ExactMatrix(ring, len(tgt_words), len(src_words), tuple(map(tuple, m)))
 
 
 def twisted_disc(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
@@ -829,21 +828,15 @@ def quotient_to_bicomplex(x: TwistedComplex):
                     changed = True
     quots = {}
     for (p, q) in x.bidegrees():
-        qm = QuotientModule(ring, x.rank(p, q), spans.get((p, q)))
-        if qm.torsion:
-            raise TorsionQuotient(f"quotient at ({p},{q}) has torsion {qm.torsion}")
-        quots[(p, q)] = qm
-    ranks = {pq: qm.rank for pq, qm in quots.items() if qm.rank}
-    induced = {0: {}, 1: {}}
-    for i in (0, 1):
-        for (p, q) in ranks:
-            key = (p - i, q + i - 1)
-            if key not in ranks:
-                continue
-            m = quots[key].project(x.d(i, p, q) @ quots[(p, q)].reps)
-            if not m.is_zero:
-                induced[i][(p, q)] = m
-    return _bicomplex(ring, ranks, induced)
+        sq = Subquotient(ring, x.rank(p, q), rel=spans.get((p, q)))
+        if sq.torsion:
+            raise TorsionQuotient(f"quotient at ({p},{q}) has torsion {sq.torsion}")
+        if sq.rank:
+            quots[(p, q)] = sq
+    ds = {i: x.ds.get(i, {}) for i in (0, 1)}
+    return _bicomplex(
+        ring, {pq: sq.rank for pq, sq in quots.items()}, induced_structure(ds, quots)
+    )
 
 
 def to_bicomplex(x: TwistedComplex):
@@ -884,21 +877,16 @@ def kernel_twisted(f: TwistedMap):
     """Pointwise kernel with induced structure maps; returns the object
     and its inclusion into the source."""
     x = f.source
-    bases = {}
+    subs = {}
     for pq in x.bidegrees():
         k = kernel_basis(f.component(*pq))
         if k.cols:
-            bases[pq] = k
-    ds = {}
-    for i, fam in x.ds.items():
-        ds[i] = {}
-        for (p, q), b in bases.items():
-            key = (p - i, q + i - 1)
-            if key in bases and (p, q) in fam:
-                ds[i][(p, q)] = coordinates_in(bases[key], fam[(p, q)] @ b)
-    ranks = {pq: b.cols for pq, b in bases.items()}
-    obj = complex_like((x, f.target), x.ring, ranks, ds)
-    return obj, map_like(obj, x, dict(bases))
+            subs[pq] = Subquotient(x.ring, k.rows, sub=k)
+    ranks = {pq: sq.rank for pq, sq in subs.items()}
+    obj = complex_like(
+        (x, f.target), x.ring, ranks, induced_structure(x.ds, subs)
+    )
+    return obj, map_like(obj, x, {pq: sq.reps for pq, sq in subs.items()})
 
 
 def cokernel_twisted(f: TwistedMap):
@@ -909,28 +897,32 @@ def cokernel_twisted(f: TwistedMap):
     ring = y.ring
     quots = {}
     for (p, q) in y.bidegrees():
-        qm = QuotientModule(ring, y.rank(p, q), image_basis(f.component(p, q)))
-        if qm.torsion:
-            raise TorsionCokernel(f"cokernel at ({p},{q}) has torsion {qm.torsion}")
-        quots[(p, q)] = qm
-    ranks = {pq: qm.rank for pq, qm in quots.items() if qm.rank}
-    ds = {}
-    for i, fam in y.ds.items():
-        ds[i] = {}
-        for (p, q) in ranks:
-            key = (p - i, q + i - 1)
-            if key in ranks and (p, q) in fam:
-                ds[i][(p, q)] = quots[key].project(fam[(p, q)] @ quots[(p, q)].reps)
-    coker = complex_like((f.source, y), ring, ranks, ds)
-    proj = map_like(
-        y,
-        coker,
-        {
-            pq: quots[pq].project(ExactMatrix.identity(ring, y.rank(*pq)))
-            for pq in ranks
-        },
-    )
+        sq = Subquotient(ring, y.rank(p, q), rel=image_basis(f.component(p, q)))
+        if sq.torsion:
+            raise TorsionCokernel(f"cokernel at ({p},{q}) has torsion {sq.torsion}")
+        if sq.rank:
+            quots[(p, q)] = sq
+    ranks = {pq: sq.rank for pq, sq in quots.items()}
+    coker = complex_like((f.source, y), ring, ranks, induced_structure(y.ds, quots))
+    proj = map_like(y, coker, {
+        pq: sq.classes(ExactMatrix.identity(ring, sq.n)) for pq, sq in quots.items()
+    })
     return coker, proj
+
+
+def induced_structure(ds: dict, sqs: dict) -> dict:
+    """The structure maps induced on a family of subquotients: for each
+    d_i of the family `ds` whose source pq and target (p - i, q + i - 1)
+    both carry a subquotient in `sqs`, the classes of the images of the
+    representatives at pq."""
+    out = {}
+    for i, fam in ds.items():
+        out[i] = {}
+        for (p, q), sq in sqs.items():
+            m, key = fam.get((p, q)), (p - i, q + i - 1)
+            if m is not None and key in sqs:
+                out[i][(p, q)] = sqs[key].classes(m @ sq.reps)
+    return out
 
 
 def direct_sum_twisted(objs) -> TwistedComplex:

@@ -13,6 +13,7 @@ from bigraded.docio import (
     DocumentSyntaxError,
     MAX_DENSE_CELLS,
     ValidationError,
+    _parse_matrix,
     parse,
     serialize,
     to_document,
@@ -135,6 +136,13 @@ def test_out_of_range_entry():
            "differentials": {"d": [[[1], [[5, 0, "1"]]]]}}
     with pytest.raises(ValidationError):
         parse(json.dumps(doc))
+
+
+def test_parsed_matrix_keeps_its_declared_shape():
+    m = _parse_matrix(QQ, 0, 3, [], "d(0,0)")
+    assert (m.rows, m.cols) == (0, 3)
+    m = _parse_matrix(GF(3), 2, 2, [[1, 0, "5"], [0, 1, "-1"]], "d(0,0)")
+    assert m == ExactMatrix.from_rows(GF(3), [[0, 2], [2, 0]])
 
 
 def test_oversized_documents_rejected_before_allocation():

@@ -15,6 +15,7 @@ from bigraded.linalg import (
     _rref,
     NoSolution,
     QuotientModule,
+    Subquotient,
     coordinates_in,
     image_basis,
     invariant_factors,
@@ -175,6 +176,71 @@ def test_quotient_module_project_kills_relations():
     assert qm.project(rel).is_zero
     # projection of representatives is the identity on the quotient
     assert qm.project(qm.reps) == ExactMatrix.identity(QQ, qm.rank)
+
+
+def _random_matrix(rng, ring, r, c, bound=3):
+    return ExactMatrix.from_rows(
+        ring, [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+    )
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), ZZ], ids=str)
+def test_subquotient_matches_quotient_module_composition(ring, monkeypatch):
+    """Subquotient against the composition it replaces: the relations in
+    the coordinates of sub, a QuotientModule of those, sub @ reps and
+    project(coordinates_in(sub, v))."""
+    rng = random.Random(10)
+    torsion_seen = False
+    for _ in range(60):
+        n = rng.randint(0, 5)
+        sub = image_basis(_random_matrix(rng, ring, n, rng.randint(0, 4)))
+        rel = sub @ _random_matrix(rng, ring, sub.cols, rng.randint(1, 3))
+        vecs = sub @ _random_matrix(rng, ring, sub.cols, 2)
+        sq = Subquotient(ring, n, rel=rel, sub=sub)
+        qm = QuotientModule(ring, sub.cols, coordinates_in(sub, rel))
+        assert (sq.rank, sq.torsion) == (qm.rank, qm.torsion)
+        assert sq.reps == sub @ qm.reps
+        assert sq.classes(vecs) == qm.project(coordinates_in(sub, vecs))
+        torsion_seen = torsion_seen or bool(sq.torsion)
+        # sub=None: the whole module modulo rel
+        whole = Subquotient(ring, n, rel=rel)
+        qm = QuotientModule(ring, n, rel)
+        assert (whole.rank, whole.torsion) == (qm.rank, qm.torsion)
+        assert whole.reps == qm.reps
+        assert whole.classes(vecs) == qm.project(vecs)
+    assert torsion_seen == (ring == ZZ)
+    # rel=None factors no quotient: the classes are coordinates in sub
+    monkeypatch.setattr(
+        "bigraded.linalg.QuotientModule",
+        lambda *a: pytest.fail("a quotient was factored without relations"),
+    )
+    for _ in range(20):
+        n = rng.randint(0, 5)
+        sub = image_basis(_random_matrix(rng, ring, n, rng.randint(0, 4)))
+        vecs = sub @ _random_matrix(rng, ring, sub.cols, 2)
+        sq = Subquotient(ring, n, sub=sub)
+        assert (sq.rank, sq.torsion) == (sub.cols, ())
+        assert sq.reps is sub
+        assert sq.classes(vecs) == coordinates_in(sub, vecs)
+    whole = Subquotient(ring, 3)
+    assert whole.rank == 3 and whole.reps == ExactMatrix.identity(ring, 3)
+
+
+def test_subquotient_edge_cases():
+    empty = Subquotient(QQ, 3, sub=ExactMatrix.zero(QQ, 3, 0))
+    assert empty.rank == 0 and (empty.reps.rows, empty.reps.cols) == (3, 0)
+    assert empty.classes(ExactMatrix.zero(QQ, 3, 2)) == ExactMatrix.zero(QQ, 0, 2)
+    torsion = Subquotient(ZZ, 2, rel=M([[2, 0], [0, 1]]))
+    assert (torsion.rank, torsion.torsion) == (0, (2,))
+    even = Subquotient(ZZ, 2, rel=M([[4], [0]]), sub=M([[2], [0]]))
+    assert (even.rank, even.torsion) == (0, (2,))
+    with pytest.raises(NoSolution):
+        even.classes(M([[1], [0]]))  # 1 is not in 2Z
+    line = Subquotient(GF(3), 2, sub=M([[1], [0]], ring=GF(3)))
+    with pytest.raises(NoSolution):
+        line.classes(M([[0], [1]], ring=GF(3)))
+    with pytest.raises(BadParameter):
+        line.classes(M([[1]], ring=GF(3)))
 
 
 def test_coordinates_in():

@@ -44,6 +44,15 @@ def test_shape_mismatch_rejected():
         M([[1]]) + M([[1, 2]])
 
 
+def test_from_cols_is_the_transpose_of_from_rows():
+    cols = [(1, 2, 3), (4, 5, 6)]
+    assert ExactMatrix.from_cols(ZZ, 3, cols) == M(cols).transpose()
+    assert ExactMatrix.from_cols(QQ, 3, []) == ExactMatrix.zero(QQ, 3, 0)
+    assert ExactMatrix.from_cols(QQ, 0, [(), ()]) == ExactMatrix.zero(QQ, 0, 2)
+    with pytest.raises(BadParameter):
+        ExactMatrix.from_cols(ZZ, 3, [(1, 2)])
+
+
 def test_transpose_involution_and_degenerate():
     a = M([[1, 2, 3], [4, 5, 6]])
     assert a.transpose().transpose() == a
