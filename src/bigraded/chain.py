@@ -67,7 +67,7 @@ class ChainComplex:
             if m.cols != self.rank(n) or m.rows != self.rank(n - 1):
                 raise BadParameter("differential at degree %d has wrong shape" % n)
         for n, m in self.d.items():
-            if _product(self.d.get(n - 1), m) is not None:
+            if n - 1 in self.d and not ExactMatrix.products_vanish([(self.d[n - 1], m)]):
                 raise BadParameter("d*d != 0 at degree %d" % n)
 
     # -- access --------------------------------------------------------
@@ -196,12 +196,12 @@ def simplex_boundary(n: int, t: int, ring: RingSpec) -> ExactMatrix:
     src = simplex_basis(n, t)
     tgt = simplex_basis(n, t - 1)
     index = {s: i for i, s in enumerate(tgt)}
-    m = [[ring.zero()] * len(src) for _ in range(len(tgt))]
+    rows = [{} for _ in tgt]
     for j, s in enumerate(src):
         for i in range(len(s)):
             face = s[:i] + s[i + 1:]
-            m[index[face]][j] = ring.from_int(-1 if i % 2 else 1)
-    return ExactMatrix(ring, len(tgt), len(src), tuple(map(tuple, m)))
+            rows[index[face]][j] = ring.from_int(-1 if i % 2 else 1)
+    return ExactMatrix(ring, len(tgt), len(src), rows)
 
 
 def simplex_chain(n: int, ring: RingSpec = None) -> ChainComplex:
@@ -239,7 +239,7 @@ def simplex_cochain_data(n: int, ring: RingSpec, min_vertex_above: int | None = 
     for t in range(-1, n + 1):
         src = bases[t]
         tgt = bases.get(t + 1, [])
-        m = [[ring.zero()] * len(src) for _ in range(len(tgt))]
+        rows = [{} for _ in tgt]
         # coefficient of tau* in delta(sigma*) equals the coefficient of
         # sigma in the boundary of tau; this covers the coaugmentation too,
         # since the faces of a vertex include the empty simplex
@@ -249,8 +249,8 @@ def simplex_cochain_data(n: int, ring: RingSpec, min_vertex_above: int | None = 
                 face = tau[:pos] + tau[pos + 1:]
                 j = sidx.get(face)
                 if j is not None:
-                    m[i][j] = ring.from_int(-1 if pos % 2 else 1)
-        delta[t] = ExactMatrix(ring, len(tgt), len(src), tuple(map(tuple, m)))
+                    rows[i][j] = ring.from_int(-1 if pos % 2 else 1)
+        delta[t] = ExactMatrix(ring, len(tgt), len(src), rows)
     return bases, delta
 
 

@@ -18,6 +18,7 @@ exists.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .rings import RingSpec, BadParameter, ring_from_name
@@ -29,10 +30,12 @@ from .twisted import TwistedComplex, TwistedMap, validate_twisted
 SCHEMA_VERSION = 1
 
 # The most matrix entries a document may declare, summed as rows x cols
-# over all its matrices.  Parsing builds every matrix densely, so this
-# bounds the memory a document can claim (about 8 bytes an entry).  The
-# largest document the tests and the benchmark parse, twisted_disc(9, 0),
-# declares 125,476 entries; twisted_disc(11, 0) declares 1,830,270.
+# over all its matrices.  Parsing stores only the nonzero entries, but a
+# parsed matrix can still be read densely: its `entries` view, and the
+# Smith normal form of an integer matrix with no unit left to pivot on,
+# take about 8 bytes an entry.  The largest document the tests and the
+# benchmark parse, twisted_disc(9, 0), declares 125,476 entries;
+# twisted_disc(11, 0) declares 1,830,270.
 MAX_DENSE_CELLS = 1 << 22
 
 
@@ -53,13 +56,12 @@ class ValidationError(Exception):
 # ---------------------------------------------------------------------------
 
 def _matrix_triplets(ring: RingSpec, m: ExactMatrix) -> list:
-    out = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            x = m[i, j]
-            if not ring.is_zero(x):
-                out.append([i, j, ring.format_scalar(x)])
-    return out
+    fmt = ring.format_scalar
+    return [
+        [i, j, fmt(row[j])]
+        for i, row in enumerate(m.sparse_rows)
+        for j in sorted(row)
+    ]
 
 
 def _family_entries(ring: RingSpec, fam: dict) -> list:
@@ -122,6 +124,15 @@ def to_document(obj) -> dict:
     raise BadParameter(f"cannot serialize {type(obj).__name__}")
 
 
+def _scalar_json(x) -> str:
+    """json.dumps of an int or a str, without its per-call overhead."""
+    if type(x) is int:
+        return int.__repr__(x)
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    return json.dumps(x)
+
+
 def _dump(x, indent: int) -> str:
     """JSON text with flat lists kept on one line."""
     pad = "  " * indent
@@ -135,7 +146,7 @@ def _dump(x, indent: int) -> str:
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(x, list):
         if all(not isinstance(e, (list, dict)) for e in x):
-            return json.dumps(x)
+            return "[" + ", ".join(map(_scalar_json, x)) + "]"
         items = [f"{inner}{_dump(e, indent + 1)}" for e in x]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return json.dumps(x)
@@ -177,7 +188,7 @@ def _parse_key(raw, arity):
 def _parse_matrix(ring, rows, cols, triplets, where):
     if not isinstance(triplets, list):
         raise DocumentSyntaxError(f"matrix entries at {where} must be a list")
-    data = [[ring.zero()] * cols for _ in range(rows)]
+    data = {}  # row -> {column: entry}, zeros included until the end
     for t in triplets:
         if not (isinstance(t, list) and len(t) == 3):
             raise DocumentSyntaxError(f"bad matrix entry {t!r} at {where}")
@@ -188,13 +199,17 @@ def _parse_matrix(ring, rows, cols, triplets, where):
             raise ValidationError(
                 [f"entry ({i},{j}) at {where} outside a {rows}x{cols} matrix"]
             )
+        row = data.setdefault(i, {})
+        if j in row:
+            raise DocumentSyntaxError(f"duplicate matrix entry ({i},{j}) at {where}")
         try:
-            data[i][j] = ring.parse_scalar(str(v))
+            row[j] = ring.parse_scalar(str(v))
         except (ValueError, BadParameter) as exc:
             raise DocumentSyntaxError(f"bad scalar {v!r} at {where}: {exc}")
-    # ring.parse_scalar normalises, and the declared shape is kept even
-    # with no rows
-    return ExactMatrix(ring, rows, cols, tuple(map(tuple, data)))
+    # ring.parse_scalar normalises, the constructor drops the entries that
+    # are zero in the ring, and the declared shape is kept even with no rows
+    empty = {}
+    return ExactMatrix(ring, rows, cols, [data.get(i, empty) for i in range(rows)])
 
 
 def _parse_family(ring, entries, arity, shape_of, where):

@@ -23,21 +23,19 @@ class NoSolution(Exception):
 # Field echelon form
 # ---------------------------------------------------------------------------
 
-def _rref(ring: RingSpec, rows, limit: int | None = None):
+def _rref(ring: RingSpec, rows, ncols: int, limit: int | None = None):
     """Reduced row echelon form over a field, by Gauss-Jordan elimination.
 
-    Takes a sequence of rows, which it leaves unchanged, and returns
-    (reduced rows as lists, pivot column list).  Pivots are only chosen
-    among the first `limit` columns (all columns when None), so
-    augmented systems keep their right-hand block passive.  The pivot of
-    column c is the first remaining row with a nonzero entry there.
-    While reducing, each row is a {column: nonzero entry} dict, because
-    the matrices of this package are mostly sparse; over F_p every new
-    entry is reduced mod p.
+    Takes rows as {column: nonzero entry} dicts over `ncols` columns,
+    which it leaves unchanged, and returns (reduced rows as such dicts,
+    pivot column list).  Pivots are only chosen among the first `limit`
+    columns (all columns when None), so augmented systems keep their
+    right-hand block passive.  The pivot of column c is the first
+    remaining row with a nonzero entry there.  Over F_p every new entry
+    is reduced mod p.
     """
-    p = ring.p if ring.kind == "F" else None
-    ncols = len(rows[0]) if rows else 0
-    work = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    p = ring.p
+    work = [dict(r) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols if limit is None else min(limit, ncols)):
@@ -53,10 +51,10 @@ def _rref(ring: RingSpec, rows, limit: int | None = None):
             pivot = {j: ring.mul(inv, x) for j, x in pivot.items()}
         work[r] = pivot
         entries = list(pivot.items())
-        for i, row in enumerate(work):
-            f = row.get(c)
-            if f is None or i == r:
+        for row in work:
+            if c not in row or row is pivot:
                 continue
+            f = row[c]
             for j, y in entries:
                 v = row.get(j, 0) - f * y
                 if p:
@@ -67,8 +65,7 @@ def _rref(ring: RingSpec, rows, limit: int | None = None):
                     del row[j]
         pivots.append(c)
         r += 1
-    zero = ring.zero()
-    return [[row.get(j, zero) for j in range(ncols)] for row in work], pivots
+    return work, pivots
 
 
 class FieldSolver:
@@ -80,12 +77,13 @@ class FieldSolver:
         self.ring = a.ring
         self.a = a
         n, m = a.rows, a.cols
-        aug = [list(r) + [a.ring.one() if i == j else a.ring.zero() for j in range(n)]
-               for i, r in enumerate(a.entries)]
-        red, pivots = _rref(a.ring, aug, limit=m)
+        one = a.ring.one()
+        aug = [{**r, m + i: one} for i, r in enumerate(a.sparse_rows)]
+        red, pivots = _rref(a.ring, aug, m + n, limit=m)
         self.pivots = pivots
         self.rank = len(pivots)
-        self.red = red
+        # the row transform E with E A in reduced echelon form
+        self.transform = [{j - m: e for j, e in row.items() if j >= m} for row in red]
         self.m = m
         self.n = n
 
@@ -97,9 +95,8 @@ class FieldSolver:
                 f"right-hand side has length {len(b)}, expected {self.n}"
             )
         b = [ring.normalize(x) for x in b]
-        # y = E b where E is the recorded row transform
-        ys = [ring.normalize(sum(e * x for e, x in zip(row[self.m:], b)))
-              for row in self.red]
+        ys = [ring.normalize(sum(e * b[j] for j, e in row.items()))
+              for row in self.transform]
         for i in range(self.rank, self.n):
             if ys[i] != 0:
                 return None
@@ -230,7 +227,7 @@ def smith_normal_form(m: ExactMatrix) -> SNFResult:
         d[i][i] for i in range(min(m.rows, m.cols)) if d[i][i] != 0
     )
     # _snf_core works on Python ints, so its rows are normalised already
-    mk = lambda data, r, c: ExactMatrix(ZZ, r, c, tuple(map(tuple, data)))
+    mk = lambda data, r, c: ExactMatrix(ZZ, r, c, data)
     return SNFResult(
         U=mk(u, m.rows, m.rows),
         D=mk(d, m.rows, m.cols),
@@ -263,11 +260,10 @@ def invariant_factors(m: ExactMatrix) -> tuple:
         raise UnsupportedRing("invariant factors require the integers")
     rows = {}
     cols = {}  # column -> ids of the rows with an entry there
-    for i, r in enumerate(m.entries):
-        row = {j: x for j, x in enumerate(r) if x}
-        if row:
-            rows[i] = row
-            for j in row:
+    for i, r in enumerate(m.sparse_rows):
+        if r:
+            rows[i] = dict(r)
+            for j in r:
                 cols.setdefault(j, set()).add(i)
     # (length, row id) of rows with a unit; an entry is stale when the
     # row has gone or changed length, and the row is pushed again on
@@ -354,7 +350,7 @@ def solve_exact(a: ExactMatrix, b):
 
 def rank(m: ExactMatrix) -> int:
     if m.ring.is_field:
-        _, pivots = _rref(m.ring, m.entries)
+        _, pivots = _rref(m.ring, m.sparse_rows, m.cols)
         return len(pivots)
     return len(invariant_factors(m))
 
@@ -367,32 +363,35 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     """
     ring = m.ring
     if ring.is_field:
-        red, pivots = _rref(ring, m.entries)
-        free = [c for c in range(m.cols) if c not in pivots]
-        cols = []
-        for c in free:
-            vec = [ring.zero()] * m.cols
-            vec[c] = ring.one()
-            for i, pc in enumerate(pivots):
-                vec[pc] = ring.neg(red[i][c])
-            cols.append(vec)
-        return ExactMatrix.from_cols(ring, m.cols, cols)
+        red, pivots = _rref(ring, m.sparse_rows, m.cols)
+        pivot_set = set(pivots)
+        free = {c: k for k, c in enumerate(c for c in range(m.cols) if c not in pivot_set)}
+        # basis vector k is e_c minus the column c of the reduced rows,
+        # read at the pivots, for the k-th free column c
+        rows = [None] * m.cols
+        for c, k in free.items():
+            rows[c] = {k: ring.one()}
+        for row, pc in zip(red, pivots):
+            rows[pc] = {free[c]: ring.neg(x) for c, x in row.items() if c != pc}
+        return ExactMatrix._of(ring, m.cols, len(free), rows)
     snf = smith_normal_form(m)
-    return ExactMatrix.from_cols(
-        ring, m.cols, (snf.V.col(j) for j in range(snf.rank, m.cols))
-    )
+    return snf.V[:, snf.rank:]
 
 
 def image_basis(m: ExactMatrix) -> ExactMatrix:
     """Columns form a basis of im m (a Z-basis of the image over Z)."""
     ring = m.ring
     if ring.is_field:
-        _, pivots = _rref(ring, m.entries)
-        return ExactMatrix.from_cols(ring, m.rows, (m.col(c) for c in pivots))
+        _, pivots = _rref(ring, m.sparse_rows, m.cols)
+        picked = {c: k for k, c in enumerate(pivots)}
+        return ExactMatrix._of(ring, m.rows, len(pivots), [
+            {picked[c]: x for c, x in r.items() if c in picked} for r in m.sparse_rows
+        ])
     snf = smith_normal_form(m)
-    return ExactMatrix.from_cols(ring, m.rows, (
-        tuple(x * snf.D[i, i] for x in snf.U_inv.col(i)) for i in range(snf.rank)
-    ))
+    f = snf.invariant_factors
+    return ExactMatrix._of(ring, m.rows, snf.rank, [
+        {i: x * f[i] for i, x in r.items()} for r in snf.U_inv[:, :snf.rank].sparse_rows
+    ])
 
 
 def is_surjective(m: ExactMatrix) -> bool:
@@ -426,27 +425,26 @@ class QuotientModule:
         if relations.rows != n:
             raise ValueError("relation matrix has wrong ambient dimension")
         if ring.is_field:
-            red, pivots = _rref(ring, relations.transpose().entries)
-            self._echelon = [(p, red[i]) for i, p in enumerate(pivots)]
+            red, pivots = _rref(ring, relations.transpose().sparse_rows, n)
+            self._echelon = list(zip(pivots, red))
             self.torsion = ()
-            free = [j for j in range(n) if j not in pivots]
+            pivot_set = set(pivots)
+            free = [j for j in range(n) if j not in pivot_set]
             self.free_coords = free
             self.rank = len(free)
-            cols = []
-            for j in free:
-                v = [ring.zero()] * n
-                v[j] = ring.one()
-                cols.append(v)
-            self.reps = ExactMatrix.from_cols(ring, n, cols)
+            self._free_index = {j: k for k, j in enumerate(free)}
+            one = ring.one()
+            self.reps = ExactMatrix._of(ring, n, self.rank, [
+                {self._free_index[j]: one} if j in self._free_index else {}
+                for j in range(n)
+            ])
         else:
             snf = smith_normal_form(relations)
             r = snf.rank
             self._snf = snf
             self.torsion = tuple(f for f in snf.invariant_factors if f != 1)
             self.rank = n - r
-            self.reps = ExactMatrix.from_cols(
-                ring, n, (snf.U_inv.col(j) for j in range(r, n))
-            )
+            self.reps = snf.U_inv[:, r:]
 
     def project(self, vectors: ExactMatrix) -> ExactMatrix:
         """Free-part quotient coordinates of each column."""
@@ -454,19 +452,28 @@ class QuotientModule:
         if vectors.rows != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
         if ring.is_field:
-            out = []
-            for j in range(vectors.cols):
-                v = list(vectors.col(j))
-                for p, row in self._echelon:
-                    c = v[p]
-                    if c != 0:
-                        v = [ring.sub(a, ring.mul(c, b)) for a, b in zip(v, row)]
-                out.append([v[i] for i in self.free_coords])
-            return ExactMatrix.from_cols(ring, self.rank, out)
-        full = self._snf.U @ vectors
-        return ExactMatrix(
-            ring, self.rank, vectors.cols, full.entries[self.ambient_dim - self.rank:]
-        )
+            # reduce each column by the echelon rows; what is left lies on
+            # the free coordinates
+            p, index = ring.p, self._free_index
+            out = [{} for _ in range(self.rank)]
+            for j, col in enumerate(vectors.transpose().sparse_rows):
+                v = dict(col)
+                for pc, row in self._echelon:
+                    c = v.get(pc)
+                    if c is None:
+                        continue
+                    for k, y in row.items():
+                        w = v.get(k, 0) - c * y
+                        if p:
+                            w %= p
+                        if w:
+                            v[k] = w
+                        else:
+                            del v[k]
+                for k, x in v.items():
+                    out[index[k]][j] = x
+            return ExactMatrix._of(ring, self.rank, vectors.cols, out)
+        return (self._snf.U @ vectors)[self.ambient_dim - self.rank:, :]
 
 
 class Subquotient:
@@ -542,13 +549,18 @@ def _field_coordinates(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
     m, k = basis.cols, vectors.cols
     if k == 0:
         return ExactMatrix.zero(ring, m, 0)
-    red, pivots = _rref(
-        ring, [a + b for a, b in zip(basis.entries, vectors.entries)], limit=m
-    )
-    for j in range(k):
-        if any(row[m + j] for row in red[len(pivots):]):
-            raise NoSolution(f"column {j} not in span")
-    rows = [(ring.zero(),) * k] * m
-    for i, c in enumerate(pivots):
-        rows[c] = tuple(red[i][m:])
-    return ExactMatrix(ring, m, k, tuple(rows))
+    aug = []
+    for a, b in zip(basis.sparse_rows, vectors.sparse_rows):
+        row = dict(a)
+        for j, x in b.items():
+            row[m + j] = x
+        aug.append(row)
+    red, pivots = _rref(ring, aug, m + k, limit=m)
+    # a row past the pivots has entries only among the vectors' columns
+    bad = min((j for row in red[len(pivots):] for j in row), default=None)
+    if bad is not None:
+        raise NoSolution(f"column {bad - m} not in span")
+    rows = [{} for _ in range(m)]
+    for row, c in zip(red, pivots):
+        rows[c] = {j - m: x for j, x in row.items() if j >= m}
+    return ExactMatrix._of(ring, m, k, rows)

@@ -87,7 +87,7 @@ class MatrixSystem:
             blocks[k] = blocks[k] + blk if k in blocks else blk
         if blocks or not rhs.is_zero:
             row = ExactMatrix.block(ring, [er * ec], self.sizes, blocks)
-            self.blocks.append((row, tuple(x for rr in rhs.entries for x in rr)))
+            self.blocks.append((row, rhs.flat()))
 
     def solve_random(self, rng, bound: int = 1):
         """A random solution (dict key -> matrix), or None."""

@@ -90,6 +90,8 @@ class RingSpec:
             return int(x) % self.p
         if self.kind == "Q":
             return Fraction(x)
+        if type(x) is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise BadParameter(f"{x} is not an integer")
@@ -105,9 +107,6 @@ class RingSpec:
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "F" else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "F" else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "F" else a * b
 
@@ -122,9 +121,6 @@ class RingSpec:
         if a in (1, -1):
             return a
         raise UnsupportedRing(f"{a} is not invertible over Z")
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def from_int(self, n: int):
         return self.normalize(n)

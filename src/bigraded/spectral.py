@@ -46,14 +46,6 @@ class SpectralData:
         return self.pages[min(r, self.stable_page)]
 
 
-def _slice(m: ExactMatrix, rows: slice, cols: slice) -> ExactMatrix:
-    """The block m[rows, cols]."""
-    entries = tuple(row[cols] for row in m.entries[rows])
-    return ExactMatrix(
-        m.ring, len(entries), len(range(m.cols)[cols]), entries
-    )
-
-
 class _PageWorker:
     """Approximate cycles in filtration coordinates.
 
@@ -86,8 +78,7 @@ class _PageWorker:
         key = (n, self.prefix(n - 1, p - r), self.prefix(n, p))
         if key not in self.z_cache:
             k = self.prefix(n, p)
-            d = _slice(self.tot.diff(n), slice(self.prefix(n - 1, p - r), None),
-                       slice(None, k))
+            d = self.tot.diff(n)[self.prefix(n - 1, p - r):, :k]
             # with no constraint rows every element of F_p qualifies
             self.z_cache[key] = (
                 kernel_basis(d)
@@ -99,7 +90,7 @@ class _PageWorker:
     def boundary(self, n, z, k) -> ExactMatrix:
         """d z for a basis z of Z^r_{p,n}, on the first k coordinates of
         Tot_{n-1}; the caller knows the rest vanish."""
-        return _slice(self.tot.diff(n), slice(None, k), slice(None, z.rows)) @ z
+        return self.tot.diff(n)[:k, :z.rows] @ z
 
     def e_term(self, r, p, q) -> Subquotient:
         """E^r_{p,q} as a subquotient of the first prefix(p + q, p)

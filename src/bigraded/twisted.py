@@ -148,7 +148,7 @@ def validate_twisted(x: TwistedComplex) -> list:
         return bad
     fails = []
     for k, (p, q) in enumerate(x.ranks):
-        sums = {}
+        terms = {}  # n -> the pairs (d_i, d_j) with i + j = n
         for j, fam_j in x.ds.items():
             first = fam_j.get((p, q))
             if first is None:
@@ -157,10 +157,11 @@ def validate_twisted(x: TwistedComplex) -> list:
             for i, fam_i in x.ds.items():
                 second = fam_i.get(mid)
                 if second is not None:
-                    term = second @ first
-                    n = i + j
-                    sums[n] = term if n not in sums else sums[n] + term
-        fails.extend((n, k, p, q) for n, acc in sums.items() if not acc.is_zero)
+                    terms.setdefault(i + j, []).append((second, first))
+        fails.extend(
+            (n, k, p, q) for n, pairs in terms.items()
+            if not ExactMatrix.products_vanish(pairs)
+        )
     return [f"{_relation_name(n)} at ({p},{q})" for n, _, p, q in sorted(fails)]
 
 
@@ -201,9 +202,9 @@ class TwistedMap:
 
     @staticmethod
     def identity(x: TwistedComplex) -> "TwistedMap":
-        return map_like(
-            x, x, {pq: ExactMatrix.identity(x.ring, r) for pq, r in x.ranks.items()}
-        )
+        # matrices are immutable, so bidegrees of one rank share one identity
+        ids = {r: ExactMatrix.identity(x.ring, r) for r in set(x.ranks.values())}
+        return map_like(x, x, {pq: ids[r] for pq, r in x.ranks.items()})
 
     @staticmethod
     def zero(source: TwistedComplex, target: TwistedComplex) -> "TwistedMap":
@@ -325,12 +326,13 @@ def _matrix_from_action(ring, src_words, tgt_words, action):
     """Matrix of a linear map given by `action` on basis words (a dict
     word -> int coefficient per source word)."""
     index = {w: k for k, w in enumerate(tgt_words)}
-    m = [[ring.zero()] * len(src_words) for _ in range(len(tgt_words))]
+    rows = [{} for _ in tgt_words]
     for j, w in enumerate(src_words):
         for w2, c in action(w).items():
-            m[index[w2]][j] = ring.from_int(c)
-    # ring.from_int normalises, so the rows are taken as they are
-    return ExactMatrix(ring, len(tgt_words), len(src_words), tuple(map(tuple, m)))
+            rows[index[w2]][j] = ring.from_int(c)
+    # ring.from_int normalises, and the constructor drops the entries
+    # that are zero in the ring
+    return ExactMatrix(ring, len(tgt_words), len(src_words), rows)
 
 
 def twisted_disc(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
@@ -711,10 +713,10 @@ def morphism_from_vector(x: TwistedComplex, y: TwistedComplex, vec, check=True) 
 
 def morphism_to_vector(f: TwistedMap) -> tuple:
     out = []
+    zero = f.source.ring.zero()
     for (s, t, rx, ry) in _hom_summands(f.source, f.target, 0, 0):
-        m = f.component(s, t)
-        for row in m.entries:
-            out.extend(row)
+        m = f.f.get((s, t))
+        out.extend((zero,) * (rx * ry) if m is None else m.flat())
     return tuple(out)
 
 

@@ -145,6 +145,35 @@ def test_parsed_matrix_keeps_its_declared_shape():
     assert m == ExactMatrix.from_rows(GF(3), [[0, 2], [2, 0]])
 
 
+def _chain_doc(ring, triplets):
+    return {"schema_version": 1, "kind": "chain", "ring": ring,
+            "ranks": [[0, 2], [1, 2]],
+            "differentials": {"d": [[[1], triplets]]}}
+
+
+@pytest.mark.parametrize("ring", ["Z", "F5"])
+def test_repeated_matrix_entry_is_a_syntax_error(ring):
+    # a repeated (i, j) is refused like a repeated degree or rank entry,
+    # also when one of the two values is zero in the ring
+    for triplets in ([[1, 1, "2"], [1, 1, "5"]],
+                     [[1, 1, "0"], [0, 1, "1"], [1, 1, "3"]]):
+        with pytest.raises(DocumentSyntaxError, match="duplicate"):
+            parse(json.dumps(_chain_doc(ring, triplets)))
+
+
+@pytest.mark.parametrize("ring, zero", [
+    ("Z", "0"), ("Z", "-0"), ("F5", "0"), ("F5", "5"), ("F5", "-10"),
+])
+def test_zero_matrix_entry_stores_nothing(ring, zero):
+    plain = parse(json.dumps(_chain_doc(ring, [[0, 1, "3"]])))
+    with_zero = parse(json.dumps(_chain_doc(ring, [[0, 1, "3"], [1, 0, zero]])))
+    assert with_zero == plain
+    assert with_zero.d[1].sparse_rows == ({1: 3}, {})
+    assert serialize(with_zero) == serialize(plain)
+    # a matrix of zeros only is the zero map, which is not stored
+    assert parse(json.dumps(_chain_doc(ring, [[1, 0, zero]]))).d == {}
+
+
 def test_oversized_documents_rejected_before_allocation():
     # 118 bytes declaring one 20000 x 20000 matrix: rejected by its
     # declared size, not after building 4e8 dense entries
@@ -220,6 +249,7 @@ _HOSTILE = [
     "F" + "0" * 5000 + "7", "GF(" + "0" * 5000 + "7)",
     [0], [0, 0], [1, 2, 3], [True, 0], [0, 10**20, "1"], [-1, 0, "1"],
     [[0, 0, "1/0"]], [[0, 0]], [[1], []], [[0, 1, 1]],
+    [[0, 0, "1"], [0, 0, "2"]], [[0, 0, "0"]],
 ]
 _HOSTILE_NAMES = ["d²", "d" + "9" * 5000, "d-1", "x1", "d", "dh", "dv", "d0", "d7"]
 

@@ -239,3 +239,182 @@ def test_assemblies_build_no_zero_matrix(monkeypatch):
     assert hom_twisted(a, b).ranks
     assert cone(tot_twisted_map(f)).ranks
     assert calls == []
+
+
+# --- every operation against a dense reference ----------------------------------
+#
+# Sparse rows are the only storage; the reference below works on plain
+# lists of rows with the ring's own scalar operations.
+
+DENSE_RINGS = [ZZ, QQ, GF(2), GF(4294967311)]
+
+
+def _grid(rng, ring, r, c):
+    """An r x c list of normalised entries, about half of them zero."""
+    def entry():
+        if rng.random() < 0.5:
+            return ring.zero()
+        if ring.kind == "Q":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        if ring.kind == "Z":
+            return rng.choice((-1, 1, rng.randint(-9, 9), rng.getrandbits(70)))
+        return ring.normalize(rng.randrange(ring.p))
+    return [[entry() for _ in range(c)] for _ in range(r)]
+
+
+def _ref_add(ring, a, b):
+    return [[ring.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _ref_mul(ring, a, b, cols):
+    out = []
+    for row in a:
+        acc = [ring.zero()] * cols
+        for x, brow in zip(row, b):
+            acc = [ring.add(s, ring.mul(x, y)) for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+def _ref_blocks(ring, row_sizes, col_sizes, blocks):
+    out = [[ring.zero()] * sum(col_sizes) for _ in range(sum(row_sizes))]
+    for (i, j), grid in blocks.items():
+        r0, c0 = sum(row_sizes[:i]), sum(col_sizes[:j])
+        for k, row in enumerate(grid):
+            out[r0 + k][c0:c0 + len(row)] = row
+    return out
+
+
+def _agrees(m, ring, grid, rows, cols):
+    """m is the rows x cols matrix `grid` over ring, entries of the ring's
+    own type, with no zero stored."""
+    assert (m.ring, m.rows, m.cols) == (ring, rows, cols)
+    assert m.entries == tuple(tuple(r) for r in grid)
+    kind = type(ring.zero())
+    assert all(type(x) is kind for row in m.entries for x in row)
+    assert all(x and type(x) is kind for row in m.sparse_rows for x in row.values())
+    assert m.is_zero == (not any(x for row in grid for x in row))
+    for i in range(rows):
+        for j in range(cols):
+            assert m[i, j] == grid[i][j]
+    return True
+
+
+@pytest.mark.parametrize("ring", DENSE_RINGS, ids=str)
+def test_every_operation_matches_a_dense_reference(ring):
+    rng = random.Random(41)
+    other_ring = {"Z": GF(2), "Q": QQ, "F": ZZ}[ring.kind]
+    sizes = [0, 0, 1, 2, 3, 4]
+    for _ in range(40):
+        r, k, c, c2 = (rng.choice(sizes) for _ in range(4))
+        ga, gb, gc = _grid(rng, ring, r, k), _grid(rng, ring, k, c), _grid(rng, ring, r, k)
+        gd = _grid(rng, ring, r, c2)
+        a, b = ExactMatrix(ring, r, k, ga), ExactMatrix(ring, k, c, gb)
+        cm, d = ExactMatrix(ring, r, k, gc), ExactMatrix(ring, r, c2, gd)
+        assert _agrees(a, ring, ga, r, k)
+        if r:
+            assert ExactMatrix.from_rows(ring, ga) == a
+        cols = [[row[j] for row in ga] for j in range(k)]
+        assert ExactMatrix.from_cols(ring, r, cols) == a
+        assert _agrees(ExactMatrix.zero(ring, r, k), ring, [[ring.zero()] * k] * r, r, k)
+        assert _agrees(ExactMatrix.identity(ring, k), ring, [
+            [ring.one() if i == j else ring.zero() for j in range(k)] for i in range(k)
+        ], k, k)
+        first = [row[0] for row in ga] if k else [ring.zero()] * r
+        assert _agrees(ExactMatrix.column(ring, first), ring, [[x] for x in first], r, 1)
+        assert _agrees(a @ b, ring, _ref_mul(ring, ga, gb, c), r, c)
+        assert _agrees(a + cm, ring, _ref_add(ring, ga, gc), r, k)
+        neg_c = [[ring.neg(x) for x in row] for row in gc]
+        assert _agrees(-cm, ring, neg_c, r, k)
+        assert _agrees(a - cm, ring, _ref_add(ring, ga, neg_c), r, k)
+        assert _agrees(a - a, ring, [[ring.zero()] * k] * r, r, k)
+        for s in (0, 1, -1, 7):
+            scaled = [[ring.mul(ring.normalize(s), x) for x in row] for row in ga]
+            assert _agrees(a.scale(s), ring, scaled, r, k)
+        assert _agrees(a.transpose(), ring, cols, k, r)
+        r0, r1 = sorted(rng.randint(0, r) for _ in range(2))
+        c0, c1 = sorted(rng.randint(0, k) for _ in range(2))
+        assert _agrees(a[r0:r1, c0:c1], ring, [row[c0:c1] for row in ga[r0:r1]],
+                       r1 - r0, c1 - c0)
+        assert _agrees(a[:, c1:], ring, [row[c1:] for row in ga], r, k - c1)
+        assert _agrees(ExactMatrix.hstack(ring, [a, d]), ring,
+                       [x + y for x, y in zip(ga, gd)], r, k + c2)
+        assert _agrees(ExactMatrix.vstack(ring, [a, cm]), ring, ga + gc, 2 * r, k)
+        ge = _grid(rng, ring, r, c)
+        grids = {(0, 0): ga, (1, 1): gb, (0, 1): ge}
+        shapes = {(0, 0): (r, k), (1, 1): (k, c), (0, 1): (r, c)}
+        present = [key for key in grids if rng.random() < 0.7]
+        got = ExactMatrix.block(ring, [r, k], [k, c], {
+            key: ExactMatrix(ring, *shapes[key], grids[key]) for key in present
+        })
+        ref = _ref_blocks(ring, [r, k], [k, c], {key: grids[key] for key in present})
+        assert _agrees(got, ring, ref, r + k, k + c)
+        assert _agrees(ExactMatrix.direct_sum(ring, [a, b]), ring,
+                       _ref_blocks(ring, [r, k], [k, c], {(0, 0): ga, (1, 1): gb}),
+                       r + k, k + c)
+        kron = [[ring.mul(x, y) for x in row_a for y in row_b]
+                for row_a in ga for row_b in gb]
+        assert _agrees(a.kron(b), ring, kron, r * k, k * c)
+        vec = [row[0] for row in gb] if c else [ring.one()] * k
+        assert a.apply(vec) == tuple(
+            row[0] for row in _ref_mul(ring, ga, [[x] for x in vec], 1)
+        )
+        assert _agrees(a.to_ring(other_ring), other_ring,
+                       [[other_ring.normalize(x) for x in row] for row in ga], r, k)
+
+
+@pytest.mark.parametrize("ring", DENSE_RINGS, ids=str)
+def test_explicit_zeros_change_nothing(ring):
+    rng = random.Random(43)
+    for r, c in [(0, 3), (3, 0), (1, 1), (2, 3), (4, 4)]:
+        grid = _grid(rng, ring, r, c)
+        dense = ExactMatrix(ring, r, c, grid)
+        sparse = ExactMatrix(ring, r, c, [
+            {j: x for j, x in enumerate(row) if x} for row in grid
+        ])
+        with_zeros = ExactMatrix(ring, r, c, [dict(enumerate(row)) for row in grid])
+        assert dense == sparse == with_zeros
+        assert hash(dense) == hash(sparse) == hash(with_zeros)
+        assert all(x for row in with_zeros.sparse_rows for x in row.values())
+        # a sum that cancels equals the zero matrix it is
+        assert dense + (-dense) == ExactMatrix.zero(ring, r, c)
+        assert hash(dense + (-dense)) == hash(ExactMatrix.zero(ring, r, c))
+        assert {dense: 1}[with_zeros] == 1
+
+
+def test_bad_matrix_data_rejected():
+    with pytest.raises(BadParameter):
+        ExactMatrix(ZZ, 2, 3, [[1, 2, 3], [1, 2]])  # ragged
+    with pytest.raises(BadParameter):
+        ExactMatrix(ZZ, 2, 3, [[1, 2, 3]])  # too few rows
+    with pytest.raises(BadParameter):
+        ExactMatrix(ZZ, 1, 2, [{2: 1}])  # column out of range
+    with pytest.raises(BadParameter):
+        ExactMatrix(ZZ, 1, 2, [{-1: 1}])
+    with pytest.raises(BadParameter):
+        ExactMatrix(ZZ, -1, 2, [])
+    with pytest.raises(BadParameter):
+        ExactMatrix.from_rows(QQ, [[1, 2], [3]])
+    with pytest.raises(BadParameter):
+        ExactMatrix.zero(GF(2), 2, -1)
+    with pytest.raises(BadParameter):
+        ExactMatrix.identity(GF(2), 3).apply((1, 0))
+
+
+def test_products_vanish_is_the_sum_of_products():
+    rng = random.Random(47)
+    for ring in (ZZ, GF(3)):
+        for _ in range(30):
+            r, k, c = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+            pairs = []
+            for _ in range(rng.randint(1, 3)):
+                pairs.append((ExactMatrix(ring, r, k, _grid(rng, ring, r, k)),
+                              ExactMatrix(ring, k, c, _grid(rng, ring, k, c))))
+            total = ExactMatrix.zero(ring, r, c)
+            for a, b in pairs:
+                total = total + a @ b
+            assert ExactMatrix.products_vanish(pairs) == total.is_zero
+            a, b = pairs[0]
+            assert ExactMatrix.products_vanish(pairs + [(-a, b)]) == (total - a @ b).is_zero
+    with pytest.raises(BadParameter):
+        ExactMatrix.products_vanish([(M([[1, 2]]), M([[1], [1]])), (M([[1]]), M([[1, 1]]))])

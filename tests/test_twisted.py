@@ -287,3 +287,76 @@ def test_compose_refuses_a_map_into_another_object():
     same = TwistedComplex(ZZ, ranks, {0: {(0, 0): one}})
     assert TwistedMap.identity(y).compose(TwistedMap.identity(same)).f == \
         TwistedMap.identity(y).f
+
+
+# --- relation checking ----------------------------------------------------------
+
+def _disc_with_d1_entry_changed(ring, key, i, j):
+    """twisted_disc(4, 0) with 1 added to entry (i, j) of d_1 at key."""
+    x = twisted_disc(4, 0, ring)
+    rows = [list(r) for r in x.ds[1][key].entries]
+    rows[i][j] = ring.add(rows[i][j], 1)
+    ds = {n: dict(fam) for n, fam in x.ds.items()}
+    ds[1][key] = ExactMatrix.from_rows(ring, rows)
+    return TwistedComplex(ring, x.ranks, ds, check=False)
+
+
+# The failure lists of validate_twisted and of parsing the serialized
+# cell, recorded before matrices were stored as sparse rows.
+_CORRUPTED = [
+    ((2, -1), 0, 0,
+     ["d_0 and d_1 do not anticommute at (2,0)",
+      "relation n=2 fails at (3,-1)", "relation n=2 fails at (2,-1)"],
+     ["d_0 and d_1 do not anticommute at (2,0)",
+      "relation n=2 fails at (2,-1)", "relation n=2 fails at (3,-1)"]),
+    ((1, 1), 2, 1,
+     ["d_0 and d_1 do not anticommute at (1,2)",
+      "d_0 and d_1 do not anticommute at (1,1)", "relation n=3 fails at (3,0)"],
+     ["d_0 and d_1 do not anticommute at (1,1)",
+      "d_0 and d_1 do not anticommute at (1,2)", "relation n=3 fails at (3,0)"]),
+    ((1, 0), 3, 2,
+     ["d_0 and d_1 do not anticommute at (1,1)",
+      "d_0 and d_1 do not anticommute at (1,0)", "relation n=3 fails at (3,-1)"],
+     ["d_0 and d_1 do not anticommute at (1,0)",
+      "d_0 and d_1 do not anticommute at (1,1)", "relation n=3 fails at (3,-1)"]),
+]
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=str)
+@pytest.mark.parametrize("key, i, j, direct, parsed", _CORRUPTED)
+def test_relation_failures_are_pinned(ring, key, i, j, direct, parsed):
+    from bigraded import docio
+
+    y = _disc_with_d1_entry_changed(ring, key, i, j)
+    assert validate_twisted(y) == direct
+    with pytest.raises(BadParameter):
+        TwistedComplex(ring, y.ranks, y.ds)
+    with pytest.raises(docio.ValidationError) as err:
+        docio.parse(docio.serialize(y))
+    assert err.value.violations == parsed
+
+
+def test_relations_zero_mod_p_validate():
+    from bigraded import docio
+
+    def maps(ring):
+        m = lambda rows: ExactMatrix.from_rows(ring, rows)
+        # d_0 d_0 = 2 + 3 at (0, 0) and d_0 d_1 + d_1 d_0 = 2 + 3 at (2, 0):
+        # both 5, so zero over GF(5) only
+        return {
+            0: {(0, 0): m([[1], [1]]), (0, -1): m([[2, 3]]),
+                (2, 0): m([[1]]), (1, 0): m([[2]])},
+            1: {(2, 0): m([[1]]), (2, -1): m([[3]])},
+        }
+
+    ranks = {(0, 0): 1, (0, -1): 2, (0, -2): 1,
+             (2, 0): 1, (1, 0): 1, (2, -1): 1, (1, -1): 1}
+    over_z = TwistedComplex(ZZ, ranks, maps(ZZ), check=False)
+    assert validate_twisted(over_z) == [
+        "d_0^2 != 0 at (0,0)", "d_0 and d_1 do not anticommute at (2,0)",
+    ]
+    f5 = GF(5)
+    x = TwistedComplex(f5, ranks, maps(f5))
+    assert validate_twisted(x) == []
+    assert docio.parse(docio.serialize(x)) == x
+
