@@ -67,7 +67,7 @@ class ChainComplex:
             if m.cols != self.rank(n) or m.rows != self.rank(n - 1):
                 raise BadParameter("differential at degree %d has wrong shape" % n)
         for n, m in self.d.items():
-            if n - 1 in self.d and not ExactMatrix.products_vanish([(self.d[n - 1], m)]):
+            if _product(self.d.get(n - 1), m) is not None:
                 raise BadParameter("d*d != 0 at degree %d" % n)
 
     # -- access --------------------------------------------------------

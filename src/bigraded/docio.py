@@ -18,7 +18,6 @@ exists.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .rings import RingSpec, BadParameter, ring_from_name
@@ -124,15 +123,6 @@ def to_document(obj) -> dict:
     raise BadParameter(f"cannot serialize {type(obj).__name__}")
 
 
-def _scalar_json(x) -> str:
-    """json.dumps of an int or a str, without its per-call overhead."""
-    if type(x) is int:
-        return int.__repr__(x)
-    if type(x) is str:
-        return encode_basestring_ascii(x)
-    return json.dumps(x)
-
-
 def _dump(x, indent: int) -> str:
     """JSON text with flat lists kept on one line."""
     pad = "  " * indent
@@ -146,7 +136,7 @@ def _dump(x, indent: int) -> str:
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(x, list):
         if all(not isinstance(e, (list, dict)) for e in x):
-            return "[" + ", ".join(map(_scalar_json, x)) + "]"
+            return json.dumps(x)
         items = [f"{inner}{_dump(e, indent + 1)}" for e in x]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return json.dumps(x)

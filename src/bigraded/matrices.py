@@ -21,15 +21,15 @@ _EMPTY: dict = {}
 
 
 def _sparse_row(r, cols: int, seen: dict) -> dict:
-    """A row of the constructor as a dict without zeros: a dict is
-    taken over (its columns checked), a sequence of cols entries read.
+    """A row of the constructor as a new dict without zeros: a dict is
+    copied (its columns checked), a sequence of cols entries read.
     Equal sequences of one matrix share one dict through `seen`."""
     if isinstance(r, dict):
         if not r:
             return _EMPTY
         if min(r) < 0 or max(r) >= cols:
             raise BadParameter(f"matrix column out of range 0..{cols - 1}")
-        return r if all(r.values()) else {j: x for j, x in r.items() if x} or _EMPTY
+        return {j: x for j, x in r.items() if x} or _EMPTY
     if len(r) != cols:
         raise BadParameter("inconsistent matrix data")
     key = tuple(r)
@@ -234,16 +234,6 @@ class ExactMatrix:
         acc = [0] * other.cols
         out = []
         for row in self.sparse_rows:
-            if len(row) == 1:
-                # one term: a nonzero multiple of one row of `other`
-                (k, a), = row.items()
-                if a == 1 or not b[k]:
-                    out.append(b[k])
-                elif p:
-                    out.append({j: a * y % p for j, y in b[k].items()})
-                else:
-                    out.append({j: a * y for j, y in b[k].items()})
-                continue
             touched = []
             for k, a in row.items():
                 for j, y in b[k].items():
@@ -263,38 +253,9 @@ class ExactMatrix:
             out.append(new or _EMPTY)
         return ExactMatrix._of(self.ring, self.rows, other.cols, out)
 
-    @staticmethod
-    def products_vanish(pairs) -> bool:
-        """Whether the sum of a @ b over the pairs (a, b), all of one
-        shape, is zero.  The sum is accumulated entry by entry in one
-        dict keyed by row * cols + column; no product is built."""
-        acc, p, shape = {}, None, None
-        for a, b in pairs:
-            if a.cols != b.rows or shape not in (None, (a.rows, b.cols)):
-                raise BadParameter("products of different shapes")
-            p, shape, n, brows = a.ring.p, (a.rows, b.cols), b.cols, b.sparse_rows
-            for r, row in enumerate(a.sparse_rows):
-                for k, x in row.items():
-                    for j, y in brows[k].items():
-                        key = r * n + j
-                        acc[key] = acc.get(key, 0) + x * y
-        if p:
-            return not any(v % p for v in acc.values())
-        return not any(acc.values())
-
     def apply(self, vec) -> tuple:
         """Matrix times a column vector given as a flat sequence."""
-        ring = self.ring
-        if len(vec) != self.cols:
-            raise BadParameter(
-                f"vector of length {len(vec)} for a matrix with {self.cols} columns"
-            )
-        v = [ring.normalize(x) for x in vec]
-        z = ring.zero()
-        return tuple(
-            ring.normalize(sum(a * v[j] for j, a in r.items())) if r else z
-            for r in self.sparse_rows
-        )
+        return (self @ ExactMatrix.column(self.ring, vec)).col(0)
 
     def transpose(self) -> "ExactMatrix":
         out = [{} for _ in range(self.cols)]

@@ -148,7 +148,7 @@ def validate_twisted(x: TwistedComplex) -> list:
         return bad
     fails = []
     for k, (p, q) in enumerate(x.ranks):
-        terms = {}  # n -> the pairs (d_i, d_j) with i + j = n
+        sums = {}
         for j, fam_j in x.ds.items():
             first = fam_j.get((p, q))
             if first is None:
@@ -157,11 +157,10 @@ def validate_twisted(x: TwistedComplex) -> list:
             for i, fam_i in x.ds.items():
                 second = fam_i.get(mid)
                 if second is not None:
-                    terms.setdefault(i + j, []).append((second, first))
-        fails.extend(
-            (n, k, p, q) for n, pairs in terms.items()
-            if not ExactMatrix.products_vanish(pairs)
-        )
+                    term = second @ first
+                    n = i + j
+                    sums[n] = term if n not in sums else sums[n] + term
+        fails.extend((n, k, p, q) for n, acc in sums.items() if not acc.is_zero)
     return [f"{_relation_name(n)} at ({p},{q})" for n, _, p, q in sorted(fails)]
 
 
