@@ -4,11 +4,11 @@ A bicomplex is a twisted complex whose structure maps d_i vanish for
 i >= 2: d_v = d_0 of bidegree (0, -1) and d_h = d_1 of bidegree (-1, 0),
 with d_h^2 = d_v^2 = 0 and d_h d_v + d_v d_h = 0.  `Bicomplex` and
 `BicomplexMap` subclass the twisted carrier, so totalisation, tensor,
-Hom, kernels, cokernels and direct sums are the twisted operations; a
-result is a bicomplex exactly when its inputs are.  This module adds the
-standard bicomplex cells, rows and lines, and the directional
-subquotients.  Documents in the commuting sign convention are converted
-on input by `docio`.
+strict-morphism spaces, kernels, cokernels and direct sums are the
+twisted operations; a result is a bicomplex exactly when its inputs are.
+This module adds the standard bicomplex cells, rows and lines, the
+directional subquotients and the E2-isomorphism test.  Documents in the
+commuting sign convention are converted on input by `docio`.
 """
 
 from __future__ import annotations
@@ -159,25 +159,6 @@ def include_chain(c: ChainComplex) -> Bicomplex:
     return Bicomplex(c.ring, ranks, {}, d_v)
 
 
-def standard_bicomplex(kind: str, *params, ring: RingSpec = ZZ) -> Bicomplex:
-    kind = kind.lower().replace("_", "-")
-    if kind == "sphere":
-        return bic_sphere(*params, ring=ring)
-    if kind == "disc":
-        return bic_disc(*params, ring=ring)
-    if kind in ("h-boundary", "hboundary"):
-        return h_boundary(*params, ring=ring)
-    if kind in ("v-boundary", "vboundary"):
-        return v_boundary(*params, ring=ring)
-    if kind == "z":
-        return z_row(*params)
-    if kind in ("cq", "c"):
-        return c_row(*params)
-    if kind in ("include-chain", "includechain"):
-        return include_chain(*params)
-    raise BadParameter(f"unknown bicomplex kind {kind!r}")
-
-
 def koszul_swap(x: Bicomplex, y: Bicomplex) -> BicomplexMap:
     """The symmetry X (x) Y -> Y (x) X with sign (-1)^{|x||y|} on total
     degrees."""
@@ -290,6 +271,16 @@ def subquotient_map(f: TwistedMap, direction: str, kind: str) -> TwistedMap:
         if pq in tgt and pq in f.f
     }
     return map_like(src_obj, tgt_obj, comps)
+
+
+def e2_iso(f: TwistedMap) -> bool:
+    """Whether f induces an isomorphism on E2 = H_h(H_v): the map it
+    induces on vertical homology is a quasi-isomorphism on every row.
+    Over Z raises TorsionInSubquotient when vertical homology has
+    torsion."""
+    hf = subquotient_map(f, "v", "H")
+    rows = sorted({q for _, q in set(hf.source.ranks) | set(hf.target.ranks)})
+    return all(line_quasi_iso(hf, "h", q) for q in rows)
 
 
 def e2(x: TwistedComplex) -> dict:

@@ -284,21 +284,6 @@ def relative_simplex_cochain(n: int, m: int, ring: RingSpec = None) -> ChainComp
     return ChainComplex(ring, ranks, d)
 
 
-def standard_chain(kind: str, *params, ring: RingSpec = None) -> ChainComplex:
-    kind = kind.lower()
-    if kind == "sphere":
-        return sphere(*params, ring=ring)
-    if kind == "disc":
-        return disc(*params, ring=ring)
-    if kind in ("simplexchain", "simplex-chain"):
-        return simplex_chain(*params, ring=ring)
-    if kind in ("simplexcochain", "simplex-cochain"):
-        return simplex_cochain(*params, ring=ring)
-    if kind in ("relativesimplexcochain", "relative-simplex-cochain"):
-        return relative_simplex_cochain(*params, ring=ring)
-    raise BadParameter("unknown chain complex kind %r" % kind)
-
-
 # ---------------------------------------------------------------------------
 # Homology and quasi-isomorphisms
 # ---------------------------------------------------------------------------
@@ -336,12 +321,6 @@ def homology(c: ChainComplex) -> dict:
         if not cls.is_zero:
             out[n] = cls
     return out
-
-
-def homology_at(c: ChainComplex, n: int) -> ModuleClass:
-    return _homology_class(
-        c.rank(n), _factor(c.d.get(n)), _factor(c.d.get(n + 1))
-    )
 
 
 def is_acyclic(c: ChainComplex) -> bool:

@@ -181,9 +181,15 @@ _GEN_KINDS = {
     "twisted-boundary": lambda p, q, r, k: tw.twisted_boundary(p, q, k),
     "boundary-inclusion": lambda p, q, r, k: tw.boundary_inclusion(p, q, k),
 }
+# the twisted cells are free on one generator and take no rank
+_RANK_ONE_KINDS = ("twisted-disc", "twisted-boundary", "boundary-inclusion")
 
 
 def cmd_gen(args) -> int:
+    if args.kind in _RANK_ONE_KINDS and args.rank != 1:
+        raise CheckFailure(
+            f"{args.kind} is free on one generator: --rank must be 1, not {args.rank}"
+        )
     try:
         ring = ring_from_name(args.ring)
         obj = _GEN_KINDS[args.kind](args.p, args.q, args.rank, ring)

@@ -379,18 +379,6 @@ def from_document(doc) -> object:
         raise ValidationError([str(exc)])
 
 
-def kind_of(obj) -> str:
-    if isinstance(obj, ChainComplex):
-        return "chain"
-    if isinstance(obj, Bicomplex):
-        return "bicomplex"
-    if isinstance(obj, TwistedComplex):
-        return "twisted"
-    if isinstance(obj, (ChainMap, BicomplexMap, TwistedMap)):
-        return "map"
-    raise BadParameter(f"unknown object {type(obj).__name__}")
-
-
 def parse(text: str) -> object:
     try:
         doc = json.loads(text)

@@ -57,8 +57,12 @@ family                           beta        R_B     R_A     k
 ===============================  ==========  ======  ======  =
 
 alpha = beta + (-k, k - 1).  The generating maps themselves are built
-by `generator_map`, for `solve_lift`, `pushout` and the tensor
-identities; the tests check `has_rlp` against whole Hom spaces.
+by `generator_map` from the same table, for `solve_lift`, `pushout` and
+the tensor identities: B is the bicomplex cell free on b at beta
+subject to R_B, and A the one on a at alpha subject to R_A, included by
+identity blocks (the twisted families include their boundary by
+`boundary_inclusion`).  The tests check `has_rlp` against whole
+morphism spaces.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ from .bicomplex import (
     TorsionInSubquotient,
     bic_disc,
     bic_sphere,
+    e2_iso,
     h_boundary,
     include_chain,
     line_quasi_iso,
@@ -236,36 +241,28 @@ def generator_map(ref: GeneratorRef, ring: RingSpec = ZZ):
     return cached
 
 
+# The bicomplex cell free on one generator at (p, q) subject to d_i = 0
+# for i in the key; the twisted families build their own cells.
+_FREE_CELLS = {
+    (): lambda p, q, ring: bic_disc(p, q, 1, ring),
+    (1,): lambda p, q, ring: h_boundary(p + 1, q, 1, ring),
+    (0,): lambda p, q, ring: v_boundary(p, q + 1, 1, ring),
+    (0, 1): lambda p, q, ring: bic_sphere(p, q, 1, ring),
+}
+
+
 def _generator_map(ref: GeneratorRef, ring: RingSpec):
-    _cell(ref)  # BadParameter for an unknown family or a p out of range
-    fam, p, q = ref.family, ref.p, ref.q
-    one = ExactMatrix.identity(ring, 1)
-    empty = Bicomplex(ring, {}, {}, {})
-    if fam == "TotI_SphereToHBoundary":
-        a = bic_sphere(0, q - 1, 1, ring)
-        b = h_boundary(1, q, 1, ring)
-        return BicomplexMap(a, b, {(0, q - 1): one})
-    if fam == "TotI_VBoundaryToDisc":
-        a = v_boundary(p, q, 1, ring)
-        b = bic_disc(p, q, 1, ring)
-        return BicomplexMap(a, b, {pq: one for pq in a.ranks})
-    if fam == "TotJ_ZeroToHBoundary" or fam == "CEI_ZeroToHBoundary":
-        return BicomplexMap(empty, h_boundary(1, q, 1, ring), {})
-    if fam == "CEI_ZeroToSphere":
-        return BicomplexMap(empty, bic_sphere(0, q, 1, ring), {})
-    if fam == "CEI_SphereToVBoundary":
-        a = bic_sphere(p - 1, q - 1, 1, ring)
-        b = v_boundary(p, q, 1, ring)
-        return BicomplexMap(a, b, {(p - 1, q - 1): one})
-    if fam == "CEI_HBoundaryToDisc":
-        a = h_boundary(p, q, 1, ring)
-        b = bic_disc(p, q, 1, ring)
-        return BicomplexMap(a, b, {pq: one for pq in a.ranks})
-    if fam == "CEJ_ZeroToVBoundary":
-        return BicomplexMap(empty, v_boundary(p, q, 1, ring), {})
-    if fam == "TwI_BoundaryToDisc":
+    cell, (p, q) = _cell(ref)
+    if ref.family == "TwI_BoundaryToDisc":
         return boundary_inclusion(p, q, ring)
-    return TwistedMap(TwistedComplex(ring, {}, {}), twisted_disc(0, q, ring), {})
+    if ref.family == "TwJ_ZeroToDisc0":
+        return TwistedMap(TwistedComplex(ring, {}, {}), twisted_disc(0, q, ring), {})
+    b = _FREE_CELLS[cell.rel_b](p, q, ring)
+    if cell.rel_a is None:
+        return BicomplexMap(Bicomplex(ring, {}, {}, {}), b, {})
+    a = _FREE_CELLS[cell.rel_a](p - cell.k, q + cell.k - 1, ring)
+    one = ExactMatrix.identity(ring, 1)
+    return BicomplexMap(a, b, {pq: one for pq in a.ranks})
 
 
 def relevant_generators(f, structure, which: str) -> list:
@@ -513,11 +510,7 @@ def classify_map(f, structure) -> ClassifyReport:
         triv = fib and all(hh_zv.values())
         weq = None
         try:
-            hf = subquotient_map(f, "v", "H")
-            hrows = sorted(
-                {q for _, q in set(hf.source.ranks) | set(hf.target.ranks)}
-            )
-            weq = all(line_quasi_iso(hf, "h", q) for q in hrows)
+            weq = e2_iso(f)
         except TorsionInSubquotient:
             evidence["weq_unavailable"] = "vertical homology has torsion"
         report = ClassifyReport(structure, weq, fib, triv, evidence)

@@ -25,7 +25,7 @@ differentials are the ones the full coordinates give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rings import RingSpec, UnsupportedRing
 from .matrices import ExactMatrix
@@ -147,15 +147,7 @@ def pages(x, r_max: int | None = None) -> SpectralData:
             if not m.is_zero:
                 diffs[(p, q)] = m
         diff_tables[r] = diffs
-    einf = dict(page_tables[stable])
-    keep = max(r_max, 1)
-    return SpectralData(
-        ring,
-        {r: page_tables[r] for r in page_tables if r <= max(keep, stable)},
-        {r: diff_tables[r] for r in diff_tables if r <= max(keep, stable)},
-        stable,
-        einf,
-    )
+    return SpectralData(ring, page_tables, diff_tables, stable, dict(page_tables[stable]))
 
 
 def convergence_check(x) -> dict:
@@ -165,16 +157,22 @@ def convergence_check(x) -> dict:
     xt = embed(x)
     if not xt.ring.is_field:
         raise UnsupportedRing("convergence check needs field coefficients")
-    data = pages(xt)
-    h = homology(tot_twisted(xt))
+    # E-infinity is the page pmax + 1, read without the pages before it
+    worker = _PageWorker(xt)
+    einf = {}
+    for (p, q) in sorted(xt.ranks):
+        rank = worker.e_term(xt.pmax + 1, p, q).rank
+        if rank:
+            einf[(p, q)] = rank
+    h = homology(worker.tot)
     degs = sorted(
         set(n for n, cls in h.items() if not cls.is_zero)
-        | set(p + q for p, q in data.einf)
+        | set(p + q for p, q in einf)
     )
     table = {}
     ok = True
     for n in degs:
-        lhs = sum(d for (p, q), d in data.einf.items() if p + q == n)
+        lhs = sum(d for (p, q), d in einf.items() if p + q == n)
         rhs = h[n].free_rank if n in h else 0
         table[n] = (lhs, rhs)
         ok = ok and lhs == rhs

@@ -11,27 +11,16 @@ from the types of the inputs.  The module also builds the free cell
 objects on one generator (the disc and its vertical boundary) from a
 word basis with an explicit rewriting algorithm, identifies boundary
 columns with simplicial cochain complexes, and provides totalisation,
-tensor and Hom, kernels, cokernels and direct sums, vertical homology,
-and the quotient down to bicomplexes.
+tensor and strict-morphism spaces, kernels, cokernels and direct sums,
+vertical homology, and the quotient down to bicomplexes.
 """
 
 from __future__ import annotations
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
-from .linalg import (
-    NoSolution,
-    Subquotient,
-    kernel_basis,
-    image_basis,
-    coordinates_in,
-    rank as matrix_rank,
-)
+from .linalg import Subquotient, kernel_basis, image_basis, rank as matrix_rank
 from .chain import ChainComplex, _product
-
-
-class NonSplitConstraint(Exception):
-    """An equivariance constraint over Z does not split off freely."""
 
 
 class TorsionQuotient(Exception):
@@ -334,25 +323,26 @@ def _matrix_from_action(ring, src_words, tgt_words, action):
     return ExactMatrix(ring, len(tgt_words), len(src_words), rows)
 
 
+def _cell(ring, words, act, indices) -> TwistedComplex:
+    """The twisted complex free on the basis `words` (bidegree -> list of
+    words) whose d_i, for i in `indices`, sends each word w to act(i, w),
+    a dict word -> int coefficient."""
+    ds = {}
+    for i in indices:
+        ds[i] = {}
+        for (p, q), ws in words.items():
+            tgt = words.get((p - i, q + i - 1))
+            if tgt is not None:
+                ds[i][(p, q)] = _matrix_from_action(ring, ws, tgt, lambda w: act(i, w))
+    ranks = {pq: len(ws) for pq, ws in words.items()}
+    return TwistedComplex(ring, ranks, ds, labels=words)
+
+
 def twisted_disc(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
     """Free twisted cell on one generator x in bidegree (p, q)."""
     if p < 0:
         raise BadParameter("column of the generator must be >= 0")
-    words = disc_words(p, q)
-    ranks = {pq: len(ws) for pq, ws in words.items()}
-    ds = {}
-    for i in range(p + 1):
-        fam = {}
-        for (pp, qq), ws in words.items():
-            tgt = words.get((pp - i, qq + i - 1))
-            if pp - i < 0 or tgt is None:
-                continue
-            fam[(pp, qq)] = _matrix_from_action(
-                ring, ws, tgt, lambda w, i=i: normal_form((i,) + w)
-            )
-        if fam:
-            ds[i] = fam
-    return TwistedComplex(ring, ranks, ds, labels=words)
+    return _cell(ring, disc_words(p, q), lambda i, w: normal_form((i,) + w), range(p + 1))
 
 
 def twisted_boundary(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
@@ -360,10 +350,8 @@ def twisted_boundary(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
     free on the all-positive words applied to y = d_0 x."""
     if p < 0:
         raise BadParameter("column of the generator must be >= 0")
-    words = boundary_words(p, q)
-    ranks = {pq: len(ws) for pq, ws in words.items()}
 
-    def act(w, i):
+    def act(i, w):
         out = {}
         for w2, c in normal_form((i,) + w + (0,)).items():
             if w2[-1] != 0:
@@ -371,17 +359,7 @@ def twisted_boundary(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
             out[w2[:-1]] = c
         return out
 
-    ds = {}
-    for i in range(p + 1):
-        fam = {}
-        for (pp, qq), ws in words.items():
-            tgt = words.get((pp - i, qq + i - 1))
-            if pp - i < 0 or tgt is None:
-                continue
-            fam[(pp, qq)] = _matrix_from_action(ring, ws, tgt, lambda w, i=i: act(w, i))
-        if fam:
-            ds[i] = fam
-    return TwistedComplex(ring, ranks, ds, labels=words)
+    return _cell(ring, boundary_words(p, q), act, range(p + 1))
 
 
 def boundary_inclusion(p: int, q: int, ring: RingSpec = ZZ) -> TwistedMap:
@@ -400,30 +378,22 @@ def truncated_boundary(p: int, q: int, s: int, ring: RingSpec = ZZ) -> TwistedCo
     words with first subscript at most s, with only d_0 retained."""
     if p < 0 or s < 0:
         raise BadParameter("need p >= 0 and s >= 0")
-    full = boundary_words(p, q)
     words = {}
-    for pq, ws in full.items():
+    for pq, ws in boundary_words(p, q).items():
         keep = [w for w in ws if not w or w[0] <= s]
         if keep:
             words[pq] = keep
-    ranks = {pq: len(ws) for pq, ws in words.items()}
 
-    def act(w):
+    def act(i, w):
         out = {}
-        for w2, c in normal_form((0,) + w + (0,)).items():
+        for w2, c in normal_form((i,) + w + (0,)).items():
             inner = w2[:-1]
             if w2[-1] != 0 or (inner and inner[0] > s):
                 raise AssertionError("truncation is not d_0-closed")
             out[inner] = c
         return out
 
-    fam = {}
-    for (pp, qq), ws in words.items():
-        tgt = words.get((pp, qq - 1))
-        if tgt is None:
-            continue
-        fam[(pp, qq)] = _matrix_from_action(ring, ws, tgt, act)
-    return TwistedComplex(ring, ranks, {0: fam}, labels=words)
+    return _cell(ring, words, act, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +611,7 @@ def tensor_twisted_map(f: TwistedMap, g: TwistedMap) -> TwistedMap:
 
 
 # ---------------------------------------------------------------------------
-# Hom
+# Strict-morphism spaces
 # ---------------------------------------------------------------------------
 
 def _hom_summands(x: TwistedComplex, y: TwistedComplex, p: int, q: int):
@@ -659,18 +629,18 @@ def _hom_dim(summands) -> int:
     return sum(rx * ry for _, _, rx, ry in summands)
 
 
-def _hom_operator(x, y, p, q, i, sign):
-    """Matrix of f |-> d_i f - sign * f d_i from the ambient space at
-    (p, q) to the ambient space at (p-i, q+i-1); entries of each f_{s,t}
-    are flattened row-major, summands concatenated in order."""
+def _hom_operator(x, y, i):
+    """Matrix of f |-> d_i f - f d_i from the ambient space of strict
+    families at (0, 0) to the ambient space at (-i, i-1); entries of each
+    f_{s,t} are flattened row-major, summands concatenated in order."""
     ring = x.ring
-    src = _hom_summands(x, y, p, q)
-    tgt = _hom_summands(x, y, p - i, q + i - 1)
+    src = _hom_summands(x, y, 0, 0)
+    tgt = _hom_summands(x, y, -i, i - 1)
     spos = {(s, t): k for k, (s, t, _, _) in enumerate(src)}
     xi, yi = x.ds.get(i, {}), y.ds.get(i, {})
     blocks = {}
     for r, (s, t, rx, ry2) in enumerate(tgt):
-        m = yi.get((s + p, t + q))
+        m = yi.get((s, t))
         if m is not None:
             blocks[(r, spos[(s, t)])] = m.kron(ExactMatrix.identity(ring, rx))
         m = xi.get((s, t))
@@ -678,7 +648,7 @@ def _hom_operator(x, y, p, q, i, sign):
             # d_i f sits in summand (s, t), f d_i in (s-i, t+i-1): never the
             # same one, since i = 0 and i = 1 cannot both hold
             blk = ExactMatrix.identity(ring, ry2).kron(m.transpose())
-            blocks[(r, spos[(s - i, t + i - 1)])] = blk.scale(ring.from_int(-sign))
+            blocks[(r, spos[(s - i, t + i - 1)])] = -blk
     return ExactMatrix.block(
         ring, [rx * ry for *_, rx, ry in tgt], [rx * ry for *_, rx, ry in src], blocks
     )
@@ -691,7 +661,7 @@ def morphism_space_basis(x: TwistedComplex, y: TwistedComplex) -> ExactMatrix:
     ring = x.ring
     src = _hom_summands(x, y, 0, 0)
     n = _hom_dim(src)
-    rows = [_hom_operator(x, y, 0, 0, i, 1) for i in sorted(set(x.ds) | set(y.ds))]
+    rows = [_hom_operator(x, y, i) for i in sorted(set(x.ds) | set(y.ds))]
     rows = [m for m in rows if m.rows]
     if not rows:
         return ExactMatrix.identity(ring, n)
@@ -717,70 +687,6 @@ def morphism_to_vector(f: TwistedMap) -> tuple:
         m = f.f.get((s, t))
         out.extend((zero,) * (rx * ry) if m is None else m.flat())
     return tuple(out)
-
-
-def hom_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
-    """Internal Hom: degree (p, q) is the subspace of families
-    X_{s,t} -> Y_{s+p,t+q} with d_i f = (-1)^{p+q} f d_i for all i > p,
-    with structure maps d_i(f) = d_i f - (-1)^{p+q} f d_i for i <= p.
-    Only defined here for inputs with d_i = 0 for i >= 2: on the others
-    the structure maps need not preserve the chosen bases."""
-    if x.ring != y.ring:
-        raise BadParameter("hom over different rings")
-    for obj in (x, y):
-        extra = [i for i in obj.indices() if i >= 2]
-        if extra:
-            raise BadParameter(
-                f"hom_twisted needs d_i = 0 for i >= 2, but an input has "
-                f"d_{extra[0]} != 0"
-            )
-    ring = x.ring
-    if x.is_zero or y.is_zero:
-        return complex_like((x, y), ring, {}, {})
-    indices = sorted(set(x.ds) | set(y.ds))
-    ts = [t for _, t in x.ranks]
-    yps = [sp for sp, _ in y.ranks]
-    yts = [t for _, t in y.ranks]
-    pmin, pmax = 0, max(yps)
-    qmin, qmax = min(yts) - max(ts), max(yts) - min(ts)
-    bases = {}
-    for p in range(pmin, pmax + 1):
-        for q in range(qmin, qmax + 1):
-            src = _hom_summands(x, y, p, q)
-            n = _hom_dim(src)
-            if n == 0:
-                continue
-            sign = -1 if (p + q) % 2 else 1
-            cons = [_hom_operator(x, y, p, q, i, sign) for i in indices if i > p]
-            cons = [m for m in cons if m.rows]
-            if cons:
-                basis = kernel_basis(ExactMatrix.vstack(ring, cons, cols=n))
-            else:
-                basis = ExactMatrix.identity(ring, n)
-            if basis.cols:
-                bases[(p, q)] = basis
-    ranks = {pq: b.cols for pq, b in bases.items()}
-    ds = {}
-    for i in indices:
-        fam = {}
-        for (p, q), basis in bases.items():
-            if i > p:
-                continue
-            key = (p - i, q + i - 1)
-            tb = bases.get(key)
-            if tb is None:
-                continue
-            sign = -1 if (p + q) % 2 else 1
-            op = _hom_operator(x, y, p, q, i, sign)
-            try:
-                fam[(p, q)] = coordinates_in(tb, op @ basis)
-            except NoSolution:
-                raise NonSplitConstraint(
-                    f"structure map d_{i} at ({p},{q}) leaves the chosen basis"
-                )
-        if fam:
-            ds[i] = fam
-    return complex_like((x, y), ring, ranks, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +744,6 @@ def quotient_to_bicomplex(x: TwistedComplex):
     return _bicomplex(
         ring, {pq: sq.rank for pq, sq in quots.items()}, induced_structure(ds, quots)
     )
-
-
-def to_bicomplex(x: TwistedComplex):
-    """Reinterpret a twisted complex with d_i = 0 for i >= 2."""
-    return _bicomplex(x.ring, dict(x.ranks), x.ds)
 
 
 def embed(obj) -> TwistedComplex:

@@ -16,7 +16,6 @@ from math import comb
 
 from .rings import ZZ, QQ, GF
 from .chain import is_acyclic, is_quasi_iso
-from .linalg import rank
 from .twisted import (
     MismatchAt,
     compare_to_simplex_cochain,
@@ -25,7 +24,7 @@ from .twisted import (
     twisted_boundary,
     twisted_disc,
 )
-from .bicomplex import directional_subquotient, e2, subquotient_map
+from .bicomplex import directional_subquotient, e2, e2_iso
 from .model import classify_map, rlp_report, verify_generator_identities
 from .spectral import convergence_check, pages
 from . import randgen
@@ -185,17 +184,6 @@ def check_rlp_agreement(seed: int, per_structure: int = 30,
     }
 
 
-def _e2_iso(f) -> bool:
-    """Whether a bicomplex map induces an isomorphism on the page
-    H^h(H^v) in every bidegree."""
-    e2m = subquotient_map(subquotient_map(f, "v", "H"), "h", "H")
-    for pq in set(e2m.source.ranks) | set(e2m.target.ranks):
-        m = e2m.component(*pq)
-        if m.rows != m.cols or rank(m) != m.rows:
-            return False
-    return True
-
-
 def check_spectral(seed: int, samples: int = 20) -> dict:
     rng = random.Random(seed)
     bad = []
@@ -214,7 +202,7 @@ def check_spectral(seed: int, samples: int = 20) -> dict:
         # weak equivalence; exercised on an inclusion with acyclic
         # complement and on a plain random map
         f = randgen.random_bicomplex_map(rng, QQ, p_range=(0, 2), q_range=(-1, 1))
-        if _e2_iso(f) and not is_quasi_iso(tot_twisted_map(f)):
+        if e2_iso(f) and not is_quasi_iso(tot_twisted_map(f)):
             bad.append(f"page-2 iso without total weq on sample {k}")
     ok = not bad
     return {

@@ -37,6 +37,7 @@ from bigraded.bicomplex import (
     bic_disc,
     bic_sphere,
     directional_subquotient,
+    e2_iso,
     ev0,
     include_chain,
 )
@@ -60,7 +61,6 @@ from bigraded.spectral import convergence_check, pages
 from bigraded.verify import (
     BOUNDARY_4_0_RANKS,
     DISC_4_0_RANKS,
-    _e2_iso,
     boundary_rank_formula,
     disc_rank_formula,
     e2_of_vertical,
@@ -185,7 +185,7 @@ def test_criterion_6_spectral_consistency():
     for k in range(20):
         f = randgen.random_bicomplex_map(rng, QQ, p_range=(0, 2),
                                          q_range=(-1, 1))
-        if _e2_iso(f):
+        if e2_iso(f):
             assert is_quasi_iso(tot_twisted_map(f))
         x = randgen.random_bicomplex(rng, QQ, p_range=(0, 2), q_range=(-1, 1))
         d = bic_disc(1 + k % 2, 0, 1, QQ)
@@ -195,7 +195,7 @@ def test_criterion_6_spectral_consistency():
                 ExactMatrix.identity(QQ, r),
                 ExactMatrix.zero(QQ, d.rank(*pq), r),
             ]) for pq, r in x.ranks.items()})
-        assert _e2_iso(incl)
+        assert e2_iso(incl)
         assert is_quasi_iso(tot_twisted_map(incl))
     report(6, f"{n} objects: page two, convergence, page-two-iso => tot-weq",
            t0, 60)

@@ -15,6 +15,7 @@ Print the digest of the code on the path with
 """
 
 import hashlib
+import importlib
 import sys
 from pathlib import Path
 
@@ -28,6 +29,11 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 EXPECTED = "e9f1d95b90ecb933ace40a8e4222378392035637ac0283a79931333a1d02831a"
+
+# Span names in `tracer.GROUPS` that name nothing in the package, so
+# their groups count nothing.  A deletion that leaves another group
+# reading a missing name fails the test below until it is listed here.
+KNOWN_STALE_SPANS = ["bicomplex.direct_sum", "chain.homology_at"]
 
 
 def _inputs(item) -> list:
@@ -70,6 +76,21 @@ def test_tracer_members_are_defined_on_their_classes():
             cls = getattr(mod, cls_name)
             for member in members:
                 assert member in cls.__dict__, f"{layer}.{cls_name}.{member}"
+
+
+def _defined(span: str) -> bool:
+    """Whether a span name ("layer.name" or "layer.Class.member", with
+    an optional "@Z"/"@F" ring suffix) names an attribute of the package."""
+    layer, *path = span.split("@")[0].split(".")
+    obj = importlib.import_module(f"bigraded.{layer}")
+    for name in path:
+        obj = getattr(obj, name, None)
+    return obj is not None
+
+
+def test_tracer_groups_name_existing_spans():
+    stale = [n for names in tracer.GROUPS.values() for n in names if not _defined(n)]
+    assert stale == KNOWN_STALE_SPANS
 
 
 if __name__ == "__main__":

@@ -20,19 +20,19 @@ from bigraded.bicomplex import (
     c_row,
     directional_subquotient,
     e2,
+    e2_iso,
     ev0,
     h_boundary,
     include_chain,
     koszul_swap,
     line_quasi_iso,
-    standard_bicomplex,
     subquotient_map,
     v_boundary,
     validate,
     z_row,
 )
 from bigraded.docio import serialize, to_document
-from bigraded.linalg import is_unimodular
+from bigraded.linalg import is_unimodular, rank
 from bigraded.model import (
     GeneratorRef,
     LiftingProblem,
@@ -40,14 +40,13 @@ from bigraded.model import (
     pushout,
     solve_lift,
 )
-from bigraded.randgen import random_bicomplex, random_strict_map
+from bigraded.randgen import random_bicomplex, random_bicomplex_map, random_strict_map
 from bigraded.twisted import (
     TwistedComplex,
     TwistedMap,
     boundary_inclusion,
     cokernel_twisted,
     direct_sum_twisted,
-    hom_twisted,
     kernel_twisted,
     tensor_twisted,
     tensor_twisted_map,
@@ -199,12 +198,6 @@ def test_tot_map_of_identity():
     assert all(m == ExactMatrix.identity(ZZ, m.rows) for m in tm.f.values())
 
 
-def test_standard_bicomplex_dispatch():
-    assert standard_bicomplex("disc", 2, 0, 1, ring=QQ) == bic_disc(2, 0, 1, QQ)
-    with pytest.raises(BadParameter):
-        standard_bicomplex("moebius", 1, 1, 1, ring=QQ)
-
-
 def test_negative_column_rejected():
     with pytest.raises(BadParameter):
         Bicomplex(ZZ, {(-1, 0): 1}, {}, {})
@@ -217,7 +210,6 @@ def _carrier_results(x, y, inc):
     return [
         ("tensor", tensor_twisted(x, y)),
         ("tensor map", tensor_twisted_map(inc, inc)),
-        ("hom", hom_twisted(x, y)),
         *zip(("kernel", "kernel inclusion"), kernel_twisted(inc)),
         *zip(("cokernel", "cokernel projection"), cokernel_twisted(inc)),
         ("direct sum", direct_sum_twisted([x, y])),
@@ -249,3 +241,23 @@ def test_carrier_follows_inputs(ring):
         doc = to_document(out)
         assert doc.get("map_kind", doc["kind"]) == "twisted", name
     assert '"kind": "twisted"' in serialize(disc)
+
+
+def test_e2_iso_matches_page_two_components():
+    # reference: the map induced on H_h(H_v) is square and invertible
+    # in every bidegree
+    def reference(f):
+        e2m = subquotient_map(subquotient_map(f, "v", "H"), "h", "H")
+        keys = set(e2m.source.ranks) | set(e2m.target.ranks)
+        comps = [e2m.component(*pq) for pq in keys]
+        return all(m.rows == m.cols == rank(m) for m in comps)
+
+    rng = random.Random(5)
+    seen = set()
+    for k in range(60):
+        ring = (QQ, GF(2), GF(3))[k % 3]
+        f = random_bicomplex_map(rng, ring, p_range=(0, 2), q_range=(-1, 1))
+        assert e2_iso(f) == reference(f), k
+        seen.add(e2_iso(f))
+    assert seen == {True, False}
+    assert e2_iso(BicomplexMap.identity(bic_disc(2, 0, 1, QQ)))

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from bigraded.cli import main
+from bigraded.cli import _GEN_KINDS, main
 from bigraded.docio import parse, serialize
 from bigraded.rings import ZZ
 from bigraded.bicomplex import Bicomplex, BicomplexMap
@@ -17,12 +17,14 @@ def run(capsys, *argv):
 
 
 def test_gen_then_check(tmp_path, capsys):
-    f = str(tmp_path / "d.json")
-    code, _, _ = run(capsys, "gen", "twisted-disc", "4", "0", "-o", f)
-    assert code == 0
-    code, out, _ = run(capsys, "check", f)
-    assert code == 0
-    assert "valid" in out
+    # every kind the CLI offers
+    for kind in sorted(_GEN_KINDS):
+        f = str(tmp_path / f"{kind}.json")
+        code, _, _ = run(capsys, "gen", kind, "4", "0", "-o", f)
+        assert code == 0, kind
+        code, out, _ = run(capsys, "check", f)
+        assert code == 0, kind
+        assert "valid" in out, kind
 
 
 def test_check_rejects_garbage(tmp_path, capsys):
@@ -132,6 +134,14 @@ def test_ce_resolve(tmp_path, capsys):
 def test_gen_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "gen", "twisted-disc", "-1", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("kind", ["twisted-disc", "twisted-boundary", "boundary-inclusion"])
+def test_gen_refuses_a_rank_for_one_generator_cells(capsys, kind):
+    code, out, err = run(capsys, "gen", kind, "4", "0", "-r", "3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "--rank must be 1" in err
+    assert run(capsys, "gen", kind, "4", "0", "-r", "1")[0] == 0
 
 
 def test_usage_error_exits_two(capsys):

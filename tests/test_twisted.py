@@ -1,4 +1,3 @@
-import random
 from math import comb
 
 import pytest
@@ -25,14 +24,13 @@ from bigraded.twisted import (
     cokernel_twisted,
     column_twisted,
     compare_to_simplex_cochain,
+    complex_like,
     disc_words,
     embed,
-    hom_twisted,
     morphism_space_basis,
     normal_form,
     quotient_to_bicomplex,
     tensor_twisted,
-    to_bicomplex,
     tot_twisted,
     tot_twisted_map,
     truncated_boundary,
@@ -156,9 +154,12 @@ def test_alternative_basis_unimodular():
 
 def test_embed_and_to_bicomplex_round_trip():
     b = bic_disc(2, 1, 1, QQ)
-    assert to_bicomplex(embed(b)) == b
+    e = embed(b)
+    assert e is b
+    assert Bicomplex(QQ, e.ranks, e.ds[1], e.ds[0]) == b
+    x = twisted_disc(2, 0, QQ)  # has d_2
     with pytest.raises(BadParameter):
-        to_bicomplex(twisted_disc(2, 0, QQ))  # has d_2
+        complex_like((b,), QQ, x.ranks, x.ds)
 
 
 def test_column_twisted():
@@ -195,35 +196,6 @@ def test_quotient_to_bicomplex():
     assert quotient_to_bicomplex(emb).ranks == bic_disc(2, 0, 1, QQ).ranks
 
 
-def test_hom_twisted_unit_and_zero():
-    from bigraded.chain import sphere as chain_sphere
-
-    unit = embed(chain_sphere(0, 1, QQ))
-    y = embed(bic_disc(2, 1, 1, QQ))
-    assert hom_twisted(unit, y) == y
-    assert hom_twisted(y, TwistedComplex(QQ, {}, {})).is_zero
-
-
-def test_hom_twisted_refuses_higher_structure_maps():
-    # every ordered pair of cells either has a Hom or is refused up front
-    # with BadParameter naming the index, never a failure inside the build
-    returned = refused = 0
-    for ring in (QQ, GF(2)):
-        cells = [make(p, 0, ring) for make in (twisted_disc, twisted_boundary)
-                 for p in range(4)]
-        for x in cells:
-            for y in cells:
-                higher = [i for i in x.indices() + y.indices() if i >= 2]
-                if higher:
-                    with pytest.raises(BadParameter, match=r"d_\d+ != 0"):
-                        hom_twisted(x, y)
-                    refused += 1
-                else:
-                    assert not any(i >= 2 for i in hom_twisted(x, y).indices())
-                    returned += 1
-    assert (returned, refused) == (32, 96)
-
-
 def test_morphism_space_dimensions():
     # strict maps out of the cell at (p, q) correspond to elements of
     # the target at (p, q); out of the boundary, to vertical cycles
@@ -231,19 +203,6 @@ def test_morphism_space_dimensions():
     assert morphism_space_basis(twisted_disc(2, 0, QQ), x).cols == x.rank(2, 0)
     assert morphism_space_basis(twisted_boundary(2, 0, QQ), x).cols == \
         kernel_basis(x.d(0, 2, -1)).cols
-
-
-def test_hom_tensor_adjunction_dimensions():
-    from bigraded.randgen import random_bicomplex
-
-    rng = random.Random(1)
-    for _ in range(10):
-        x = embed(random_bicomplex(rng, GF(2), p_range=(0, 1), q_range=(0, 1)))
-        y = embed(random_bicomplex(rng, GF(2), p_range=(0, 1), q_range=(0, 1)))
-        z = embed(random_bicomplex(rng, GF(2), p_range=(0, 1), q_range=(0, 1)))
-        lhs = morphism_space_basis(tensor_twisted(x, y), z).cols
-        rhs = morphism_space_basis(x, hom_twisted(y, z)).cols
-        assert lhs == rhs
 
 
 def test_tensor_twisted_matches_bicomplex_tensor():
@@ -280,7 +239,7 @@ def test_compose_refuses_a_map_into_another_object():
     y2 = TwistedComplex(ZZ, ranks, {})
     with pytest.raises(BadParameter, match="composition"):
         TwistedMap.identity(y).compose(TwistedMap.identity(y2))
-    by, by2 = to_bicomplex(y), to_bicomplex(y2)
+    by, by2 = Bicomplex(ZZ, ranks, {}, y.ds[0]), Bicomplex(ZZ, ranks, {}, {})
     with pytest.raises(BadParameter, match="composition"):
         TwistedMap.identity(by).compose(TwistedMap.identity(by2))
     # an equal copy of the source is accepted
