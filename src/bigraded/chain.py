@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .rings import RingSpec, BadParameter
+from .rings import RingSpec, ZZ, BadParameter
 from .matrices import ExactMatrix
 from .linalg import kernel_basis, coordinates_in, invariant_factors, rank
 
@@ -164,8 +164,6 @@ class ChainMap:
 # ---------------------------------------------------------------------------
 
 def sphere(n: int, r: int = 1, ring: RingSpec = None) -> ChainComplex:
-    from .rings import ZZ
-
     ring = ring or ZZ
     if r < 1:
         raise BadParameter("sphere rank must be >= 1")
@@ -173,8 +171,6 @@ def sphere(n: int, r: int = 1, ring: RingSpec = None) -> ChainComplex:
 
 
 def disc(n: int, r: int = 1, ring: RingSpec = None) -> ChainComplex:
-    from .rings import ZZ
-
     ring = ring or ZZ
     if r < 1:
         raise BadParameter("disc rank must be >= 1")
@@ -206,8 +202,6 @@ def simplex_boundary(n: int, t: int, ring: RingSpec) -> ExactMatrix:
 
 def simplex_chain(n: int, ring: RingSpec = None) -> ChainComplex:
     """Augmented simplicial chain complex of the n-simplex, degrees -1..n."""
-    from .rings import ZZ
-
     ring = ring or ZZ
     if n < 0:
         raise BadParameter("simplex dimension must be >= 0")
@@ -216,72 +210,55 @@ def simplex_chain(n: int, ring: RingSpec = None) -> ChainComplex:
     return ChainComplex(ring, ranks, d)
 
 
-def simplex_cochain_data(n: int, ring: RingSpec, min_vertex_above: int | None = None):
-    """Bases and coboundaries of the coaugmented simplicial cochain
-    complex of the n-simplex.
+def cochain_basis(n: int, t: int, front: int | None) -> list:
+    """The t-simplices of the n-simplex whose duals span cochain degree
+    t: all of them, or with a `front` m those not in the front face
+    spanned by {0,...,m}, in the order of simplex_basis."""
+    simps = simplex_basis(n, t)
+    return simps if front is None else [s for s in simps if s and s[-1] > front]
 
-    Returns (bases, delta): bases[t] lists the simplices whose duals
-    generate cochain degree t, delta[t] is the coboundary matrix from
-    degree t to t+1 (the transpose of the face differential, restricted
-    when a front face is excluded).
 
-    When min_vertex_above is given, only duals of simplices with some
-    vertex larger than it are kept; those span the relative cochain
-    complex modulo the front face spanned by {0,...,min_vertex_above}.
-    """
-    bases = {}
-    for t in range(-1, n + 1):
-        simps = simplex_basis(n, t)
-        if min_vertex_above is not None:
-            simps = [s for s in simps if s and max(s) > min_vertex_above]
-        bases[t] = simps
-    delta = {}
-    for t in range(-1, n + 1):
-        src = bases[t]
-        tgt = bases.get(t + 1, [])
-        rows = [{} for _ in tgt]
-        # coefficient of tau* in delta(sigma*) equals the coefficient of
-        # sigma in the boundary of tau; this covers the coaugmentation too,
-        # since the faces of a vertex include the empty simplex
-        sidx = {s: j for j, s in enumerate(src)}
-        for i, tau in enumerate(tgt):
-            for pos in range(len(tau)):
-                face = tau[:pos] + tau[pos + 1:]
-                j = sidx.get(face)
-                if j is not None:
-                    rows[i][j] = ring.from_int(-1 if pos % 2 else 1)
-        delta[t] = ExactMatrix(ring, len(tgt), len(src), rows)
-    return bases, delta
+def incidence(ring: RingSpec, targets: list, sources: list, f=lambda s: s) -> ExactMatrix:
+    """The 0/1 matrix sending the basis element s of `sources` to f(s)
+    of `targets`."""
+    index = {x: i for i, x in enumerate(targets)}
+    rows = [{} for _ in targets]
+    for j, s in enumerate(sources):
+        rows[index[f(s)]][j] = ring.one()
+    return ExactMatrix(ring, len(targets), len(sources), rows)
+
+
+def _cochain(n: int, ring: RingSpec, front: int | None) -> ChainComplex:
+    """The duals of cochain_basis(n, t, front), stored in degree -t, with
+    the coboundary from degree t the transpose of the face differential
+    out of degree t + 1, restricted to the kept simplices.  The faces of
+    a vertex include the empty simplex, so this covers the
+    coaugmentation too."""
+    bases = {t: cochain_basis(n, t, front) for t in range(-1, n + 1)}
+    keep = {t: incidence(ring, simplex_basis(n, t), b) for t, b in bases.items()}
+    d = {
+        -t: (keep[t].transpose() @ simplex_boundary(n, t + 1, ring) @ keep[t + 1]).transpose()
+        for t in range(-1, n)
+    }
+    return ChainComplex(ring, {-t: len(b) for t, b in bases.items()}, d)
 
 
 def simplex_cochain(n: int, ring: RingSpec = None) -> ChainComplex:
     """Linear dual of the augmented simplex complex, stored as a chain
     complex with the cochain degree negated (so the coboundary lowers the
     stored degree)."""
-    from .rings import ZZ
-
-    ring = ring or ZZ
     if n < 0:
         raise BadParameter("simplex dimension must be >= 0")
-    bases, delta = simplex_cochain_data(n, ring)
-    ranks = {-t: len(bases[t]) for t in range(-1, n + 1)}
-    d = {-t: delta[t] for t in range(-1, n + 1) if t + 1 <= n}
-    return ChainComplex(ring, ranks, d)
+    return _cochain(n, ring or ZZ, None)
 
 
 def relative_simplex_cochain(n: int, m: int, ring: RingSpec = None) -> ChainComplex:
     """Duals of the simplices of the n-simplex not contained in the front
     face spanned by {0,...,m}, with the induced coboundary.  Stored with
     negated cochain degree, like simplex_cochain."""
-    from .rings import ZZ
-
-    ring = ring or ZZ
     if not (0 <= m < n):
         raise BadParameter("need 0 <= m < n")
-    bases, delta = simplex_cochain_data(n, ring, min_vertex_above=m)
-    ranks = {-t: len(bases[t]) for t in range(-1, n + 1)}
-    d = {-t: delta[t] for t in range(-1, n + 1) if t + 1 <= n}
-    return ChainComplex(ring, ranks, d)
+    return _cochain(n, ring or ZZ, m)
 
 
 # ---------------------------------------------------------------------------

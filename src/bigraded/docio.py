@@ -9,21 +9,27 @@ row then column, so serialize(parse(serialize(x))) == serialize(x) and
 parse(serialize(x)) reconstructs x exactly.
 
 Omitted (bi)degrees mean rank zero, omitted matrices mean zero maps.
-Bicomplexes are written with anticommuting squares.  A bicomplex
-document may say ``"convention": "commute"``; its d_v is then scaled by
-(-1)^p on input, which is the only place the commuting convention
-exists.
+One table, `_KINDS`, gives for each kind of document its carrier and
+map classes and the names of its differential families with their
+structure index: ``d`` (index 0) for a chain complex, ``dv`` (0) and
+``dh`` (1) for a bicomplex, ``d<i>`` (i) for a twisted complex.  Any
+other family name is a syntax error.  Bicomplexes are written with
+anticommuting squares.  A bicomplex document may say
+``"convention": "commute"``; its d_v is then scaled by (-1)^p on input,
+which is the only place the commuting convention exists.  No other kind
+takes a convention but ``"anticommute"``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Callable, NamedTuple
 
 from .rings import RingSpec, BadParameter, ring_from_name
 from .matrices import ExactMatrix
 from .chain import ChainComplex, ChainMap
-from .bicomplex import Bicomplex, BicomplexMap, validate as validate_bicomplex
+from .bicomplex import Bicomplex, BicomplexMap
 from .twisted import TwistedComplex, TwistedMap, validate_twisted
 
 SCHEMA_VERSION = 1
@@ -63,64 +69,86 @@ def _matrix_triplets(ring: RingSpec, m: ExactMatrix) -> list:
     ]
 
 
+class _Kind(NamedTuple):
+    """A kind of document.  `families` lists (name, structure index) in
+    written order, empty for the ``d<i>`` names of a twisted complex;
+    `make(ring, ranks, ds)` builds the carrier on ds, index -> family."""
+
+    cls: type
+    map_cls: type
+    arity: int
+    families: tuple
+    conventions: tuple
+    make: Callable
+
+
+# Bicomplex comes before its base class TwistedComplex: the first kind
+# whose class matches an object names it.
+_KINDS = {
+    "chain": _Kind(
+        ChainComplex, ChainMap, 1, (("d", 0),), ("anticommute",),
+        lambda ring, ranks, ds: ChainComplex(ring, ranks, ds.get(0, {})),
+    ),
+    "bicomplex": _Kind(
+        Bicomplex, BicomplexMap, 2, (("dh", 1), ("dv", 0)), ("anticommute", "commute"),
+        lambda ring, ranks, ds: Bicomplex(
+            ring, ranks, ds.get(1, {}), ds.get(0, {}), check=False),
+    ),
+    "twisted": _Kind(
+        TwistedComplex, TwistedMap, 2, (), ("anticommute",),
+        lambda ring, ranks, ds: TwistedComplex(ring, ranks, ds, check=False),
+    ),
+}
+
+# d<i>, i without leading zeros and short enough for int()
+_TWISTED_NAME = re.compile(r"d(0|[1-9][0-9]{0,8})")
+
+
+def _kind_of(obj, attr: str) -> str:
+    for name, kind in _KINDS.items():
+        if isinstance(obj, getattr(kind, attr)):
+            return name
+    raise BadParameter(f"cannot serialize {type(obj).__name__}")
+
+
+def _key_list(key) -> list:
+    return list(key) if isinstance(key, tuple) else [key]
+
+
 def _family_entries(ring: RingSpec, fam: dict) -> list:
     out = []
     for key in sorted(fam):
         trip = _matrix_triplets(ring, fam[key])
         if trip:
-            out.append([list(key) if isinstance(key, tuple) else [key], trip])
+            out.append([_key_list(key), trip])
     return out
 
 
 def to_document(obj) -> dict:
     """The JSON-ready dict form of a complex or map."""
-    if isinstance(obj, ChainComplex):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "chain",
-            "ring": str(obj.ring),
-            "ranks": [[n, obj.ranks[n]] for n in sorted(obj.ranks)],
-            "differentials": {"d": _family_entries(obj.ring, obj.d)},
-        }
-    if isinstance(obj, Bicomplex):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "bicomplex",
-            "ring": str(obj.ring),
-            "ranks": [[p, q, obj.ranks[(p, q)]] for p, q in sorted(obj.ranks)],
-            "differentials": {
-                "dh": _family_entries(obj.ring, obj.d_h),
-                "dv": _family_entries(obj.ring, obj.d_v),
-            },
-        }
-    if isinstance(obj, TwistedComplex):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "twisted",
-            "ring": str(obj.ring),
-            "ranks": [[p, q, obj.ranks[(p, q)]] for p, q in sorted(obj.ranks)],
-            "differentials": {
-                f"d{i}": _family_entries(obj.ring, obj.ds[i])
-                for i in sorted(obj.ds)
-            },
-        }
-    if isinstance(obj, (ChainMap, BicomplexMap, TwistedMap)):
-        map_kind = {
-            ChainMap: "chain",
-            BicomplexMap: "bicomplex",
-            TwistedMap: "twisted",
-        }[type(obj)]
+    if isinstance(obj, (ChainMap, TwistedMap)):
         ring = obj.source.ring
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "map",
             "ring": str(ring),
-            "map_kind": map_kind,
+            "map_kind": _kind_of(obj, "map_cls"),
             "source": to_document(obj.source),
             "target": to_document(obj.target),
             "components": _family_entries(ring, obj.f),
         }
-    raise BadParameter(f"cannot serialize {type(obj).__name__}")
+    kind = _kind_of(obj, "cls")
+    ds = {0: obj.d} if isinstance(obj, ChainComplex) else obj.ds
+    names = _KINDS[kind].families or [(f"d{i}", i) for i in sorted(ds)]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "ring": str(obj.ring),
+        "ranks": [_key_list(k) + [obj.ranks[k]] for k in sorted(obj.ranks)],
+        "differentials": {
+            name: _family_entries(obj.ring, ds.get(i, {})) for name, i in names
+        },
+    }
 
 
 def _dump(x, indent: int) -> str:
@@ -166,11 +194,7 @@ def _need(doc, key, types):
 
 
 def _parse_key(raw, arity):
-    if (
-        not isinstance(raw, list)
-        or len(raw) != arity
-        or not all(_is_int(x) for x in raw)
-    ):
+    if not (isinstance(raw, list) and len(raw) == arity and all(map(_is_int, raw))):
         raise DocumentSyntaxError(f"bad degree key {raw!r}")
     return raw[0] if arity == 1 else tuple(raw)
 
@@ -202,7 +226,7 @@ def _parse_matrix(ring, rows, cols, triplets, where):
     return ExactMatrix(ring, rows, cols, [data.get(i, empty) for i in range(rows)])
 
 
-def _parse_family(ring, entries, arity, shape_of, where):
+def _parse_family(entries, arity, shape_of, where):
     """{key: (rows, cols, triplets, where)} for the matrices of a family,
     with shape_of(key) -> (rows, cols) for the matrix with source `key`.
     The matrices are built by _build_family, once the size of the whole
@@ -264,82 +288,57 @@ class _Pending(NamedTuple):
     build: Callable
 
 
+def _family_index(kind: str, name) -> int:
+    """The structure index of the family `name` in a `kind` document."""
+    fixed = dict(_KINDS[kind].families)
+    match = None if fixed else _TWISTED_NAME.fullmatch(name)
+    if name not in fixed and match is None:
+        raise DocumentSyntaxError(f"unknown differential key {name!r} in a {kind} document")
+    return fixed[name] if fixed else int(match[1])
+
+
+def _target_key(key, i):
+    """The degree key that d_i sends `key` to."""
+    return key - 1 if isinstance(key, int) else (key[0] - i, key[1] + i - 1)
+
+
 def _pending_object(doc) -> _Pending:
     kind = _need(doc, "kind", str)
+    if kind not in _KINDS:
+        raise DocumentSyntaxError(f"unknown kind {kind!r}")
+    carrier = _KINDS[kind]
     try:
         ring = ring_from_name(_need(doc, "ring", str))
     except BadParameter as exc:
         raise DocumentSyntaxError(str(exc))
-    raw_ranks = _need(doc, "ranks", list)
+    ranks = _parse_ranks(_need(doc, "ranks", list), carrier.arity)
     diffs = doc.get("differentials", {})
     if not isinstance(diffs, dict):
         raise DocumentSyntaxError("field 'differentials' has the wrong type")
+    convention = doc.get("convention", "anticommute")
+    if convention not in carrier.conventions:
+        raise DocumentSyntaxError(f"unknown convention {convention!r} in a {kind} document")
+    fams = {}
+    for name, entries in diffs.items():
+        i = _family_index(kind, name)
+        fams[i] = _parse_family(entries, carrier.arity, lambda k, i=i: (
+            ranks.get(_target_key(k, i), 0), ranks.get(k, 0)), name)
 
-    if kind == "chain":
-        ranks = _parse_ranks(raw_ranks, 1)
-        rank = lambda n: ranks.get(n, 0)
-        d = _parse_family(ring, diffs.get("d", []), 1,
-                          lambda n: (rank(n - 1), rank(n)), "d")
+    def build():
+        ds = {i: _build_family(ring, fam) for i, fam in fams.items()}
+        if convention == "commute":
+            ds[0] = {(p, q): -m if p % 2 else m for (p, q), m in ds.get(0, {}).items()}
+        try:
+            x = carrier.make(ring, ranks, ds)
+        except BadParameter as exc:
+            raise ValidationError([str(exc)])
+        # the bigraded carriers are built unchecked, to report every violation
+        bad = validate_twisted(x) if isinstance(x, TwistedComplex) else []
+        if bad:
+            raise ValidationError(bad)
+        return x
 
-        def build():
-            mats = _build_family(ring, d)
-            try:
-                return ChainComplex(ring, ranks, mats)
-            except BadParameter as exc:
-                raise ValidationError([str(exc)])
-
-        return _Pending(kind, ring, ranks, _cells([d]), build)
-
-    if kind == "bicomplex":
-        ranks = _parse_ranks(raw_ranks, 2)
-        rank = lambda p, q: ranks.get((p, q), 0)
-        dh = _parse_family(ring, diffs.get("dh", []), 2,
-                           lambda k: (rank(k[0] - 1, k[1]), rank(*k)), "dh")
-        dv = _parse_family(ring, diffs.get("dv", []), 2,
-                           lambda k: (rank(k[0], k[1] - 1), rank(*k)), "dv")
-        convention = doc.get("convention", "anticommute")
-        if convention not in ("anticommute", "commute"):
-            raise DocumentSyntaxError(f"unknown convention {convention!r}")
-
-        def build():
-            h, v = _build_family(ring, dh), _build_family(ring, dv)
-            if convention == "commute":
-                v = {(p, q): -m if p % 2 else m for (p, q), m in v.items()}
-            x = Bicomplex(ring, ranks, h, v, check=False)
-            bad = validate_bicomplex(x)
-            if bad:
-                raise ValidationError(bad)
-            return x
-
-        return _Pending(kind, ring, ranks, _cells([dh, dv]), build)
-
-    if kind == "twisted":
-        ranks = _parse_ranks(raw_ranks, 2)
-        rank = lambda p, q: ranks.get((p, q), 0)
-        ds = {}
-        for name, entries in diffs.items():
-            digits = name[1:] if name.startswith("d") else ""
-            # ASCII digits only ("d²" is a digit to str.isdigit but not to
-            # int), and few enough that int() never meets its length limit
-            if not (digits.isascii() and digits.isdigit() and len(digits) < 10):
-                raise DocumentSyntaxError(f"unknown differential key {name!r}")
-            i = int(digits)
-            ds[i] = _parse_family(
-                ring, entries, 2,
-                lambda k, i=i: (rank(k[0] - i, k[1] + i - 1), rank(*k)), name,
-            )
-
-        def build():
-            mats = {i: _build_family(ring, fam) for i, fam in ds.items()}
-            x = TwistedComplex(ring, ranks, mats, check=False)
-            bad = validate_twisted(x)
-            if bad:
-                raise ValidationError(bad)
-            return x
-
-        return _Pending(kind, ring, ranks, _cells(ds.values()), build)
-
-    raise DocumentSyntaxError(f"unknown kind {kind!r}")
+    return _Pending(kind, ring, ranks, _cells(fams.values()), build)
 
 
 def from_document(doc) -> object:
@@ -364,17 +363,15 @@ def from_document(doc) -> object:
         raise DocumentSyntaxError("map endpoints do not match map_kind")
     if src.ring != tgt.ring:
         raise ValidationError(["source and target use different rings"])
-    arity = 1 if map_kind == "chain" else 2
     comps = _parse_family(
-        src.ring, doc.get("components", []), arity,
+        doc.get("components", []), _KINDS[map_kind].arity,
         lambda k: (tgt.ranks.get(k, 0), src.ranks.get(k, 0)), "components",
     )
     _check_size(src.cells + tgt.cells + _cells([comps]))
     source, target = src.build(), tgt.build()
     mats = _build_family(src.ring, comps)
-    cls = {"chain": ChainMap, "bicomplex": BicomplexMap, "twisted": TwistedMap}
     try:
-        return cls[map_kind](source, target, mats)
+        return _KINDS[map_kind].map_cls(source, target, mats)
     except BadParameter as exc:
         raise ValidationError([str(exc)])
 

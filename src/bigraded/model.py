@@ -19,7 +19,9 @@ Three structures are supported, named by strings:
 
 ``"tot"`` and ``"ce"`` refuse objects with some d_i != 0, i >= 2, up
 front with ``BadParameter``: their cells and conditions are those of
-bicomplexes.
+bicomplexes.  Every entry point refuses chain complexes and chain maps
+the same way; ``twisted.embed`` or ``bicomplex.include_chain`` makes
+them bigraded.
 
 Each structure comes with finite families of generating inclusions
 A -> B; every family member is a cell inclusion between standard
@@ -107,7 +109,6 @@ from .twisted import (
     column_twisted_map,
     complex_like,
     direct_sum_twisted,
-    embed_map,
     map_like,
     morphism_from_vector,
     morphism_space_basis,
@@ -136,14 +137,26 @@ def structure_name(structure) -> str:
     raise BadParameter(f"unknown structure {structure!r}")
 
 
-def _checked_structure(structure, *objs) -> str:
-    """The structure name, once the objects are checked to be valid for
-    it: "tot" and "ce" (their cells, conditions and lifting data) need
-    d_i = 0 for i >= 2."""
+def _bigraded(*items) -> None:
+    """Refuse what is not a bicomplex or twisted complex or a map of
+    them, such as a chain complex or chain map."""
+    for x in items:
+        if not isinstance(x, (TwistedComplex, TwistedMap)):
+            raise BadParameter(
+                f"the model structures take bigraded inputs, not a {type(x).__name__}; "
+                "embed (embed_map for a map) or include_chain makes chain data bigraded"
+            )
+
+
+def _checked_structure(structure, x) -> str:
+    """The structure name, once the object or map x is checked to be
+    valid for it: bigraded, and for "tot" and "ce" (their cells,
+    conditions and lifting data) with d_i = 0 for i >= 2."""
     structure = structure_name(structure)
+    _bigraded(x)
     if structure != "twisted-tot":
-        for x in objs:
-            extra = [i for i in x.indices() if i >= 2]
+        for obj in (x.source, x.target) if isinstance(x, TwistedMap) else (x,):
+            extra = [i for i in obj.indices() if i >= 2]
             if extra:
                 raise BadParameter(
                     f"structure {structure!r} needs bicomplexes, "
@@ -234,7 +247,8 @@ _GENERATOR_CACHE: dict = {}
 def generator_map(ref: GeneratorRef, ring: RingSpec = ZZ):
     """The inclusion named by `ref`, as a BicomplexMap (tot/ce families)
     or a TwistedMap (twisted families)."""
-    key = (ref, ring.kind, ring.p)
+    # the q-indexed families ignore p, so the key is the bidegree of b
+    key = (ref.family, _cell(ref)[1], ring.kind, ring.p)
     cached = _GENERATOR_CACHE.get(key)
     if cached is None:
         cached = _GENERATOR_CACHE[key] = _generator_map(ref, ring)
@@ -334,10 +348,8 @@ def solve_lift(problem: LiftingProblem):
     """An exact diagonal h: B -> X with h∘i = u and g∘h = f, in the
     category of the inputs.  Raises BadSquare when g∘u != f∘i and NoLift
     when the (finite) linear system has no solution over the ring."""
-    it = embed_map(problem.i)
-    gt = embed_map(problem.g)
-    ut = embed_map(problem.u)
-    ft = embed_map(problem.f)
+    it, gt, ut, ft = problem.i, problem.g, problem.u, problem.f
+    _bigraded(it, gt, ut, ft)
     a, b = it.source, it.target
     x, y = gt.source, gt.target
     if ut.source != a or ut.target != x or ft.source != b or ft.target != y:
@@ -395,8 +407,8 @@ def has_rlp(g, ref: GeneratorRef) -> bool:
 
     When A = 0 this is surjectivity of g: K_B^X -> K_B^Y.  Valid for the
     bicomplex families only when X and Y are bicomplexes."""
+    _bigraded(g)
     cell, beta = _cell(ref)
-    g = embed_map(g)
     x, y = g.source, g.target
     ring = x.ring
     kby = _cycles(y, beta, cell.rel_b)
@@ -437,7 +449,7 @@ class RLPReport:
 def rlp_report(f, structure) -> RLPReport:
     """Decide the right lifting property of f against every relevant
     generator of both families of the structure."""
-    structure = _checked_structure(structure, f.source, f.target)
+    structure = _checked_structure(structure, f)
     cache = {}
     per = {}
     flags = {}
@@ -475,7 +487,7 @@ def _pointwise_surjective(f) -> tuple:
 def classify_map(f, structure) -> ClassifyReport:
     """Evaluate the closed-form fibration / trivial-fibration / weak
     equivalence conditions of the structure on a bounded map."""
-    structure = _checked_structure(structure, f.source, f.target)
+    structure = _checked_structure(structure, f)
     evidence = {}
     surj, surj_fail = _pointwise_surjective(f)
     evidence["surjective"] = surj
@@ -571,13 +583,13 @@ def pushout(i, a):
     """Pushout of the identity-block inclusion i: A -> B along a: A -> X.
     Returns (X', inclusion X -> X'); the cokernel of the inclusion equals
     the cokernel of i."""
-    it, at = embed_map(i), embed_map(a)
-    if at.source != it.source:
+    _bigraded(i, a)
+    if a.source != i.source:
         raise BadParameter("pushout needs maps with a common source")
-    A, B, X = it.source, it.target, at.target
+    A, B, X = i.source, i.target, a.target
     ring = B.ring
     for pq, r in A.ranks.items():
-        if r != B.rank(*pq) or it.f.get(pq) != ExactMatrix.identity(ring, r):
+        if r != B.rank(*pq) or i.f.get(pq) != ExactMatrix.identity(ring, r):
             raise BadParameter("pushout requires an identity-block inclusion")
     extra = {pq: r for pq, r in B.ranks.items() if A.rank(*pq) == 0}
     ranks = {}
@@ -593,7 +605,7 @@ def pushout(i, a):
             db = B.ds.get(n, {}).get((p, q)) if (p, q) in extra else None
             blocks = {
                 (0, 0): X.ds.get(n, {}).get((p, q)),
-                (0, 1): None if tgt in extra else _product(at.f.get(tgt), db),
+                (0, 1): None if tgt in extra else _product(a.f.get(tgt), db),
                 (1, 1): db if tgt in extra else None,
             }
             blocks = {k: m for k, m in blocks.items() if m is not None}
@@ -675,7 +687,11 @@ def ce_resolution(y: ChainComplex):
 # Cell identities
 # ---------------------------------------------------------------------------
 
-def _find_iso(x: Bicomplex, y: Bicomplex, rng, tries: int = 80):
+# Random combinations tried before an isomorphism search gives up.
+_ISO_TRIES = 80
+
+
+def _find_iso(x: Bicomplex, y: Bicomplex, rng):
     """A pointwise invertible strict map x -> y over the rationals, found
     by random combinations of a basis of the morphism space; None if the
     rank tables differ or no invertible combination is found."""
@@ -685,7 +701,7 @@ def _find_iso(x: Bicomplex, y: Bicomplex, rng, tries: int = 80):
     basis = morphism_space_basis(xq, yq)
     if basis.cols == 0:
         return None if x.ranks else map_like(xq, yq, {})
-    for _ in range(tries):
+    for _ in range(_ISO_TRIES):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(basis.cols)]
         vec = basis.apply(coeffs)
         m = morphism_from_vector(xq, yq, vec)
@@ -696,7 +712,7 @@ def _find_iso(x: Bicomplex, y: Bicomplex, rng, tries: int = 80):
     return None
 
 
-def _certify_map_identity(p: int, q: int, rng, tries: int = 80):
+def _certify_map_identity(p: int, q: int, rng):
     """Check that tensoring the one-cell horizontal boundary inclusion
     with the sphere-to-vertical-boundary inclusion at (p, q) gives the
     horizontal-boundary-to-disc inclusion, up to explicitly constructed
@@ -707,7 +723,7 @@ def _certify_map_identity(p: int, q: int, rng, tries: int = 80):
         generator_map(GeneratorRef("CEI_SphereToVBoundary", p, q), QQ),
     )
     right = generator_map(GeneratorRef("CEI_HBoundaryToDisc", p, q), QQ)
-    phi1 = _find_iso(left.source, right.source, rng, tries)
+    phi1 = _find_iso(left.source, right.source, rng)
     if phi1 is None:
         return False, "no isomorphism between the sources"
     a2, b2 = left.target, right.target
@@ -722,7 +738,7 @@ def _certify_map_identity(p: int, q: int, rng, tries: int = 80):
     if part is None:
         return False, "no map intertwining the two inclusions"
     null = kernel_basis(pmat)
-    for _ in range(tries):
+    for _ in range(_ISO_TRIES):
         coeffs = list(part)
         if null.cols:
             shift = null.apply([Fraction(rng.randint(-3, 3)) for _ in range(null.cols)])

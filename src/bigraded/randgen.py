@@ -124,32 +124,24 @@ def random_chain_complex(
     ring: RingSpec,
     degrees=(0, 3),
     max_rank: int = 3,
-    density: float = 0.8,
 ) -> ChainComplex:
-    lo, hi = degrees
-    ranks = {
-        n: rng.randint(1, max_rank)
-        for n in range(lo, hi + 1)
-        if rng.random() < density
-    }
-    d = {}
-    prev = None  # the differential leaving the degree above
-    for n in sorted(ranks, reverse=True):
-        rt = ranks.get(n - 1, 0)
-        if rt == 0:
-            prev = None
-            continue
-        src = ranks[n]
-        if prev is None or n + 1 not in ranks:
-            m = _random_matrix(rng, ring, rt, src, 1)
-        else:
-            m = _random_left_annihilator(rng, ring, rt, prev)
-        d[n] = m
-        prev = m
-    return ChainComplex(ring, ranks, d)
+    """Column 0 of a random bigraded object: a rank per degree with
+    probability 0.8, then the column's differentials."""
+    ranks = _random_ranks(rng, (0, 0), degrees, max_rank, 0.8)
+    d = _random_verticals(rng, ring, ranks)
+    return ChainComplex(
+        ring, {n: r for (_, n), r in ranks.items()}, {n: m for (_, n), m in d.items()}
+    )
+
+
+# Draws of an empty rank table before random_bicomplex and random_twisted
+# give up, and of an unsolvable system before random_twisted does.
+_TRIES = 50
 
 
 def _random_ranks(rng, p_range, q_range, max_rank, density):
+    """A rank in 1..max_rank at each bidegree of the ranges, with
+    probability `density`."""
     ranks = {}
     for p in range(p_range[0], p_range[1] + 1):
         for q in range(q_range[0], q_range[1] + 1):
@@ -259,11 +251,9 @@ def random_bicomplex(
     p_range=(0, 3),
     q_range=(-2, 2),
     max_rank: int = 2,
-    density: float = 0.6,
-    tries: int = 50,
 ) -> Bicomplex:
-    for _ in range(tries):
-        ranks = _random_ranks(rng, p_range, q_range, max_rank, density)
+    for _ in range(_TRIES):
+        ranks = _random_ranks(rng, p_range, q_range, max_rank, 0.6)
         if not ranks:
             continue
         d0 = _random_verticals(rng, ring, ranks)
@@ -278,13 +268,11 @@ def random_twisted(
     p_range=(0, 3),
     q_range=(-2, 2),
     max_rank: int = 2,
-    density: float = 0.6,
-    tries: int = 50,
 ) -> TwistedComplex:
     if p_range[1] - p_range[0] > 3:
         raise BadParameter("twisted generation supports at most four columns")
-    for _ in range(tries):
-        ranks = _random_ranks(rng, p_range, q_range, max_rank, density)
+    for _ in range(_TRIES):
+        ranks = _random_ranks(rng, p_range, q_range, max_rank, 0.6)
         if not ranks:
             continue
         d0 = _random_verticals(rng, ring, ranks)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import RingSpec, UnsupportedRing
+from .rings import RingSpec, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import Subquotient, kernel_basis
 from .chain import homology
-from .twisted import TwistedComplex, embed, tot_layout, tot_twisted
+from .twisted import embed, tot_layout, tot_twisted
 
 
 @dataclass
@@ -43,7 +43,12 @@ class SpectralData:
     einf: dict  # {(p, q): dimension}
 
     def page(self, r: int) -> dict:
-        return self.pages[min(r, self.stable_page)]
+        """E_r; from the stable page on, E-infinity."""
+        if r >= self.stable_page:
+            return self.einf
+        if r not in self.pages:
+            raise BadParameter(f"page {r} was not computed (pages 1..{len(self.pages)} were)")
+        return self.pages[r]
 
 
 class _PageWorker:
@@ -55,7 +60,10 @@ class _PageWorker:
     the slices of the total differential they read, not by r: columns
     without summands give equal prefixes, so many (r, p) share one."""
 
-    def __init__(self, xt: TwistedComplex):
+    def __init__(self, x):
+        xt = embed(x)
+        if not xt.ring.is_field:
+            raise UnsupportedRing("spectral pages need field coefficients")
         self.x = xt
         self.ring = xt.ring
         self.tot = tot_twisted(xt)
@@ -116,24 +124,26 @@ class _PageWorker:
             self.e_cache[key] = Subquotient(self.ring, znum.rows, rel=den, sub=znum)
         return self.e_cache[key]
 
+    def einf(self) -> dict:
+        """{(p, q): dimension} of E-infinity, the page pmax + 1, read
+        without the pages before it."""
+        stable = self.x.pmax + 1
+        ranks = {pq: self.e_term(stable, *pq).rank for pq in sorted(self.x.ranks)}
+        return {pq: r for pq, r in ranks.items() if r}
+
 
 def pages(x, r_max: int | None = None) -> SpectralData:
-    """All pages and differentials up to r_max (default: the stable
-    page) for a bicomplex or twisted complex over a field."""
-    xt = embed(x)
-    if not xt.ring.is_field:
-        raise UnsupportedRing("spectral pages need field coefficients")
-    ring = xt.ring
-    stable = xt.pmax + 1
-    if r_max is None:
-        r_max = stable
-    worker = _PageWorker(xt)
-    support = sorted(xt.ranks)
+    """The pages and differentials up to min(r_max, stable page) (r_max
+    defaults to the stable page), and E-infinity, for a bicomplex or
+    twisted complex over a field."""
+    worker = _PageWorker(x)
+    stable = worker.x.pmax + 1
+    last = stable if r_max is None else min(r_max, stable)
     page_tables = {}
     diff_tables = {}
-    for r in range(1, max(r_max, stable) + 1):
+    for r in range(1, last + 1):
         terms = {}
-        for (p, q) in support:
+        for (p, q) in sorted(worker.x.ranks):
             term = worker.e_term(r, p, q)
             if term.rank:
                 terms[(p, q)] = term
@@ -147,23 +157,15 @@ def pages(x, r_max: int | None = None) -> SpectralData:
             if not m.is_zero:
                 diffs[(p, q)] = m
         diff_tables[r] = diffs
-    return SpectralData(ring, page_tables, diff_tables, stable, dict(page_tables[stable]))
+    return SpectralData(worker.ring, page_tables, diff_tables, stable, worker.einf())
 
 
 def convergence_check(x) -> dict:
     """Compare the stable page with the homology of the total complex:
     for every total degree n the stable dimensions summed over p + q = n
     must equal dim H_n.  Returns {'ok': bool, 'table': {n: (sum, dim)}}."""
-    xt = embed(x)
-    if not xt.ring.is_field:
-        raise UnsupportedRing("convergence check needs field coefficients")
-    # E-infinity is the page pmax + 1, read without the pages before it
-    worker = _PageWorker(xt)
-    einf = {}
-    for (p, q) in sorted(xt.ranks):
-        rank = worker.e_term(xt.pmax + 1, p, q).rank
-        if rank:
-            einf[(p, q)] = rank
+    worker = _PageWorker(x)
+    einf = worker.einf()
     h = homology(worker.tot)
     degs = sorted(
         set(n for n, cls in h.items() if not cls.is_zero)

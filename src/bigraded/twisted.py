@@ -20,7 +20,7 @@ from __future__ import annotations
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import Subquotient, kernel_basis, image_basis, rank as matrix_rank
-from .chain import ChainComplex, _product
+from .chain import ChainComplex, _cochain, _product, cochain_basis, incidence
 
 
 class TorsionQuotient(Exception):
@@ -345,21 +345,22 @@ def twisted_disc(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
     return _cell(ring, disc_words(p, q), lambda i, w: normal_form((i,) + w), range(p + 1))
 
 
+def _on_boundary(i: int, w: tuple) -> dict:
+    """d_i of the boundary word w(y), y = d_0 x, as boundary words."""
+    out = {}
+    for w2, c in normal_form((i,) + w + (0,)).items():
+        if w2[-1] != 0:
+            raise AssertionError("boundary left its own span")
+        out[w2[:-1]] = c
+    return out
+
+
 def twisted_boundary(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
     """Subobject of the cell at (p, q) generated by d_0 of the generator;
     free on the all-positive words applied to y = d_0 x."""
     if p < 0:
         raise BadParameter("column of the generator must be >= 0")
-
-    def act(i, w):
-        out = {}
-        for w2, c in normal_form((i,) + w + (0,)).items():
-            if w2[-1] != 0:
-                raise AssertionError("boundary left its own span")
-            out[w2[:-1]] = c
-        return out
-
-    return _cell(ring, boundary_words(p, q), act, range(p + 1))
+    return _cell(ring, boundary_words(p, q), _on_boundary, range(p + 1))
 
 
 def boundary_inclusion(p: int, q: int, ring: RingSpec = ZZ) -> TwistedMap:
@@ -385,12 +386,9 @@ def truncated_boundary(p: int, q: int, s: int, ring: RingSpec = ZZ) -> TwistedCo
             words[pq] = keep
 
     def act(i, w):
-        out = {}
-        for w2, c in normal_form((i,) + w + (0,)).items():
-            inner = w2[:-1]
-            if w2[-1] != 0 or (inner and inner[0] > s):
-                raise AssertionError("truncation is not d_0-closed")
-            out[inner] = c
+        out = _on_boundary(i, w)
+        if any(inner and inner[0] > s for inner in out):
+            raise AssertionError("truncation is not d_0-closed")
         return out
 
     return _cell(ring, words, act, (0,))
@@ -416,76 +414,49 @@ def word_to_simplex(w: tuple) -> tuple:
 def compare_to_simplex_cochain(p: int, q: int, s: int | None, u: int, ring: RingSpec = ZZ):
     """Match column u of the (possibly truncated) vertical boundary with a
     simplicial cochain complex and verify the differentials agree up to
-    sign: d_0 corresponds to (-1)^t times the cochain differential on
-    cochain degree t, which becomes the uniform global sign -1 after
-    rescaling degree t by (-1)^{t(t+1)/2}.
+    sign: with P_t the permutation matrix of word_to_simplex on cochain
+    degree t, P_{t+1} d_0 = (-1)^t delta_t P_t, which becomes the uniform
+    global sign -1 after rescaling degree t by (-1)^{t(t+1)/2}.
 
     With s None (or s >= p) column u of the full boundary, for p - u >= 2,
     is matched with the coaugmented cochains of the (p-u-2)-simplex; with
     a truncation s and 0 <= u < p-s-1 it is matched with the relative
     cochains modulo the front face spanned by 0..p-u-s-2.  Returns the
     basis bijection; raises MismatchAt on any disagreement."""
-    from .chain import simplex_cochain_data
-
-    sprime = p - u
+    n = p - u - 2
     if s is None or s >= p:
-        if sprime < 2:
+        if n < 0:
             raise BadParameter("absolute comparison needs p - u >= 2")
-        obj = twisted_boundary(p, q, ring)
-        bases, delta = simplex_cochain_data(sprime - 2, ring)
+        obj, front = twisted_boundary(p, q, ring), None
     else:
         if not (0 <= u < p - s - 1):
             raise BadParameter("relative comparison needs 0 <= u < p - s - 1")
-        obj = truncated_boundary(p, q, s, ring)
-        bases, delta = simplex_cochain_data(
-            sprime - 2, ring, min_vertex_above=sprime - s - 2
-        )
+        # with s = 0 the front face is the whole simplex: no cochains
+        obj, front = truncated_boundary(p, q, s, ring), n - s
+    cochain = _cochain(n, ring, front)
 
-    bijection = {}
-    # words at column u have subscript sum s' = p - u; a word with n
-    # letters corresponds to a cochain of degree n - 2
-    by_n = {}
-    for (pp, qq), ws in obj.labels.items():
-        if pp != u:
-            continue
-        for w in ws:
-            by_n.setdefault(len(w), []).append((qq, w))
-    for n, items in sorted(by_n.items()):
-        t = n - 2
-        simps = list(bases.get(t, []))
-        words = [w for _, w in sorted(items, key=lambda x: items.index(x))]
+    # the words at (u, q + n - t - 1) have t + 2 letters and subscript
+    # sum p - u; they are matched with the cochains of degree t
+    bijection, perm = {}, {}
+    for t in range(-1, n + 1):
+        qq = q + n - t - 1
+        words, simps = obj.labels.get((u, qq), []), cochain_basis(n, t, front)
         if len(words) != len(simps):
-            raise MismatchAt((u, items[0][0]), None, "rank disagreement at degree %d" % t)
-        for qq, w in items:
-            sx = word_to_simplex(w)
-            if sx not in simps:
+            raise MismatchAt((u, qq), None, "rank disagreement at degree %d" % t)
+        known = set(simps)
+        for w in words:
+            if word_to_simplex(w) not in known:
                 raise MismatchAt((u, qq), w, "image simplex not in cochain basis")
-            bijection[w] = sx
-
-    # the raw bijection satisfies d_0 = (-1)^t * delta on cochain degree
-    # t = n - 2; rescaling each degree by (-1)^{t(t+1)/2} turns this into
-    # the uniform global sign -1, so that is what the certificate records
-    for (pp, qq), ws in obj.labels.items():
-        if pp != u:
-            continue
-        tgt_ws = obj.labels.get((u, qq - 1), [])
-        d0 = obj.d(0, u, qq)
-        n = len(ws[0])
-        t = n - 2
-        simps = bases.get(t, [])
-        tgt_simps = bases.get(t + 1, [])
-        dl = delta.get(t)
-        for j, w in enumerate(ws):
-            got = {tgt_ws[i]: d0[(i, j)] for i in range(len(tgt_ws)) if d0[(i, j)] != 0}
-            jc = simps.index(bijection[w])
-            want = {}
-            for ic in range(len(tgt_simps)):
-                c = dl[(ic, jc)]
-                if c != 0:
-                    want[tgt_simps[ic]] = ring.neg(c) if t % 2 else c
-            got_s = {bijection[w2]: c for w2, c in got.items()}
-            if got_s != want:
-                raise MismatchAt((u, qq), w, f"{got_s} != {want}")
+            bijection[w] = word_to_simplex(w)
+        perm[t] = incidence(ring, simps, words, word_to_simplex)
+    for t in range(-1, n):
+        qq = q + n - t - 1
+        delta = cochain.diff(-t) @ perm[t]
+        diff = perm[t + 1] @ obj.d(0, u, qq) - (-delta if t % 2 else delta)
+        if not diff.is_zero:
+            j = next(j for j, col in enumerate(diff.transpose().sparse_rows) if col)
+            w = obj.labels[(u, qq)][j]
+            raise MismatchAt((u, qq), w, f"P d_0 != (-1)^{t} delta P on {w}")
     return bijection
 
 

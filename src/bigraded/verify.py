@@ -184,7 +184,7 @@ def check_rlp_agreement(seed: int, per_structure: int = 30,
     }
 
 
-def check_spectral(seed: int, samples: int = 20) -> dict:
+def check_spectral(seed: int, samples: int = 12) -> dict:
     rng = random.Random(seed)
     bad = []
     for k in range(samples):
@@ -219,16 +219,15 @@ def e2_of_vertical(hv_bicomplex) -> dict:
     return dict(h.ranks)
 
 
-def run_suite(max_p: int = 5, seed: int = 42, rlp_per_structure: int = 30,
-              spectral_samples: int = 12) -> list:
+def run_suite(max_p: int = 5, seed: int = 42) -> list:
     return [
         check_rank_tables(max_p),
         check_figure_tables(),
         check_acyclicity(max_p),
         check_simplicial(max_p),
         check_tensor_identities(pmax=min(max_p, 3), seed=seed),
-        check_rlp_agreement(seed, per_structure=rlp_per_structure),
-        check_spectral(seed, samples=spectral_samples),
+        check_rlp_agreement(seed),
+        check_spectral(seed),
     ]
 
 

@@ -258,6 +258,20 @@ def test_criterion_9_torsion_and_snf():
     report(9, "Z/2 in degree zero; 1000 Smith normal form contracts", t0, 30)
 
 
+# The whole report of `verify-paper --max-p 5 --seed 42`: the counts in
+# each line move when a check, a random draw or a cell changes.
+VERIFY_PAPER_5_42 = [
+    "[PASS] rank-tables: all rank tables match",
+    "[PASS] reference-tables-(4,0): entry-for-entry match",
+    "[PASS] cell-acyclicity: all totalisations acyclic",
+    "[PASS] simplicial-identification: 30 absolute + 60 relative columns match",
+    "[PASS] tensor-identities: 162 certified isomorphisms",
+    "[PASS] rlp-vs-classifier: 90 random maps agree",
+    "[PASS] spectral-convergence: 12 bicomplexes and twisted complexes converge",
+    "7/7 checks passed",
+]
+
+
 def test_criterion_10_cli_suite():
     t0 = time.time()
     proc = subprocess.run(
@@ -266,5 +280,5 @@ def test_criterion_10_cli_suite():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "7/7 checks passed" in proc.stdout
+    assert proc.stdout.splitlines() == VERIFY_PAPER_5_42
     report(10, "command-line verification suite exits 0", t0, 300)

@@ -102,6 +102,39 @@ def test_relative_simplex_cochain():
             assert is_acyclic(rel)
 
 
+def _face_loop_cochain(n, ring, m=None):
+    """The cochain complex of the n-simplex (modulo the front face on
+    {0,...,m} when m is given) built by the face loop the builders once
+    ran: the coefficient of tau* in delta(sigma*) is the sign of sigma
+    as a face of tau.  An oracle for the transposed face differential."""
+    bases = {}
+    for t in range(-1, n + 1):
+        simps = chain.simplex_basis(n, t)
+        if m is not None:
+            simps = [s for s in simps if s and max(s) > m]
+        bases[t] = simps
+    d = {}
+    for t in range(-1, n):
+        src, tgt = bases[t], bases[t + 1]
+        sidx = {s: j for j, s in enumerate(src)}
+        rows = [{} for _ in tgt]
+        for i, tau in enumerate(tgt):
+            for pos in range(len(tau)):
+                j = sidx.get(tau[:pos] + tau[pos + 1:])
+                if j is not None:
+                    rows[i][j] = ring.from_int(-1 if pos % 2 else 1)
+        d[-t] = ExactMatrix(ring, len(tgt), len(src), rows)
+    return ChainComplex(ring, {-t: len(b) for t, b in bases.items()}, d)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=str)
+def test_cochain_builders_match_the_face_loop(ring):
+    for n in range(7):
+        assert simplex_cochain(n, ring) == _face_loop_cochain(n, ring)
+        for m in range(n):
+            assert relative_simplex_cochain(n, m, ring) == _face_loop_cochain(n, ring, m)
+
+
 def test_cone_detects_quasi_iso():
     c = sphere(0, 1, ZZ)
     assert is_quasi_iso(ChainMap.identity(c))

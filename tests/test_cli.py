@@ -115,6 +115,19 @@ def test_lift_success_and_failure(tmp_path, capsys):
     assert code == 1 and "no lift" in err
 
 
+def test_lift_refuses_a_chain_square(tmp_path, capsys):
+    from bigraded.chain import ChainMap, disc
+
+    f = serialize(ChainMap.identity(disc(1, 1, ZZ)))
+    sq = tmp_path / "sq"
+    os.makedirs(sq)
+    for name in ("i", "g", "u", "f"):
+        (sq / f"{name}.json").write_text(f)
+    code, out, err = run(capsys, "lift", str(sq))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "include_chain" in err
+
+
 def test_ce_resolve(tmp_path, capsys):
     from bigraded.chain import ChainComplex
     from bigraded.matrices import ExactMatrix

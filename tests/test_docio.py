@@ -130,6 +130,46 @@ def test_commuting_convention_documents():
         parse(json.dumps(doc))
 
 
+# one document of each kind, each with one family
+_KIND_DOCS = {
+    "chain": ({"d": [[[1], [[0, 0, "1"]]]]}, [[0, 1], [1, 1]]),
+    "bicomplex": ({"dh": [[[1, 0], [[0, 0, "1"]]]]}, [[0, 0, 1], [1, 0, 1]]),
+    "twisted": ({"d1": [[[1, 0], [[0, 0, "1"]]]]}, [[0, 0, 1], [1, 0, 1]]),
+}
+
+
+def _kind_doc(kind, **extra):
+    diffs, ranks = _KIND_DOCS[kind]
+    return {"schema_version": 1, "kind": kind, "ring": "Z", "ranks": ranks,
+            "differentials": dict(diffs), **extra}
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("chain", "dh"), ("chain", "d0"), ("chain", "D"),
+    ("bicomplex", "DH"), ("bicomplex", "d"), ("bicomplex", "d1"),
+    ("twisted", "dh"), ("twisted", "d01"), ("twisted", "d"), ("twisted", "d-1"),
+])
+def test_unknown_family_name_is_a_syntax_error(kind, name):
+    # a misspelt name does not parse as a document without that family
+    doc = _kind_doc(kind)
+    parse(json.dumps(doc))
+    doc["differentials"][name] = doc["differentials"].pop(next(iter(doc["differentials"])))
+    with pytest.raises(DocumentSyntaxError, match="unknown differential key"):
+        parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["chain", "twisted"])
+def test_convention_belongs_to_bicomplex_documents(kind):
+    parse(json.dumps(_kind_doc(kind, convention="anticommute")))
+    for convention in ("commute", "sideways", None, 1):
+        with pytest.raises(DocumentSyntaxError, match="convention"):
+            parse(json.dumps(_kind_doc(kind, convention=convention)))
+    for convention in ("anticommute", "commute"):
+        parse(json.dumps(_kind_doc("bicomplex", convention=convention)))
+    with pytest.raises(DocumentSyntaxError, match="convention"):
+        parse(json.dumps(_kind_doc("bicomplex", convention="sideways")))
+
+
 def test_out_of_range_entry():
     doc = {"schema_version": 1, "kind": "chain", "ring": "Z",
            "ranks": [[0, 1], [1, 1]],

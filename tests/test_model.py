@@ -313,6 +313,39 @@ def test_pushout_of_vboundary_inclusion():
     assert is_acyclic(tot_twisted(x2))
 
 
+# --- chain inputs ----------------------------------------------------------------
+
+def _chain_map():
+    from bigraded.chain import ChainMap, disc
+
+    return ChainMap.identity(disc(1, 1, QQ))
+
+
+_CHAIN_ENTRY_POINTS = {
+    "rlp_report": lambda f: rlp_report(f, "tot"),
+    "classify_map": lambda f: classify_map(f, "tot"),
+    "has_rlp": lambda f: has_rlp(f, GeneratorRef("TotI_VBoundaryToDisc", 1, 0)),
+    "cofibrancy_report": lambda f: cofibrancy_report(f.source, "tot"),
+    "solve_lift": lambda f: solve_lift(LiftingProblem(f, f, f, f)),
+    "pushout": lambda f: pushout(f, f),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CHAIN_ENTRY_POINTS))
+def test_model_entry_points_refuse_chain_inputs(entry):
+    with pytest.raises(BadParameter, match="embed.*include_chain"):
+        _CHAIN_ENTRY_POINTS[entry](_chain_map())
+
+
+def test_q_indexed_generators_are_cached_once_per_bidegree():
+    for family in ("TwJ_ZeroToDisc0", "CEI_ZeroToSphere"):
+        maps = {id(generator_map(GeneratorRef(family, p, 2), QQ)) for p in range(-1, 5)}
+        assert len(maps) == 1
+    # the p-indexed families still get one map per p
+    refs = [GeneratorRef("TotI_VBoundaryToDisc", p, 2) for p in (1, 2)]
+    assert generator_map(refs[0], QQ) is not generator_map(refs[1], QQ)
+
+
 # --- resolutions ---------------------------------------------------------------
 
 def test_ce_resolution_times_two():

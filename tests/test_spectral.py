@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bigraded.rings import ZZ, QQ, GF, UnsupportedRing
+from bigraded.rings import ZZ, QQ, GF, BadParameter, UnsupportedRing
 from bigraded.matrices import ExactMatrix
 from bigraded.chain import homology
 from bigraded.bicomplex import (
@@ -119,6 +119,24 @@ def test_stable_page_clamping():
     s = bic_sphere(0, 0, 1, GF(2))
     data = pages(s)
     assert data.page(50) == data.page(data.stable_page)
+
+
+def test_pages_stop_at_r_max():
+    # the (8, 0) cell is stable from page 9; r_max = 2 computes pages 1
+    # and 2 only, and E-infinity on its own
+    x = twisted_disc(8, 0, GF(3))
+    full = pages(x)
+    part = pages(x, r_max=2)
+    assert sorted(full.pages) == list(range(1, 10))
+    assert sorted(part.pages) == sorted(part.differentials) == [1, 2]
+    assert part.einf == full.einf
+    for r in (1, 2):
+        assert part.page(r) == full.page(r)
+        assert part.differentials[r] == full.differentials[r]
+    for r in (3, 8):
+        with pytest.raises(BadParameter):
+            part.page(r)
+    assert part.page(9) == part.page(50) == full.einf
 
 
 LARGE_PRIME = 4294967311

@@ -4,7 +4,7 @@ import pytest
 
 from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.matrices import ExactMatrix
-from bigraded.chain import ModuleClass, homology, is_acyclic, tensor as chain_tensor
+from bigraded.chain import ChainComplex, ModuleClass, homology, is_acyclic, tensor as chain_tensor
 from bigraded.bicomplex import (
     Bicomplex,
     bic_disc,
@@ -132,6 +132,33 @@ def test_simplicial_identification_relative():
 def test_simplicial_mismatch_guard():
     with pytest.raises(BadParameter):
         compare_to_simplex_cochain(2, 0, None, 1)  # column too close to p
+
+
+def test_simplicial_identification_catches_a_flipped_sign(monkeypatch):
+    """One coboundary entry with its sign flipped breaks the identity
+    P_{t+1} d_0 = (-1)^t delta_t P_t, absolute and relative alike."""
+    from bigraded import twisted
+
+    build = twisted._cochain
+
+    def flipped(n, ring, front):
+        c = build(n, ring, front)
+        deg = max(c.d)  # the coboundary out of the lowest cochain degree
+        rows = [dict(r) for r in c.d[deg].sparse_rows]
+        i = next(i for i, r in enumerate(rows) if r)
+        j = min(rows[i])
+        rows[i][j] = ring.neg(rows[i][j])
+        d = dict(c.d)
+        d[deg] = ExactMatrix(ring, c.d[deg].rows, c.d[deg].cols, rows)
+        return ChainComplex(ring, c.ranks, d, check=False)
+
+    compare_to_simplex_cochain(5, 0, None, 1)
+    compare_to_simplex_cochain(5, 0, 2, 1)
+    monkeypatch.setattr(twisted, "_cochain", flipped)
+    for s in (None, 2):
+        with pytest.raises(MismatchAt) as err:
+            compare_to_simplex_cochain(5, 0, s, 1)
+        assert err.value.bidegree[0] == 1 and err.value.element is not None
 
 
 def test_word_to_simplex_is_increasing():
