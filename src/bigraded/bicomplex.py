@@ -13,10 +13,12 @@ commuting sign convention are converted on input by `docio`.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import Subquotient, kernel_basis, image_basis
-from .chain import ChainComplex, ChainMap
+from .chain import ChainComplex, ChainMap, incidence
 from .twisted import (
     TwistedComplex,
     TwistedMap,
@@ -25,6 +27,7 @@ from .twisted import (
     complex_like,
     induced_structure,
     map_like,
+    summed,
     tensor_layout,
     tensor_twisted,
     validate_twisted,
@@ -161,37 +164,22 @@ def include_chain(c: ChainComplex) -> Bicomplex:
 
 def koszul_swap(x: Bicomplex, y: Bicomplex) -> BicomplexMap:
     """The symmetry X (x) Y -> Y (x) X with sign (-1)^{|x||y|} on total
-    degrees."""
+    degrees: on each summand the permutation (i, j) -> (j, i) of the
+    basis pairs, signed."""
     ring = x.ring
     src_obj = tensor_twisted(x, y)
-    tgt_obj = tensor_twisted(y, x)
     comps = {}
     for pq in src_obj.ranks:
         src = tensor_layout(x, y, *pq)
-        tgt = tensor_layout(y, x, *pq)
-        src_off = {}
-        off = 0
-        for (a, b, a2, b2, ra, rb) in src:
-            src_off[(a, b)] = (off, ra, rb)
-            off += ra * rb
-        ncols = off
-        tgt_off = {}
-        off = 0
-        for (a2, b2, a, b, rb, ra) in tgt:
-            tgt_off[(a2, b2)] = (off, rb, ra)
-            off += ra * rb
-        nrows = off
-        z = ring.zero()
-        rows = [[z] * ncols for _ in range(nrows)]
-        for (a, b, a2, b2, ra, rb) in src:
-            so = src_off[(a, b)][0]
-            to = tgt_off[(a2, b2)][0]
-            sign = ring.from_int(-1 if ((a + b) * (a2 + b2)) % 2 else 1)
-            for i in range(ra):
-                for j in range(rb):
-                    rows[to + j * ra + i][so + i * rb + j] = sign
-        comps[pq] = ExactMatrix.from_rows(ring, rows)
-    return map_like(src_obj, tgt_obj, comps)
+        blocks = {}
+        for (a, b, a2, b2) in src:
+            ra, rb = x.rank(a, b), y.rank(a2, b2)
+            perm = incidence(ring, list(product(range(rb), range(ra))),
+                             list(product(range(ra), range(rb))), lambda ij: ij[::-1])
+            sign = (a + b) * (a2 + b2) % 2
+            blocks[((a2, b2, a, b), (a, b, a2, b2))] = -perm if sign else perm
+        comps[pq] = summed(ring, tensor_layout(y, x, *pq), src, blocks)
+    return map_like(src_obj, tensor_twisted(y, x), comps)
 
 
 # ---------------------------------------------------------------------------

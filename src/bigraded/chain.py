@@ -350,23 +350,10 @@ def truncate_nonneg(c: ChainComplex) -> ChainComplex:
 
 
 def direct_sum(complexes) -> ChainComplex:
-    complexes = list(complexes)
-    if not complexes:
-        raise BadParameter("empty direct sum")
-    ring = complexes[0].ring
-    degs = sorted({n for c in complexes for n in c.ranks})
-    ranks = {n: sum(c.rank(n) for c in complexes) for n in degs}
-    d = {}
-    for n in degs:
-        blocks = {(k, k): c.d[n] for k, c in enumerate(complexes) if n in c.d}
-        if blocks:
-            d[n] = ExactMatrix.block(
-                ring,
-                [c.rank(n - 1) for c in complexes],
-                [c.rank(n) for c in complexes],
-                blocks,
-            )
-    return ChainComplex(ring, ranks, d)
+    """The column 0 of the direct sum of the embedded columns."""
+    from .twisted import column_twisted, direct_sum_twisted, embed
+
+    return column_twisted(direct_sum_twisted([embed(c) for c in complexes]), 0)
 
 
 def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:

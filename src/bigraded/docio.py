@@ -9,6 +9,8 @@ row then column, so serialize(parse(serialize(x))) == serialize(x) and
 parse(serialize(x)) reconstructs x exactly.
 
 Omitted (bi)degrees mean rank zero, omitted matrices mean zero maps.
+A top-level field that a document of its kind does not have is a
+syntax error, and a map document names the ring of its endpoints.
 One table, `_KINDS`, gives for each kind of document its carrier and
 map classes and the names of its differential families with their
 structure index: ``d`` (index 0) for a chain complex, ``dv`` (0) and
@@ -193,6 +195,24 @@ def _need(doc, key, types):
     return val
 
 
+# The top-level fields of each kind of document; any other is a syntax
+# error, so a misspelt field is never read as an omitted one.
+_OBJECT_FIELDS = {"schema_version", "kind", "ring", "ranks", "differentials", "convention"}
+_MAP_FIELDS = {"schema_version", "kind", "ring", "map_kind", "source", "target", "components"}
+
+
+def _ring(doc, fields) -> RingSpec:
+    """The ring a document names, once its top-level fields are checked
+    to lie in `fields`."""
+    unknown = sorted(set(doc) - fields)
+    if unknown:
+        raise DocumentSyntaxError(f"unknown field {unknown[0]!r}")
+    try:
+        return ring_from_name(_need(doc, "ring", str))
+    except BadParameter as exc:
+        raise DocumentSyntaxError(str(exc))
+
+
 def _parse_key(raw, arity):
     if not (isinstance(raw, list) and len(raw) == arity and all(map(_is_int, raw))):
         raise DocumentSyntaxError(f"bad degree key {raw!r}")
@@ -307,10 +327,7 @@ def _pending_object(doc) -> _Pending:
     if kind not in _KINDS:
         raise DocumentSyntaxError(f"unknown kind {kind!r}")
     carrier = _KINDS[kind]
-    try:
-        ring = ring_from_name(_need(doc, "ring", str))
-    except BadParameter as exc:
-        raise DocumentSyntaxError(str(exc))
+    ring = _ring(doc, _OBJECT_FIELDS)
     ranks = _parse_ranks(_need(doc, "ranks", list), carrier.arity)
     diffs = doc.get("differentials", {})
     if not isinstance(diffs, dict):
@@ -356,6 +373,7 @@ def from_document(doc) -> object:
         _check_size(obj.cells)
         return obj.build()
 
+    ring = _ring(doc, _MAP_FIELDS)
     map_kind = _need(doc, "map_kind", str)
     src = _pending_object(_need(doc, "source", dict))
     tgt = _pending_object(_need(doc, "target", dict))
@@ -363,6 +381,8 @@ def from_document(doc) -> object:
         raise DocumentSyntaxError("map endpoints do not match map_kind")
     if src.ring != tgt.ring:
         raise ValidationError(["source and target use different rings"])
+    if ring != src.ring:
+        raise ValidationError([f"a map over {ring} between complexes over {src.ring}"])
     comps = _parse_family(
         doc.get("components", []), _KINDS[map_kind].arity,
         lambda k: (tgt.ranks.get(k, 0), src.ranks.get(k, 0)), "components",

@@ -72,6 +72,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .rings import RingSpec, ZZ, QQ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
@@ -102,8 +103,6 @@ from .bicomplex import (
 from .twisted import (
     TwistedComplex,
     TwistedMap,
-    _hom_dim,
-    _hom_summands,
     boundary_inclusion,
     column_twisted,
     column_twisted_map,
@@ -113,6 +112,8 @@ from .twisted import (
     morphism_from_vector,
     morphism_space_basis,
     morphism_to_vector,
+    post_operator,
+    pre_operator,
     tensor_twisted,
     tensor_twisted_map,
     tot_twisted_map,
@@ -241,18 +242,12 @@ GENERATING_FAMILIES = {
 }
 
 
-_GENERATOR_CACHE: dict = {}
-
-
 def generator_map(ref: GeneratorRef, ring: RingSpec = ZZ):
     """The inclusion named by `ref`, as a BicomplexMap (tot/ce families)
     or a TwistedMap (twisted families)."""
-    # the q-indexed families ignore p, so the key is the bidegree of b
-    key = (ref.family, _cell(ref)[1], ring.kind, ring.p)
-    cached = _GENERATOR_CACHE.get(key)
-    if cached is None:
-        cached = _GENERATOR_CACHE[key] = _generator_map(ref, ring)
-    return cached
+    cell, _ = _cell(ref)
+    # the q-indexed families ignore p, so their cached ref has p = 0
+    return _generator_map(GeneratorRef(ref.family, 0 if cell.pmin is None else ref.p, ref.q), ring)
 
 
 # The bicomplex cell free on one generator at (p, q) subject to d_i = 0
@@ -265,6 +260,7 @@ _FREE_CELLS = {
 }
 
 
+@lru_cache
 def _generator_map(ref: GeneratorRef, ring: RingSpec):
     cell, (p, q) = _cell(ref)
     if ref.family == "TwI_BoundaryToDisc":
@@ -329,21 +325,6 @@ def _maps_equal(a: TwistedMap, b: TwistedMap) -> bool:
     return all(a.component(*k) == b.component(*k) for k in keys)
 
 
-def _morphism_matrix(src, tgt, basis, post, out_src, out_tgt) -> ExactMatrix:
-    """Columns: flatten(post(m_j)) for the morphisms m_j: src -> tgt
-    encoded by the columns of `basis`; post(m) must land in
-    Mor(out_src, out_tgt)."""
-    ring = src.ring
-    nrows = _hom_dim(_hom_summands(out_src, out_tgt, 0, 0))
-    if nrows == 0:
-        return ExactMatrix.zero(ring, nrows, basis.cols)
-    cols = []
-    for j in range(basis.cols):
-        m = morphism_from_vector(src, tgt, basis.col(j), check=False)
-        cols.append(morphism_to_vector(post(m)))
-    return ExactMatrix.from_cols(ring, nrows, cols)
-
-
 def solve_lift(problem: LiftingProblem):
     """An exact diagonal h: B -> X with h∘i = u and g∘h = f, in the
     category of the inputs.  Raises BadSquare when g∘u != f∘i and NoLift
@@ -358,9 +339,10 @@ def solve_lift(problem: LiftingProblem):
         raise BadSquare("g∘u != f∘i")
     ring = a.ring
     h_basis = morphism_space_basis(b, x)
-    top = _morphism_matrix(b, x, h_basis, lambda h: h.compose(it), a, x)
-    bot = _morphism_matrix(b, x, h_basis, lambda h: gt.compose(h), b, y)
-    system = ExactMatrix.vstack(ring, [top, bot], cols=h_basis.cols)
+    # h |-> (h∘i, g∘h) on the coordinates of the basis
+    system = ExactMatrix.vstack(ring, [
+        pre_operator(it.f, a, b, x, (0, 0)), post_operator(gt.f, b, x, y, (0, 0)),
+    ]) @ h_basis
     rhs = tuple(morphism_to_vector(ut)) + tuple(morphism_to_vector(ft))
     coeffs = solve_exact(system, rhs)
     if coeffs is None:
@@ -701,13 +683,17 @@ def _find_iso(x: Bicomplex, y: Bicomplex, rng):
     basis = morphism_space_basis(xq, yq)
     if basis.cols == 0:
         return None if x.ranks else map_like(xq, yq, {})
+    return _invertible(xq, yq, basis, (0,) * basis.cols, ExactMatrix.identity(QQ, basis.cols), rng)
+
+
+def _invertible(x, y, basis, part, null, rng):
+    """A pointwise invertible map x -> y whose coordinates in the columns
+    of `basis` are part + null c for a random c, or None when no draw of
+    c finds one."""
     for _ in range(_ISO_TRIES):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(basis.cols)]
-        vec = basis.apply(coeffs)
-        m = morphism_from_vector(xq, yq, vec)
-        if all(
-            rank(m.component(p, q)) == r for (p, q), r in xq.ranks.items()
-        ):
+        shift = null.apply([Fraction(rng.randint(-3, 3)) for _ in range(null.cols)])
+        m = morphism_from_vector(x, y, basis.apply([a + b for a, b in zip(part, shift)]))
+        if all(rank(m.component(*pq)) == r for pq, r in x.ranks.items()):
             return m
     return None
 
@@ -730,26 +716,14 @@ def _certify_map_identity(p: int, q: int, rng):
     if dict(a2.ranks) != dict(b2.ranks):
         return False, "target rank tables differ"
     h_basis = morphism_space_basis(a2, b2)
-    pmat = _morphism_matrix(
-        a2, b2, h_basis, lambda h: h.compose(left), left.source, b2
-    )
+    pmat = pre_operator(left.f, left.source, a2, b2, (0, 0)) @ h_basis
     rhs = morphism_to_vector(right.compose(phi1))
     part = solve_exact(pmat, rhs)
     if part is None:
         return False, "no map intertwining the two inclusions"
-    null = kernel_basis(pmat)
-    for _ in range(_ISO_TRIES):
-        coeffs = list(part)
-        if null.cols:
-            shift = null.apply([Fraction(rng.randint(-3, 3)) for _ in range(null.cols)])
-            coeffs = [c + s for c, s in zip(coeffs, shift)]
-        vec = h_basis.apply(coeffs)
-        phi2 = morphism_from_vector(a2, b2, vec)
-        if all(
-            rank(phi2.component(pp, qq)) == r for (pp, qq), r in a2.ranks.items()
-        ):
-            return True, "intertwining isomorphism pair found"
-    return False, "intertwiner exists but no invertible one was found"
+    if _invertible(a2, b2, h_basis, part, kernel_basis(pmat), rng) is None:
+        return False, "intertwiner exists but no invertible one was found"
+    return True, "intertwining isomorphism pair found"
 
 
 def verify_generator_identities(pmax: int = 3, qs=(-1, 0, 2), seed: int = 0):

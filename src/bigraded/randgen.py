@@ -173,16 +173,8 @@ def _random_verticals(rng, ring, ranks):
 def _solve_structure_map(rng, ring, ranks, d0, lower, i):
     """Random d_i given the maps in `lower` (a dict index -> family):
     solves the single defining relation that is linear in d_i on a
-    support of width at most three columns."""
-
-    def get(fam, step_p, step_q, p, q):
-        m = fam.get((p, q))
-        if m is not None:
-            return m
-        return ExactMatrix.zero(
-            ring, ranks.get((p - step_p, q + step_q), 0), ranks.get((p, q), 0)
-        )
-
+    support of width at most three columns.  An absent structure map is
+    zero, so the terms it enters are left out."""
     shapes = {
         (p, q): (ranks.get((p - i, q + i - 1), 0), r)
         for (p, q), r in ranks.items()
@@ -191,19 +183,18 @@ def _solve_structure_map(rng, ring, ranks, d0, lower, i):
     for (p, q) in ranks:
         # relation of total index i at (p, q), target (p - i, q + i - 2)
         er = ranks.get((p - i, q + i - 2), 0)
-        ec = ranks[(p, q)]
-        if er == 0 or ec == 0:
+        if er == 0:
             continue
-        rhs = ExactMatrix.zero(ring, er, ec)
+        rhs = ExactMatrix.zero(ring, er, ranks[(p, q)])
         for a in range(1, i):
             b = i - a
-            la = get(lower[a], a, a - 1, p - b, q + b - 1)
-            lb = get(lower[b], b, b - 1, p, q)
-            rhs = rhs - la @ lb
-        terms = [
-            ((p, q), get(lower[0], 0, -1, p - i, q + i - 1), None, 1),
-            ((p, q - 1), None, get(lower[0], 0, -1, p, q), 1),
-        ]
+            la, lb = lower[a].get((p - b, q + b - 1)), lower[b].get((p, q))
+            if la is not None and lb is not None:
+                rhs = rhs - la @ lb
+        left, right = d0.get((p - i, q + i - 1)), d0.get((p, q))
+        terms = [((p, q), left, None, 1)] if left is not None else []
+        if right is not None:
+            terms.append(((p, q - 1), None, right, 1))
         sys.add_equation(terms, rhs)
     return sys.solve_random(rng)
 

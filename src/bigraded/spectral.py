@@ -76,7 +76,7 @@ class _PageWorker:
         key = (n, p)
         if key not in self.prefixes:
             self.prefixes[key] = sum(
-                r for pp, _, r in tot_layout(self.x, n) if pp <= p
+                r for (pp, _), r in tot_layout(self.x, n).items() if pp <= p
             )
         return self.prefixes[key]
 

@@ -461,55 +461,91 @@ def compare_to_simplex_cochain(p: int, q: int, s: int | None, u: int, ring: Ring
 
 
 # ---------------------------------------------------------------------------
-# Totalisation
+# Layouts of graded sums
 # ---------------------------------------------------------------------------
+#
+# A layout is an ordered dict from the summands of a direct sum to their
+# ranks; the coordinates of the sum are those of its summands in that
+# order, and a matrix between two sums is assembled from blocks keyed by
+# (target summand, source summand) through `summed`.
 
-def tot_layout(x: TwistedComplex, n: int):
-    """Summands (p, q, rank) of total degree n, by increasing column."""
-    return sorted(
-        [(p, q, r) for (p, q), r in x.ranks.items() if p + q == n]
+def summed(ring: RingSpec, tgt_layout: dict, src_layout: dict, blocks: dict) -> ExactMatrix:
+    """The matrix from the sum laid out by `src_layout` to the one laid
+    out by `tgt_layout` whose block at (target key, source key) is
+    blocks[target key, source key]; every other block is zero."""
+    tpos = {key: k for k, key in enumerate(tgt_layout)}
+    spos = {key: k for k, key in enumerate(src_layout)}
+    return ExactMatrix.block(
+        ring, list(tgt_layout.values()), list(src_layout.values()),
+        {(tpos[t], spos[s]): m for (t, s), m in blocks.items()},
     )
 
+
+def tot_layout(x: TwistedComplex, n: int) -> dict:
+    """(p, q) -> rank over the bidegrees of total degree n, by increasing
+    column."""
+    return dict(sorted([(pq, r) for pq, r in x.ranks.items() if pq[0] + pq[1] == n]))
+
+
+def tensor_layout(x: TwistedComplex, y: TwistedComplex, p: int, q: int) -> dict:
+    """(a, b, a2, b2) -> ra * rb over the summands X_{a,b} (x) Y_{a2,b2} of
+    bidegree (p, q) of the tensor product, by first-factor bidegree."""
+    return {
+        (a, b, p - a, q - b): ra * rb
+        for (a, b), ra in sorted(x.ranks.items())
+        if (rb := y.rank(p - a, q - b))
+    }
+
+
+def hom_layout(x: TwistedComplex, y: TwistedComplex, p: int, q: int) -> dict:
+    """(s, t) -> rx * ry over the summands Hom(X_{s,t}, Y_{s+p,t+q}) of the
+    families of degree (p, q) from x to y; each component is flattened
+    row-major."""
+    return {
+        (s, t): rx * ry
+        for (s, t), rx in sorted(x.ranks.items())
+        if (ry := y.rank(s + p, t + q))
+    }
+
+
+# ---------------------------------------------------------------------------
+# Totalisation
+# ---------------------------------------------------------------------------
 
 def tot_twisted(x: TwistedComplex) -> ChainComplex:
     """Total complex: degree n is the sum of the bidegrees with p+q = n
     (columns in increasing order) and the differential is sum_i d_i.
     The d_i out of one bidegree land in distinct summands."""
     layouts = {n: tot_layout(x, n) for n in sorted({p + q for p, q in x.ranks})}
-    sizes = {n: [r for *_, r in lay] for n, lay in layouts.items()}
-    ranks = {n: sum(rs) for n, rs in sizes.items()}
     d = {}
     for n, src in layouts.items():
-        tgt = layouts.get(n - 1)
-        if not tgt:
-            continue
-        tpos = {(p, q): k for k, (p, q, _) in enumerate(tgt)}
         blocks = {
-            (tpos[(p - i, q + i - 1)], j): fam[(p, q)]
-            for j, (p, q, _) in enumerate(src)
+            ((p - i, q + i - 1), (p, q)): fam[(p, q)]
+            for (p, q) in src
             for i, fam in x.ds.items()
             if (p, q) in fam
         }
         if blocks:
-            d[n] = ExactMatrix.block(x.ring, sizes[n - 1], sizes[n], blocks)
-    return ChainComplex(x.ring, ranks, d)
+            d[n] = summed(x.ring, layouts[n - 1], src, blocks)
+    return ChainComplex(x.ring, {n: sum(lay.values()) for n, lay in layouts.items()}, d)
+
+
+def tot_twisted_map(f: TwistedMap):
+    """Totalisation of a strict map, blockwise over the column layout."""
+    from .chain import ChainMap
+
+    comps = {
+        n: summed(f.source.ring, tot_layout(f.target, n), tot_layout(f.source, n), {
+            (pq, pq): m for pq, m in f.f.items() if sum(pq) == n
+        })
+        for n in {p + q for p, q in f.f}
+    }
+    return ChainMap(tot_twisted(f.source), tot_twisted(f.target), comps)
 
 
 # ---------------------------------------------------------------------------
 # Tensor product
 # ---------------------------------------------------------------------------
-
-def tensor_layout(x: TwistedComplex, y: TwistedComplex, p: int, q: int):
-    """Summands (a, b, a2, b2, ra, rb) of bidegree (p, q) of the tensor
-    product, ordered lexicographically by the first-factor bidegree."""
-    out = []
-    for (a, b) in x.bidegrees():
-        a2, b2 = p - a, q - b
-        rb = y.rank(a2, b2)
-        if rb:
-            out.append((a, b, a2, b2, x.rank(a, b), rb))
-    return out
-
 
 def tensor_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
     """Tensor product with d_i(a (x) b) = d_i(a) (x) b + (-1)^{|a|} a (x) d_i(b),
@@ -517,123 +553,110 @@ def tensor_twisted(x: TwistedComplex, y: TwistedComplex) -> TwistedComplex:
     if x.ring != y.ring:
         raise BadParameter("tensor over different rings")
     ring = x.ring
-    support = set()
-    for (a, b) in x.ranks:
-        for (a2, b2) in y.ranks:
-            support.add((a + a2, b + b2))
+    support = {(a + a2, b + b2) for (a, b) in x.ranks for (a2, b2) in y.ranks}
     layouts = {pq: tensor_layout(x, y, *pq) for pq in support}
-    sizes = {pq: [ra * rb for *_, ra, rb in lay] for pq, lay in layouts.items()}
-    ranks = {pq: sum(rs) for pq, rs in sizes.items()}
     ds = {}
     for i in sorted(set(x.ds) | set(y.ds)):
         xi, yi = x.ds.get(i, {}), y.ds.get(i, {})
         fam = {}
         for (p, q), src in layouts.items():
-            key = (p - i, q + i - 1)
-            if key not in layouts:
-                continue
-            tpos = {
-                (a, b, a2, b2): k
-                for k, (a, b, a2, b2, _, _) in enumerate(layouts[key])
-            }
             blocks = {}
-            for j, (a, b, a2, b2, ra, rb) in enumerate(src):
+            for key in src:
+                a, b, a2, b2 = key
                 m = xi.get((a, b))
                 if m is not None:
-                    k = tpos[(a - i, b + i - 1, a2, b2)]
-                    blocks[(k, j)] = m.kron(ExactMatrix.identity(ring, rb))
+                    blocks[((a - i, b + i - 1, a2, b2), key)] = m.kron(
+                        ExactMatrix.identity(ring, y.rank(a2, b2)))
                 m = yi.get((a2, b2))
                 if m is not None:
-                    k = tpos[(a, b, a2 - i, b2 + i - 1)]
-                    blk = ExactMatrix.identity(ring, ra).kron(m)
-                    blocks[(k, j)] = -blk if (a + b) % 2 else blk
+                    blk = ExactMatrix.identity(ring, x.rank(a, b)).kron(m)
+                    blocks[((a, b, a2 - i, b2 + i - 1), key)] = -blk if (a + b) % 2 else blk
             if blocks:
-                fam[(p, q)] = ExactMatrix.block(ring, sizes[key], sizes[(p, q)], blocks)
+                fam[(p, q)] = summed(ring, layouts[(p - i, q + i - 1)], src, blocks)
         if fam:
             ds[i] = fam
-    return complex_like((x, y), ring, ranks, ds)
+    return complex_like((x, y), ring, {pq: sum(lay.values()) for pq, lay in layouts.items()}, ds)
 
 
 def tensor_twisted_map(f: TwistedMap, g: TwistedMap) -> TwistedMap:
     """Tensor of strict morphisms (no signs in bidegree (0,0))."""
-    sx, sy = f.source, g.source
-    tx, ty = f.target, g.target
-    ring = sx.ring
+    sx, sy, tx, ty = f.source, g.source, f.target, g.target
     src_obj = tensor_twisted(sx, sy)
-    tgt_obj = tensor_twisted(tx, ty)
     comps = {}
     for pq in src_obj.ranks:
         src = tensor_layout(sx, sy, *pq)
-        tgt = tensor_layout(tx, ty, *pq)
-        tpos = {(a, b): k for k, (a, b, *_) in enumerate(tgt)}
         blocks = {
-            (tpos[(a, b)], j): f.f[(a, b)].kron(g.f[(a2, b2)])
-            for j, (a, b, a2, b2, _, _) in enumerate(src)
-            if (a, b) in f.f and (a2, b2) in g.f
+            (key, key): f.f[key[:2]].kron(g.f[key[2:]])
+            for key in src
+            if key[:2] in f.f and key[2:] in g.f
         }
-        if blocks:
-            comps[pq] = ExactMatrix.block(
-                ring,
-                [ta * tb for *_, ta, tb in tgt],
-                [ra * rb for *_, ra, rb in src],
-                blocks,
-            )
-    return map_like(src_obj, tgt_obj, comps)
+        comps[pq] = summed(sx.ring, tensor_layout(tx, ty, *pq), src, blocks)
+    return map_like(src_obj, tensor_twisted(tx, ty), comps)
 
 
 # ---------------------------------------------------------------------------
 # Strict-morphism spaces
 # ---------------------------------------------------------------------------
+#
+# A family f of degree (0, 0) from x to y is a vector in the coordinates
+# of hom_layout(x, y, 0, 0).  Composing it with a fixed family of degree
+# delta on either side is linear in f; for a component, row-major
+# flattening turns g f into (g kron I) vec f and f e into (I kron e^T) vec f.
 
-def _hom_summands(x: TwistedComplex, y: TwistedComplex, p: int, q: int):
-    """Summands (s, t, rx, ry) of the ambient space of degree-(p,q)
-    families X_{s,t} -> Y_{s+p,t+q}."""
-    out = []
-    for (s, t) in x.bidegrees():
-        ry = y.rank(s + p, t + q)
-        if ry:
-            out.append((s, t, x.rank(s, t), ry))
-    return out
+def _post_blocks(g: dict, x: TwistedComplex) -> dict:
+    """Blocks of f |-> g f, for g a family keyed by source bidegree: the
+    summand (s, t) of f goes to the summand (s, t) of g f."""
+    return {
+        (st, st): m.kron(ExactMatrix.identity(m.ring, x.rank(*st)))
+        for st, m in g.items()
+        if x.rank(*st)
+    }
 
 
-def _hom_dim(summands) -> int:
-    return sum(rx * ry for _, _, rx, ry in summands)
+def _pre_blocks(e: dict, y: TwistedComplex, delta) -> dict:
+    """Blocks of f |-> f e, for e a family of degree delta keyed by source
+    bidegree: the summand (s, t) + delta of f goes to the summand (s, t)
+    of f e."""
+    dp, dq = delta
+    return {
+        ((s, t), (s + dp, t + dq)): ExactMatrix.identity(m.ring, ry).kron(m.transpose())
+        for (s, t), m in e.items()
+        if (ry := y.rank(s + dp, t + dq))
+    }
 
 
-def _hom_operator(x, y, i):
-    """Matrix of f |-> d_i f - f d_i from the ambient space of strict
-    families at (0, 0) to the ambient space at (-i, i-1); entries of each
-    f_{s,t} are flattened row-major, summands concatenated in order."""
-    ring = x.ring
-    src = _hom_summands(x, y, 0, 0)
-    tgt = _hom_summands(x, y, -i, i - 1)
-    spos = {(s, t): k for k, (s, t, _, _) in enumerate(src)}
-    xi, yi = x.ds.get(i, {}), y.ds.get(i, {})
-    blocks = {}
-    for r, (s, t, rx, ry2) in enumerate(tgt):
-        m = yi.get((s, t))
-        if m is not None:
-            blocks[(r, spos[(s, t)])] = m.kron(ExactMatrix.identity(ring, rx))
-        m = xi.get((s, t))
-        if m is not None:
-            # d_i f sits in summand (s, t), f d_i in (s-i, t+i-1): never the
-            # same one, since i = 0 and i = 1 cannot both hold
-            blk = ExactMatrix.identity(ring, ry2).kron(m.transpose())
-            blocks[(r, spos[(s - i, t + i - 1)])] = -blk
-    return ExactMatrix.block(
-        ring, [rx * ry for *_, rx, ry in tgt], [rx * ry for *_, rx, ry in src], blocks
-    )
+def post_operator(g: dict, x: TwistedComplex, y: TwistedComplex, z: TwistedComplex, delta) -> ExactMatrix:
+    """Matrix of f |-> g f from the families of degree (0, 0) from x to y
+    to those of degree delta from x to z, for g a family y -> z of degree
+    delta keyed by source bidegree."""
+    return summed(x.ring, hom_layout(x, z, *delta), hom_layout(x, y, 0, 0), _post_blocks(g, x))
+
+
+def pre_operator(e: dict, w: TwistedComplex, x: TwistedComplex, y: TwistedComplex, delta) -> ExactMatrix:
+    """Matrix of f |-> f e from the families of degree (0, 0) from x to y
+    to those of degree delta from w to y, for e a family w -> x of degree
+    delta keyed by source bidegree."""
+    return summed(x.ring, hom_layout(w, y, *delta), hom_layout(x, y, 0, 0), _pre_blocks(e, y, delta))
 
 
 def morphism_space_basis(x: TwistedComplex, y: TwistedComplex) -> ExactMatrix:
-    """Basis of the module of strict morphisms x -> y, as columns of
-    flattened component families (summands of bidegree (0,0) in order,
-    each component row-major)."""
+    """Basis of the module of strict morphisms x -> y, as columns in the
+    coordinates of hom_layout(x, y, 0, 0): the kernel of f |-> d_i f - f d_i
+    for every i."""
     ring = x.ring
-    src = _hom_summands(x, y, 0, 0)
-    n = _hom_dim(src)
-    rows = [_hom_operator(x, y, i) for i in sorted(set(x.ds) | set(y.ds))]
-    rows = [m for m in rows if m.rows]
+    src = hom_layout(x, y, 0, 0)
+    rows = []
+    for i in sorted(set(x.ds) | set(y.ds)):
+        delta = (-i, i - 1)
+        tgt = hom_layout(x, y, *delta)
+        if not tgt:
+            continue
+        # d_i f sits in the summand (s, t) of f, f d_i in (s-i, t+i-1):
+        # never the same one, since i = 0 and i = 1 cannot both hold
+        blocks = _post_blocks(y.ds.get(i, {}), x)
+        blocks.update({k: -m for k, m in _pre_blocks(x.ds.get(i, {}), y, delta).items()})
+        rows.append(summed(ring, tgt, src, blocks))
+    n = sum(src.values())
     if not rows:
         return ExactMatrix.identity(ring, n)
     return kernel_basis(ExactMatrix.vstack(ring, rows, cols=n))
@@ -641,23 +664,24 @@ def morphism_space_basis(x: TwistedComplex, y: TwistedComplex) -> ExactMatrix:
 
 def morphism_from_vector(x: TwistedComplex, y: TwistedComplex, vec, check=True) -> TwistedMap:
     """Inverse of the flattening used by morphism_space_basis."""
-    ring = x.ring
     comps = {}
     off = 0
-    for (s, t, rx, ry) in _hom_summands(x, y, 0, 0):
-        block = [vec[off + k * rx : off + (k + 1) * rx] for k in range(ry)]
-        off += rx * ry
-        comps[(s, t)] = ExactMatrix.from_rows(ring, [list(r) for r in block])
+    for (s, t), n in hom_layout(x, y, 0, 0).items():
+        rx = x.rank(s, t)
+        comps[(s, t)] = ExactMatrix.from_rows(
+            x.ring, [vec[k : k + rx] for k in range(off, off + n, rx)]
+        )
+        off += n
     return map_like(x, y, comps, check=check)
 
 
 def morphism_to_vector(f: TwistedMap) -> tuple:
-    out = []
-    zero = f.source.ring.zero()
-    for (s, t, rx, ry) in _hom_summands(f.source, f.target, 0, 0):
-        m = f.f.get((s, t))
-        out.extend((zero,) * (rx * ry) if m is None else m.flat())
-    return tuple(out)
+    """The components of f flattened row-major, summands in the order of
+    hom_layout: one column with a block per component."""
+    ring = f.source.ring
+    return summed(ring, hom_layout(f.source, f.target, 0, 0), {0: 1}, {
+        (st, 0): ExactMatrix.column(ring, m.flat()) for st, m in f.f.items()
+    }).col(0)
 
 
 # ---------------------------------------------------------------------------
@@ -822,28 +846,6 @@ def direct_sum_twisted(objs) -> TwistedComplex:
                     blocks,
                 )
     return complex_like(objs, ring, ranks, ds)
-
-
-def tot_twisted_map(f: TwistedMap):
-    """Totalisation of a strict map, blockwise over the column layout."""
-    from .chain import ChainMap
-
-    tx, ty = tot_twisted(f.source), tot_twisted(f.target)
-    comps = {}
-    for n in set(tx.ranks) & set(ty.ranks):
-        src = tot_layout(f.source, n)
-        tgt = tot_layout(f.target, n)
-        tpos = {(p, q): k for k, (p, q, _) in enumerate(tgt)}
-        blocks = {
-            (tpos[(p, q)], j): f.f[(p, q)]
-            for j, (p, q, _) in enumerate(src)
-            if (p, q) in f.f
-        }
-        if blocks:
-            comps[n] = ExactMatrix.block(
-                tx.ring, [r for *_, r in tgt], [r for *_, r in src], blocks
-            )
-    return ChainMap(tx, ty, comps)
 
 
 def column_twisted(x: TwistedComplex, p: int):

@@ -182,6 +182,16 @@ def test_koszul_swap_unimodular():
         assert all(is_unimodular(m) for m in sw.f.values())
 
 
+def test_koszul_swap_is_an_involution():
+    rng = random.Random(3)
+    for ring in (ZZ, GF(3)):
+        for _ in range(4):
+            x = random_bicomplex(rng, ring, p_range=(0, 2), q_range=(-1, 1))
+            y = random_bicomplex(rng, ring, p_range=(0, 1), q_range=(-1, 1))
+            back = koszul_swap(y, x).compose(koszul_swap(x, y))
+            assert back.f == BicomplexMap.identity(tensor_twisted(x, y)).f
+
+
 def test_tensor_map_functorial():
     rng = random.Random(5)
     x = random_bicomplex(rng, GF(3), p_range=(0, 1), q_range=(0, 1))

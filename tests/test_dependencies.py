@@ -1,4 +1,5 @@
-"""The package runs on the Python standard library alone."""
+"""The package runs on the Python standard library alone, and its
+modules share no private names beyond a fixed few."""
 
 import ast
 import sys
@@ -38,3 +39,31 @@ def test_no_install_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def _private_imports(path):
+    """(module imported from, name) for every private name a source file
+    takes from another module of the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.module, alias.name
+
+
+def test_cross_module_private_imports_are_fixed():
+    # `_product` (a product, or None when a factor is absent or it is
+    # zero) and `_cochain` (the cochain complex behind the simplicial
+    # comparison) are shared on purpose; anything else, such as a layout
+    # helper, must go through a public name
+    shared = {
+        (src, path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for src, name in _private_imports(path)
+    }
+    assert shared == {
+        ("chain", "model", "_product"),
+        ("chain", "twisted", "_product"),
+        ("chain", "twisted", "_cochain"),
+    }

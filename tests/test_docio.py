@@ -260,6 +260,30 @@ def test_map_between_different_rings_rejected():
         parse(json.dumps(doc))
 
 
+def test_misspelt_object_field_is_a_syntax_error():
+    # "differential" for "differentials" would otherwise parse as a
+    # complex with no differential at all
+    doc = to_document(ChainComplex(ZZ, {0: 1, 1: 1}, {1: ExactMatrix.from_rows(ZZ, [[2]])}))
+    doc["differential"] = doc.pop("differentials")
+    with pytest.raises(DocumentSyntaxError, match="unknown field .differential."):
+        parse(json.dumps(doc))
+
+
+def test_misspelt_map_field_is_a_syntax_error():
+    # "component" for "components" would otherwise parse as the zero map
+    doc = to_document(ChainMap.identity(sphere(1, 2, ZZ)))
+    doc["component"] = doc.pop("components")
+    with pytest.raises(DocumentSyntaxError, match="unknown field .component."):
+        parse(json.dumps(doc))
+
+
+def test_map_over_another_ring_than_its_ends_rejected():
+    doc = to_document(ChainMap.identity(sphere(0, 1, ZZ)))
+    doc["ring"] = "Q"
+    with pytest.raises(ValidationError, match="a map over Q between complexes over Z"):
+        parse(json.dumps(doc))
+
+
 def test_no_floats_anywhere():
     text = serialize(random_bicomplex(random.Random(1), QQ))
     doc = json.loads(text)

@@ -17,7 +17,12 @@ from bigraded.bicomplex import (
 from bigraded.twisted import (
     TwistedMap,
     embed_map,
+    hom_layout,
+    morphism_from_vector,
     morphism_space_basis,
+    morphism_to_vector,
+    post_operator,
+    pre_operator,
     tot_twisted,
     tot_twisted_map,
     twisted_disc,
@@ -34,7 +39,6 @@ from bigraded.model import (
     GeneratorRef,
     LiftingProblem,
     NoLift,
-    _morphism_matrix,
     ce_resolution,
     classify_map,
     cofibrancy_report,
@@ -52,6 +56,19 @@ def I(ring=ZZ, n=1):
     return ExactMatrix.identity(ring, n)
 
 
+def morphism_matrix(src, tgt, basis, post, out_src, out_tgt) -> ExactMatrix:
+    """Columns: flatten(post(m_j)) for the morphisms m_j: src -> tgt
+    encoded by the columns of `basis`; post(m) must land in
+    Mor(out_src, out_tgt).  Decodes, composes and flattens each column,
+    independently of the composition operators of `twisted`."""
+    nrows = sum(hom_layout(out_src, out_tgt, 0, 0).values())
+    cols = [
+        morphism_to_vector(post(morphism_from_vector(src, tgt, basis.col(j), check=False)))
+        for j in range(basis.cols)
+    ]
+    return ExactMatrix.from_cols(src.ring, nrows, cols)
+
+
 def oracle_has_rlp(g, gen) -> bool:
     """Whether g has the right lifting property against the inclusion
     `gen`, decided on whole Hom spaces: every commuting square (u, f) is
@@ -67,15 +84,15 @@ def oracle_has_rlp(g, gen) -> bool:
     if u_basis.cols + f_basis.cols == 0:
         return True
     # squares: pairs (u, f) with f∘i = g∘u, in morphism-basis coordinates
-    pu = _morphism_matrix(a, x, u_basis, lambda u: gt.compose(u), a, y)
-    pf = _morphism_matrix(b, y, f_basis, lambda f: f.compose(it), a, y)
+    pu = morphism_matrix(a, x, u_basis, lambda u: gt.compose(u), a, y)
+    pf = morphism_matrix(b, y, f_basis, lambda f: f.compose(it), a, y)
     squares = kernel_basis(ExactMatrix.hstack(ring, [pu, -pf]))
     if squares.cols == 0:
         return True
     # image of a diagonal h: the square (h∘i, g∘h)
     h_basis = morphism_space_basis(b, x)
-    top = _morphism_matrix(b, x, h_basis, lambda h: h.compose(it), a, x)
-    bot = _morphism_matrix(b, x, h_basis, lambda h: gt.compose(h), b, y)
+    top = morphism_matrix(b, x, h_basis, lambda h: h.compose(it), a, x)
+    bot = morphism_matrix(b, x, h_basis, lambda h: gt.compose(h), b, y)
     psi = ExactMatrix.vstack(
         ring,
         [coordinates_in(u_basis, top), coordinates_in(f_basis, bot)],
@@ -205,6 +222,44 @@ def test_has_rlp_matches_hom_space_oracle(ring):
                 seen.add((ref.family, flag))
     assert {fam for fam, _ in seen} == families
     assert {flag for _, flag in seen} == {True, False}
+
+
+@pytest.mark.parametrize("ring", [GF(3), QQ, ZZ], ids=str)
+def test_composition_operators_match_decode_compose_flatten(ring):
+    # on every family (the identity basis of the ambient space), not only
+    # on strict morphisms
+    rng = random.Random(77)
+    for make in (random_bicomplex_map, random_twisted_map):
+        for _ in range(6):
+            g = make(rng, ring, p_range=(0, 2), q_range=(-1, 1))
+            e = make(rng, ring, p_range=(0, 2), q_range=(-1, 1))
+            # f |-> g f on the families x -> y = g.source
+            x = e.target
+            y, z = g.source, g.target
+            every = ExactMatrix.identity(ring, sum(hom_layout(x, y, 0, 0).values()))
+            assert post_operator(g.f, x, y, z, (0, 0)) == morphism_matrix(
+                x, y, every, lambda m: g.compose(m), x, z)
+            # f |-> f e on the families e.target -> y
+            w, x = e.source, e.target
+            every = ExactMatrix.identity(ring, sum(hom_layout(x, y, 0, 0).values()))
+            assert pre_operator(e.f, w, x, y, (0, 0)) == morphism_matrix(
+                x, y, every, lambda m: m.compose(e), w, y)
+
+
+def test_strict_morphisms_commute_through_both_operators():
+    # d_i f = f d_i on a basis of strict morphisms, for every i: the two
+    # operators agree in the degrees (-i, i-1) of the structure maps
+    rng = random.Random(78)
+    for ring in (GF(3), ZZ):
+        for _ in range(6):
+            f = random_twisted_map(rng, ring, p_range=(0, 2), q_range=(-1, 1))
+            x, y = f.source, f.target
+            basis = morphism_space_basis(x, y)
+            for i in sorted(set(x.ds) | set(y.ds)):
+                delta = (-i, i - 1)
+                post = post_operator(y.ds.get(i, {}), x, y, y, delta)
+                pre = pre_operator(x.ds.get(i, {}), x, x, y, delta)
+                assert post @ basis == pre @ basis
 
 
 def test_identity_has_rlp_against_everything():
