@@ -358,16 +358,22 @@ def _pending_object(doc) -> _Pending:
     return _Pending(kind, ring, ranks, _cells(fams.values()), build)
 
 
+def _versioned(doc: dict) -> dict:
+    """`doc`, once its schema_version is checked; a map checks its own
+    and that of each end."""
+    version = _need(doc, "schema_version", int)
+    if version != SCHEMA_VERSION:
+        raise DocumentSyntaxError(f"unsupported schema version {version}")
+    return doc
+
+
 def from_document(doc) -> object:
     """The object or map a document describes.  A document whose
     matrices have more than MAX_DENSE_CELLS entries in all is a
     ValidationError, raised before any matrix is built."""
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("document must be a JSON object")
-    version = _need(doc, "schema_version", int)
-    if version != SCHEMA_VERSION:
-        raise DocumentSyntaxError(f"unsupported schema version {version}")
-    kind = _need(doc, "kind", str)
+    kind = _need(_versioned(doc), "kind", str)
     if kind != "map":
         obj = _pending_object(doc)
         _check_size(obj.cells)
@@ -375,8 +381,8 @@ def from_document(doc) -> object:
 
     ring = _ring(doc, _MAP_FIELDS)
     map_kind = _need(doc, "map_kind", str)
-    src = _pending_object(_need(doc, "source", dict))
-    tgt = _pending_object(_need(doc, "target", dict))
+    src = _pending_object(_versioned(_need(doc, "source", dict)))
+    tgt = _pending_object(_versioned(_need(doc, "target", dict)))
     if src.kind != map_kind or tgt.kind != map_kind:
         raise DocumentSyntaxError("map endpoints do not match map_kind")
     if src.ring != tgt.ring:

@@ -638,12 +638,7 @@ def ce_resolution(y: ChainComplex):
         ranks[(0, q)] = sum(sizes)
         eps_blocks = {(0, 0): bmat, (0, 1): kmat}
         if bprev.cols:
-            sig_cols = []
-            for j in range(bprev.cols):
-                sol = solve_exact(y.diff(q), bprev.col(j))
-                assert sol is not None
-                sig_cols.append(sol)
-            eps_blocks[(0, 2)] = ExactMatrix.from_cols(ring, y.rank(q), sig_cols)
+            eps_blocks[(0, 2)] = coordinates_in(y.diff(q), bprev)
         eps[(0, q)] = ExactMatrix.block(ring, [y.rank(q)], sizes, eps_blocks)
         if bmat.cols:
             ranks[(1, q)] = bmat.cols

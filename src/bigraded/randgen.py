@@ -25,6 +25,7 @@ from .twisted import (
     TwistedComplex,
     TwistedMap,
     direct_sum_twisted,
+    map_like,
     morphism_from_vector,
     morphism_space_basis,
 )
@@ -292,6 +293,31 @@ def random_strict_map(rng: random.Random, x, y):
     return morphism_from_vector(x, y, basis.apply(coeffs))
 
 
+def _random_map(rng, make, kinds, ring, p_range, q_range, max_rank):
+    """A random map between objects drawn by `make`, of a kind drawn
+    from `kinds`: a strict morphism, the identity, the zero map, or the
+    inclusion of or projection onto the second summand of a direct sum."""
+    kind = rng.choice(kinds)
+    x = make(rng, ring, p_range, q_range, max_rank)
+    if kind == "identity":
+        return TwistedMap.identity(x)
+    y = make(rng, ring, p_range, q_range, max_rank)
+    if kind == "zero":
+        return TwistedMap.zero(x, y)
+    if kind == "morphism":
+        return random_strict_map(rng, x, y)
+    s = direct_sum_twisted([x, y])
+    inc = {
+        pq: ExactMatrix.block(
+            ring, [x.rank(*pq), r], [r], {(1, 0): ExactMatrix.identity(ring, r)}
+        )
+        for pq, r in y.ranks.items()
+    }
+    if kind == "inclusion":
+        return map_like(y, s, inc)
+    return map_like(s, y, {pq: m.transpose() for pq, m in inc.items()})
+
+
 def random_bicomplex_map(
     rng: random.Random,
     ring: RingSpec,
@@ -302,34 +328,8 @@ def random_bicomplex_map(
     """A random bounded map of bicomplexes, mixing unstructured
     morphisms with projections, inclusions and identities so that the
     classifier outcomes are well distributed."""
-    kind = rng.choice(
-        ["morphism", "morphism", "identity", "projection", "inclusion", "zero"]
-    )
-    x = random_bicomplex(rng, ring, p_range, q_range, max_rank)
-    if kind == "identity":
-        return BicomplexMap.identity(x)
-    y = random_bicomplex(rng, ring, p_range, q_range, max_rank)
-    if kind == "zero":
-        return BicomplexMap.zero(x, y)
-    if kind == "projection":
-        s = direct_sum_twisted([x, y])
-        comps = {
-            pq: ExactMatrix.block(
-                ring, [r], [x.rank(*pq), r], {(0, 1): ExactMatrix.identity(ring, r)}
-            )
-            for pq, r in y.ranks.items()
-        }
-        return BicomplexMap(s, y, comps)
-    if kind == "inclusion":
-        s = direct_sum_twisted([x, y])
-        comps = {
-            pq: ExactMatrix.block(
-                ring, [x.rank(*pq), r], [r], {(1, 0): ExactMatrix.identity(ring, r)}
-            )
-            for pq, r in y.ranks.items()
-        }
-        return BicomplexMap(y, s, comps)
-    return random_strict_map(rng, x, y)
+    kinds = ["morphism", "morphism", "identity", "projection", "inclusion", "zero"]
+    return _random_map(rng, random_bicomplex, kinds, ring, p_range, q_range, max_rank)
 
 
 def random_twisted_map(
@@ -339,20 +339,5 @@ def random_twisted_map(
     q_range=(-2, 2),
     max_rank: int = 2,
 ) -> TwistedMap:
-    kind = rng.choice(["morphism", "morphism", "identity", "projection", "zero"])
-    x = random_twisted(rng, ring, p_range, q_range, max_rank)
-    if kind == "identity":
-        return TwistedMap.identity(x)
-    y = random_twisted(rng, ring, p_range, q_range, max_rank)
-    if kind == "zero":
-        return TwistedMap.zero(x, y)
-    if kind == "projection":
-        s = direct_sum_twisted([x, y])
-        comps = {
-            pq: ExactMatrix.block(
-                ring, [r], [x.rank(*pq), r], {(0, 1): ExactMatrix.identity(ring, r)}
-            )
-            for pq, r in y.ranks.items()
-        }
-        return TwistedMap(s, y, comps)
-    return random_strict_map(rng, x, y)
+    kinds = ["morphism", "morphism", "identity", "projection", "zero"]
+    return _random_map(rng, random_twisted, kinds, ring, p_range, q_range, max_rank)

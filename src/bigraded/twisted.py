@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
-from .linalg import Subquotient, kernel_basis, image_basis, rank as matrix_rank
+from .linalg import Subquotient, kernel_basis, image_basis
 from .chain import ChainComplex, _cochain, _product, cochain_basis, incidence
 
 
@@ -285,29 +285,33 @@ def _compositions(s: int, n: int):
     return out
 
 
-def disc_words(p: int, q: int) -> dict:
-    """Canonical basis words of the free twisted cell on one generator in
-    bidegree (p, q): per bidegree, all-positive words first, then the
-    single-trailing-zero words, each block in lexicographic order."""
+def _word_table(p: int, q: int, zeroed=None) -> dict:
+    """Basis words of a free cell on a generator at (p, q), per
+    bidegree: the all-positive words, then, when `zeroed` is given,
+    zeroed(c) (c with one zero added) for the all-positive words c one
+    letter shorter, each block in lexicographic order of c."""
     table = {}
     for s in range(p + 1):
         for n in range(s + 2):
-            words = _compositions(s, n) + [c + (0,) for c in _compositions(s, n - 1)]
+            words = _compositions(s, n)
+            if zeroed is not None:
+                words = words + [zeroed(c) for c in _compositions(s, n - 1)]
             if words:
                 table[(p - s, q + s - n)] = words
     return table
 
 
+def disc_words(p: int, q: int) -> dict:
+    """Canonical basis words of the free twisted cell on one generator in
+    bidegree (p, q): per bidegree, all-positive words first, then the
+    single-trailing-zero words, each block in lexicographic order."""
+    return _word_table(p, q, lambda c: c + (0,))
+
+
 def boundary_words(p: int, q: int) -> dict:
     """All-positive basis words of the vertical boundary of the cell at
     (p, q); the generator y sits at (p, q-1)."""
-    table = {}
-    for s in range(p + 1):
-        for n in range(s + 1):
-            words = _compositions(s, n)
-            if words:
-                table[(p - s, q - 1 + s - n)] = words
-    return table
+    return _word_table(p, q - 1)
 
 
 def _matrix_from_action(ring, src_words, tgt_words, action):
@@ -700,34 +704,25 @@ def vertical_homology_twisted(x: TwistedComplex):
 
 def quotient_to_bicomplex(x: TwistedComplex):
     """Quotient by the d_0,d_1-closure of the images of all d_i with
-    i >= 2; the universal bicomplex receiving x."""
+    i >= 2; the universal bicomplex receiving x.  Over Z a quotient
+    with torsion raises TorsionQuotient."""
     ring = x.ring
     spans = {}
-
-    def add(pq, mat):
-        if mat.is_zero or mat.cols == 0:
-            return False
-        cur = spans.get(pq)
-        new = mat if cur is None else ExactMatrix.hstack(ring, [cur, mat])
-        if cur is not None and matrix_rank(new) == matrix_rank(cur):
-            return False
-        spans[pq] = new
-        return True
-
-    for i in x.indices():
-        if i < 2:
-            continue
-        for (p, q), m in x.ds[i].items():
-            add((p - i, q + i - 1), m)
-    changed = True
-    while changed:
-        changed = False
-        for pq in list(spans):
-            p, q = pq
-            for i in (0, 1):
-                img = x.d(i, p, q) @ spans[pq]
-                if img.rows and add((p - i, q + i - 1), img):
-                    changed = True
+    # the closure at (p, q) is spanned by the images of the d_i (i >= 2)
+    # landing there and by d_0 and d_1 of the closures at their sources
+    # (p, q+1) and (p+1, q); by decreasing column, then decreasing row,
+    # both sources come first, so one pass builds every closure, over Z
+    # as over a field.  Each closure is kept as a basis of its span (a
+    # lattice basis over Z): the generators alone multiply along every
+    # path, to 1,587 more columns than rows at the (8, 0) cell
+    for (p, q) in sorted(x.ranks, reverse=True):
+        parts = [
+            fam[src] if i >= 2 else fam[src] @ spans[src]
+            for i, fam in sorted(x.ds.items())
+            if (src := (p + i, q - i + 1)) in fam and (i >= 2 or src in spans)
+        ]
+        if parts:
+            spans[(p, q)] = image_basis(ExactMatrix.hstack(ring, parts))
     quots = {}
     for (p, q) in x.bidegrees():
         sq = Subquotient(ring, x.rank(p, q), rel=spans.get((p, q)))
@@ -827,6 +822,8 @@ def direct_sum_twisted(objs) -> TwistedComplex:
     if not objs:
         raise BadParameter("empty direct sum")
     ring = objs[0].ring
+    if any(o.ring != ring for o in objs):
+        raise BadParameter("direct sum over different rings")
     support = sorted({pq for o in objs for pq in o.ranks})
     ranks = {pq: sum(o.rank(*pq) for o in objs) for pq in support}
     ds = {}
@@ -867,13 +864,7 @@ def column_twisted_map(f: TwistedMap, p: int):
 def alternative_disc_words(p: int, q: int) -> dict:
     """Alternative basis of the free cell on one generator: all-positive
     words plus the words with a single leading zero."""
-    table = {}
-    for s in range(p + 1):
-        for n in range(s + 2):
-            words = _compositions(s, n) + [(0,) + c for c in _compositions(s, n - 1)]
-            if words:
-                table[(p - s, q + s - n)] = words
-    return table
+    return _word_table(p, q, lambda c: (0,) + c)
 
 
 def alternative_basis_change(p: int, q: int, ring: RingSpec = ZZ) -> dict:

@@ -253,6 +253,15 @@ def test_map_document_round_trip():
     assert serialize(g) == text
 
 
+@pytest.mark.parametrize("version", [99, "x"])
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_map_end_schema_version_is_checked(end, version):
+    doc = to_document(ChainMap.identity(sphere(0, 1, ZZ)))
+    doc[end]["schema_version"] = version
+    with pytest.raises(DocumentSyntaxError, match="schema version|wrong type"):
+        parse(json.dumps(doc))
+
+
 def test_map_between_different_rings_rejected():
     doc = to_document(ChainMap.identity(sphere(0, 1, ZZ)))
     doc["target"]["ring"] = "Q"

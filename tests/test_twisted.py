@@ -1,10 +1,13 @@
+import random
 from math import comb
 
 import pytest
 
 from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.matrices import ExactMatrix
-from bigraded.chain import ChainComplex, ModuleClass, homology, is_acyclic, tensor as chain_tensor
+from bigraded.chain import (
+    ChainComplex, ModuleClass, direct_sum, disc, homology, is_acyclic, tensor as chain_tensor,
+)
 from bigraded.bicomplex import (
     Bicomplex,
     bic_disc,
@@ -16,6 +19,7 @@ from bigraded.bicomplex import (
 from bigraded.twisted import (
     MismatchAt,
     TwistedComplex,
+    TorsionQuotient,
     TwistedMap,
     alternative_basis_change,
     alternative_disc_words,
@@ -25,6 +29,7 @@ from bigraded.twisted import (
     column_twisted,
     compare_to_simplex_cochain,
     complex_like,
+    direct_sum_twisted,
     disc_words,
     embed,
     morphism_space_basis,
@@ -41,6 +46,7 @@ from bigraded.twisted import (
     word_to_simplex,
 )
 from bigraded.linalg import is_unimodular, kernel_basis
+from bigraded.randgen import random_twisted
 from bigraded.verify import (
     BOUNDARY_4_0_RANKS,
     DISC_4_0_RANKS,
@@ -223,6 +229,39 @@ def test_quotient_to_bicomplex():
     assert quotient_to_bicomplex(emb).ranks == bic_disc(2, 0, 1, QQ).ranks
 
 
+def test_quotient_over_z_is_the_lattice_closure():
+    # Q is flat over Z, so a free quotient over Z has the ranks of the
+    # quotient over Q; a closure that keeps only the images that raise
+    # the rank (a field notion) misses lattice generators, and raised
+    # TorsionQuotient on the seeds below and on 44 complexes in all
+    torsion, free = [], []
+    for s in range(300):
+        x = random_twisted(random.Random(s), ZZ)
+        if not any(i >= 2 for i in x.ds):
+            continue
+        try:
+            b = quotient_to_bicomplex(x)
+        except TorsionQuotient:
+            torsion.append(s)
+            continue
+        free.append(s)
+        assert b.ranks == quotient_to_bicomplex(x.to_ring(QQ)).ranks, s
+    assert len(torsion) + len(free) == 276
+    assert len(torsion) == 37
+    assert {15, 51, 77, 103, 155, 161, 225} <= set(free)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=str)
+def test_quotient_of_a_twisted_cell_is_the_bicomplex_cell(ring):
+    # the quotient is left adjoint to the inclusion of bicomplexes, so it
+    # sends the free twisted cells to the free bicomplex cells
+    for p in range(1, 8):
+        cell = quotient_to_bicomplex(twisted_disc(p, 0, ring))
+        assert cell.ranks == bic_disc(p, 0, 1, ring).ranks
+        boundary = quotient_to_bicomplex(twisted_boundary(p, 0, ring))
+        assert boundary.ranks == v_boundary(p, 0, 1, ring).ranks
+
+
 def test_morphism_space_dimensions():
     # strict maps out of the cell at (p, q) correspond to elements of
     # the target at (p, q); out of the boundary, to vertical cycles
@@ -346,3 +385,9 @@ def test_relations_zero_mod_p_validate():
     assert validate_twisted(x) == []
     assert docio.parse(docio.serialize(x)) == x
 
+
+def test_direct_sum_refuses_summands_over_different_rings():
+    with pytest.raises(BadParameter, match="different rings"):
+        direct_sum_twisted([twisted_disc(1, 0, ZZ), twisted_disc(1, 0, QQ)])
+    with pytest.raises(BadParameter, match="different rings"):
+        direct_sum([disc(1, 1, ZZ), disc(1, 1, QQ)])
