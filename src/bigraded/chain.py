@@ -106,7 +106,7 @@ class ChainComplex:
 
 
 class ChainMap:
-    def __init__(self, source: ChainComplex, target: ChainComplex, f: dict, check=True):
+    def __init__(self, source: ChainComplex, target: ChainComplex, f: dict):
         self.source = source
         self.target = target
         comps = {}
@@ -115,8 +115,7 @@ class ChainMap:
                 continue
             comps[n] = m
         self.f = comps
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if self.source.ring != self.target.ring:
@@ -319,8 +318,7 @@ def cone(f: ChainMap) -> ChainComplex:
         blocks = {(1, 0): f.f.get(n - 1), (1, 1): y.d.get(n)}
         if n - 1 in x.d:
             blocks[(0, 0)] = -x.d[n - 1]
-        blocks = {k: m for k, m in blocks.items() if m is not None}
-        if blocks:
+        if any(blocks.values()):
             d[n] = ExactMatrix.block(
                 ring, [x.rank(n - 2), y.rank(n - 1)], [x.rank(n - 1), y.rank(n)], blocks
             )

@@ -32,14 +32,15 @@ def _rref(ring: RingSpec, rows, ncols: int, limit: int | None = None):
     columns (all columns when None), so augmented systems keep their
     right-hand block passive.  The pivot of column c is the first
     remaining row with a nonzero entry there.  Over F_p every new entry
-    is reduced mod p.
+    is reduced mod p.  Only the columns that hold an entry are walked:
+    elimination adds entries only in the columns of a pivot row.
     """
     p = ring.p
     work = [dict(r) for r in rows]
     pivots = []
     r = 0
-    for c in range(ncols if limit is None else min(limit, ncols)):
-        if r == len(work):
+    for c in sorted(set().union(*work)):
+        if r == len(work) or c >= (ncols if limit is None else limit):
             break
         pr = next((i for i in range(r, len(work)) if c in work[i]), None)
         if pr is None:

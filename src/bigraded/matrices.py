@@ -111,8 +111,8 @@ class ExactMatrix:
         i, j = rc
         if isinstance(i, slice):
             return self._block_at(i, j)
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside 0..{self.cols - 1}")
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
         return self.sparse_rows[i].get(j, self.ring.zero())
 
     def _block_at(self, rows: slice, cols: slice) -> "ExactMatrix":
@@ -294,9 +294,9 @@ class ExactMatrix:
     @staticmethod
     def block(ring: RingSpec, row_sizes, col_sizes, blocks) -> "ExactMatrix":
         """Assemble a block matrix with block rows and block columns of the
-        given sizes from ``blocks``, a dict {(i, j): matrix} of the blocks
-        that are present.  Every other block is zero and is never built:
-        only the nonzero entries of the given blocks are written."""
+        given sizes from ``blocks``, a dict {(i, j): matrix or None} of the
+        blocks that are present.  Every other block, and one given as None,
+        is zero and is never built: only the given entries are written."""
         row_off, col_off = [0], [0]
         for s in row_sizes:
             row_off.append(row_off[-1] + s)
@@ -305,6 +305,8 @@ class ExactMatrix:
         out = [_EMPTY] * row_off[-1]
         lent = set()  # rows of `out` that are a block's own row, not copies
         for (i, j), m in blocks.items():
+            if m is None:
+                continue
             if not (0 <= i < len(row_sizes) and 0 <= j < len(col_sizes)):
                 raise BadParameter(f"block ({i},{j}) outside the block grid")
             if m.rows != row_sizes[i] or m.cols != col_sizes[j]:

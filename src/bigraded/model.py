@@ -320,11 +320,6 @@ class LiftingProblem:
     f: object
 
 
-def _maps_equal(a: TwistedMap, b: TwistedMap) -> bool:
-    keys = set(a.f) | set(b.f)
-    return all(a.component(*k) == b.component(*k) for k in keys)
-
-
 def solve_lift(problem: LiftingProblem):
     """An exact diagonal h: B -> X with h∘i = u and g∘h = f, in the
     category of the inputs.  Raises BadSquare when g∘u != f∘i and NoLift
@@ -335,7 +330,8 @@ def solve_lift(problem: LiftingProblem):
     x, y = gt.source, gt.target
     if ut.source != a or ut.target != x or ft.source != b or ft.target != y:
         raise BadParameter("lifting problem maps do not share objects")
-    if not _maps_equal(gt.compose(ut), ft.compose(it)):
+    # a map stores no zero component, so equal maps have equal dicts
+    if gt.compose(ut).f != ft.compose(it).f:
         raise BadSquare("g∘u != f∘i")
     ring = a.ring
     h_basis = morphism_space_basis(b, x)
@@ -397,7 +393,9 @@ def has_rlp(g, ref: GeneratorRef) -> bool:
     if cell.rel_a is None:
         if kby.cols == 0:
             return True
-        lifts = g.component(*beta) @ _cycles(x, beta, cell.rel_b)
+        if beta not in g.f:  # K_B^Y is nonzero and g is zero there
+            return False
+        lifts = g.f[beta] @ _cycles(x, beta, cell.rel_b)
         if ring.is_field:
             return rank(lifts) == kby.cols
         return _spans(lifts, kby)
@@ -406,11 +404,16 @@ def has_rlp(g, ref: GeneratorRef) -> bool:
     if kax.cols + kby.cols == 0:
         return True
     kbx = _cycles(x, beta, cell.rel_b)
+    # only stored blocks enter: an absent one is None and is never built
+    dx, dy = x.ds.get(cell.k, {}).get(beta), y.ds.get(cell.k, {}).get(beta)
     # S in coordinates of K_A^X + K_B^Y is the kernel of `relation`
-    relation = ExactMatrix.hstack(ring, [
-        g.component(*alpha) @ kax, -(y.d(cell.k, *beta) @ kby),
-    ])
-    lifts = ExactMatrix.vstack(ring, [x.d(cell.k, *beta), g.component(*beta)]) @ kbx
+    relation = ExactMatrix.block(ring, [y.rank(*alpha)], [kax.cols, kby.cols], {
+        (0, 0): _product(g.f.get(alpha), kax),
+        (0, 1): None if dy is None else _product(-dy, kby),
+    })
+    lifts = ExactMatrix.block(ring, [x.rank(*alpha), y.rank(*beta)], [kbx.cols], {
+        (0, 0): _product(dx, kbx), (1, 0): _product(g.f.get(beta), kbx),
+    })
     if ring.is_field:
         # im Phi lies in S, so it contains S when the dimensions agree
         return rank(lifts) == relation.cols - rank(relation)
@@ -460,8 +463,9 @@ class ClassifyReport:
 
 
 def _pointwise_surjective(f) -> tuple:
+    # target ranks are positive, so an absent component is a failure
     failures = [
-        pq for pq in f.target.ranks if not is_surjective(f.component(*pq))
+        pq for pq in f.target.ranks if pq not in f.f or not is_surjective(f.f[pq])
     ]
     return not failures, failures
 
@@ -487,10 +491,9 @@ def classify_map(f, structure) -> ClassifyReport:
         report = ClassifyReport(structure, weq, fib, triv, evidence)
     else:
         zf = subquotient_map(f, "v", "Z")
-        zv_fail = [
-            (p, q) for (p, q) in f.target.ranks
-            if p > 0 and not is_surjective(zf.component(p, q))
-        ]
+        # in the order of f's target, like the pointwise failures above
+        zfail = set(_pointwise_surjective(zf)[1])
+        zv_fail = [(p, q) for p, q in f.target.ranks if p > 0 and (p, q) in zfail]
         zv_ok = not zv_fail
         evidence["vertical_cycles_surjective"] = zv_ok
         if zv_fail:
@@ -590,8 +593,7 @@ def pushout(i, a):
                 (0, 1): None if tgt in extra else _product(a.f.get(tgt), db),
                 (1, 1): db if tgt in extra else None,
             }
-            blocks = {k: m for k, m in blocks.items() if m is not None}
-            if blocks:
+            if any(blocks.values()):
                 fam[(p, q)] = ExactMatrix.block(
                     ring,
                     [X.rank(*tgt), extra.get(tgt, 0)],

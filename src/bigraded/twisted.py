@@ -64,14 +64,6 @@ class TwistedComplex:
     def rank(self, p: int, q: int) -> int:
         return self.ranks.get((p, q), 0)
 
-    def d(self, i: int, p: int, q: int) -> ExactMatrix:
-        m = self.ds.get(i, {}).get((p, q))
-        if m is None:
-            return ExactMatrix.zero(
-                self.ring, self.rank(p - i, q + i - 1), self.rank(p, q)
-            )
-        return m
-
     def bidegrees(self):
         return sorted(self.ranks)
 
@@ -214,23 +206,23 @@ class TwistedMap:
 # The carrier of a result
 # ---------------------------------------------------------------------------
 
-def _bicomplex(ring, ranks, ds, check=True):
+def _bicomplex(ring, ranks, ds):
     from .bicomplex import Bicomplex
 
     if any(fam for i, fam in ds.items() if i >= 2):
         raise BadParameter("structure maps above d_1 present")
-    return Bicomplex(ring, ranks, ds.get(1, {}), ds.get(0, {}), check=check)
+    return Bicomplex(ring, ranks, ds.get(1, {}), ds.get(0, {}))
 
 
-def complex_like(inputs, ring, ranks, ds, check=True) -> TwistedComplex:
+def complex_like(inputs, ring, ranks, ds) -> TwistedComplex:
     """The object an operation computed from `inputs` returns: a
     Bicomplex exactly when every input is one, else a TwistedComplex.
     Which d_i happen to be nonzero never decides the type."""
     from .bicomplex import Bicomplex
 
     if all(isinstance(o, Bicomplex) for o in inputs):
-        return _bicomplex(ring, ranks, ds, check)
-    return TwistedComplex(ring, ranks, ds, check=check)
+        return _bicomplex(ring, ranks, ds)
+    return TwistedComplex(ring, ranks, ds)
 
 
 def map_like(source, target, f, check=True) -> TwistedMap:
@@ -456,7 +448,10 @@ def compare_to_simplex_cochain(p: int, q: int, s: int | None, u: int, ring: Ring
     for t in range(-1, n):
         qq = q + n - t - 1
         delta = cochain.diff(-t) @ perm[t]
-        diff = perm[t + 1] @ obj.d(0, u, qq) - (-delta if t % 2 else delta)
+        signed = -delta if t % 2 else delta
+        # an absent d_0 block is compared as the zero map
+        d0 = obj.ds.get(0, {}).get((u, qq))
+        diff = -signed if d0 is None else perm[t + 1] @ d0 - signed
         if not diff.is_zero:
             j = next(j for j, col in enumerate(diff.transpose().sparse_rows) if col)
             w = obj.labels[(u, qq)][j]

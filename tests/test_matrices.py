@@ -66,6 +66,10 @@ def test_block_and_stacks():
     b = M([[2, 3]])
     grid = ExactMatrix.block(ZZ, [1, 2], [1, 2], {(0, 0): a, (1, 1): b.transpose() @ b})
     assert grid == M([[1, 0, 0], [0, 4, 6], [0, 6, 9]])
+    # a block given as None is absent, like one left out
+    assert ExactMatrix.block(
+        ZZ, [1, 2], [1, 2], {(0, 0): a, (0, 1): None, (1, 1): b.transpose() @ b}
+    ) == grid
     with pytest.raises(BadParameter):
         ExactMatrix.block(ZZ, [1, 1], [2], {(0, 0): a})
     with pytest.raises(BadParameter):
@@ -74,6 +78,15 @@ def test_block_and_stacks():
     assert h == M([[1, 7]])
     v = ExactMatrix.vstack(ZZ, [a, M([[7]])])
     assert v == M([[1], [7]])
+
+
+def test_entry_index_out_of_range():
+    m = M([[1, 2], [3, 4]])
+    assert (m[0, 1], m[1, 0]) == (2, 3)
+    # a negative index is refused, not read from the end
+    for i, j in ((-1, 0), (2, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError, match=rf"entry \({i}, {j}\) outside 2x2"):
+            m[i, j]
 
 
 def _block_reference(ring, row_sizes, col_sizes, blocks):

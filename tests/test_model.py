@@ -1,4 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +33,10 @@ from bigraded.twisted import (
     tot_twisted_map,
     twisted_disc,
 )
+from bigraded.docio import parse
 from bigraded.randgen import (
     random_bicomplex_map,
+    random_strict_map,
     random_twisted,
     random_twisted_map,
 )
@@ -337,6 +345,86 @@ def test_classify_ce_weq_unavailable_over_z():
     rep = classify_map(BicomplexMap.identity(x), "ce")
     assert rep.is_weq is None
     assert "weq_unavailable" in rep.evidence
+
+
+# --- absent blocks are never built ---------------------------------------------
+
+def test_lifting_and_classifiers_build_no_zero_matrix(monkeypatch):
+    # has_rlp, the classifiers and solve_lift read only stored blocks: a
+    # block that is absent from a map or complex is never built as zeros
+    rng = random.Random(7)
+    maps = [
+        (structure, make(rng, ring))
+        for ring in (GF(2), GF(3))
+        for structure, make in (
+            ("tot", random_bicomplex_map), ("ce", random_bicomplex_map),
+            ("twisted-tot", random_twisted_map),
+        )
+        for _ in range(3)
+    ]
+    squares = []
+    for ring, make in ((GF(2), random_twisted_map), (GF(3), random_bicomplex_map)):
+        for _ in range(2):
+            i, g = make(rng, ring), make(rng, ring)
+            h = random_strict_map(rng, i.target, g.source)
+            squares.append(LiftingProblem(i, g, h.compose(i), g.compose(h)))
+
+    def refuse(*args):
+        raise AssertionError(f"a zero matrix {args[1:]} was built")
+
+    monkeypatch.setattr(ExactMatrix, "zero", staticmethod(refuse))
+    for structure, f in maps:
+        rep, cls = rlp_report(f, structure), classify_map(f, structure)
+        assert (rep.has_rlp_I, rep.has_rlp_J) == (cls.is_trivial_fibration, cls.is_fibration)
+    for square in squares:
+        h = solve_lift(square)
+        assert h.compose(square.i).f == square.u.f
+        assert square.g.compose(h).f == square.f.f
+
+
+def test_classifier_failures_follow_the_target_order():
+    # an absent component fails at every bidegree of the target, and both
+    # failure lists keep the order in which the target stores its ranks
+    y = Bicomplex(GF(3), {(2, 1): 1, (1, 0): 1, (3, -1): 2, (0, 0): 1}, {}, {})
+    rep = classify_map(BicomplexMap(Bicomplex(GF(3), {}, {}, {}), y, {}), "ce")
+    assert rep.evidence["surjective_failures"] == [(2, 1), (1, 0), (3, -1), (0, 0)]
+    assert rep.evidence["vertical_cycles_failures"] == [(2, 1), (1, 0), (3, -1)]
+
+
+def _rank_only_map_document(rank: int) -> str:
+    """A map of F2 bicomplexes, each of rank `rank` at (1, 0), with no
+    components: a few hundred bytes that declare a large space."""
+    end = {"schema_version": 1, "kind": "bicomplex", "ring": "F2",
+           "ranks": [[1, 0, rank]], "differentials": {"dh": [], "dv": []}}
+    return json.dumps({"schema_version": 1, "kind": "map", "ring": "F2",
+                       "map_kind": "bicomplex", "source": end, "target": end,
+                       "components": []})
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_rank_only_document_costs_its_entries_not_its_ranks(structure):
+    f = parse(_rank_only_map_document(5000))
+    t0 = time.perf_counter()
+    rep, cls = rlp_report(f, structure), classify_map(f, structure)
+    assert time.perf_counter() - t0 < 2
+    # the zero map onto a nonzero space is no fibration
+    assert not (rep.has_rlp_I or rep.has_rlp_J)
+    assert not (cls.is_weq or cls.is_fibration or cls.is_trivial_fibration)
+    assert cls.evidence["surjective_failures"] == [(1, 0)]
+
+
+def test_cli_classifies_a_rank_only_document(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(_rank_only_map_document(200_000))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for structure in STRUCTURES:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bigraded.cli", "classify", str(path),
+             "--structure", structure],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "fibration: false" in proc.stdout
 
 
 # --- cofibrancy ---------------------------------------------------------------
