@@ -82,7 +82,7 @@ def cmd_e2(args) -> int:
     obj = _read(args.file)
     try:
         table = pages(obj, r_max=2).page(2)
-    except UnsupportedRing as exc:
+    except (BadParameter, UnsupportedRing) as exc:
         raise CheckFailure(str(exc))
     _print_page(2, table)
     return 0
@@ -101,7 +101,7 @@ def cmd_ss(args) -> int:
     obj = _read(args.file)
     try:
         data = pages(obj, r_max=args.max_page)
-    except UnsupportedRing as exc:
+    except (BadParameter, UnsupportedRing) as exc:
         raise CheckFailure(str(exc))
     for r in range(1, args.max_page + 1):
         _print_page(r, data.page(r))

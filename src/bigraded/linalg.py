@@ -3,12 +3,18 @@
 Invariant factors and Smith normal form over Z, reduced echelon form
 over fields, ranks, kernels, images, and exact (Diophantine) solving.
 Everything downstream in the package reduces to these routines.
+
+Over a field, one echelon form of a matrix gives the kernel of each of
+its column prefixes (`prefix_kernels`), and coordinates in a basis
+with a unit row per column, as every such kernel basis has, are read
+off those rows instead of eliminated (`coordinates_in`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
@@ -359,24 +365,46 @@ def rank(m: ExactMatrix) -> int:
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     """Columns form a basis of ker m.
 
-    Over a field this is the echelon kernel basis; over Z it is a
-    Z-basis (the kernel of an integer matrix is free and saturated).
+    Over a field this is the echelon kernel basis of `prefix_kernels`;
+    over Z it is a Z-basis (the kernel of an integer matrix is free and
+    saturated).
     """
-    ring = m.ring
-    if ring.is_field:
-        red, pivots = _rref(ring, m.sparse_rows, m.cols)
-        pivot_set = set(pivots)
-        free = {c: k for k, c in enumerate(c for c in range(m.cols) if c not in pivot_set)}
-        # basis vector k is e_c minus the column c of the reduced rows,
-        # read at the pivots, for the k-th free column c
-        rows = [None] * m.cols
-        for c, k in free.items():
-            rows[c] = {k: ring.one()}
-        for row, pc in zip(red, pivots):
-            rows[pc] = {free[c]: ring.neg(x) for c, x in row.items() if c != pc}
-        return ExactMatrix._of(ring, m.cols, len(free), rows)
+    if m.ring.is_field:
+        return prefix_kernels(m)(m.cols)
     snf = smith_normal_form(m)
     return snf.V[:, snf.rank:]
+
+
+def prefix_kernels(m: ExactMatrix):
+    """The kernels of the column prefixes of m over a field, from one
+    echelon form: `kernel(k)` is the echelon basis of ker m[:, :k],
+    whose vector j is e_c minus column c of the reduced rows for the
+    j-th free column c; so row c is a unit row, only a 1 in column j.
+    Elimination walks the columns in order, and its pivot rows after
+    column k - 1 are zero on the first k columns, so the reduced rows
+    and pivots of m[:, :k] are those of m cut to k columns.
+    """
+    ring = m.ring
+    if not ring.is_field:
+        raise UnsupportedRing("prefix kernels need a field")
+    red, pivots = _rref(ring, m.sparse_rows, m.cols)
+    one = ring.one()
+
+    def kernel(k: int) -> ExactMatrix:
+        if not 0 <= k <= m.cols:
+            raise BadParameter(f"column prefix {k} outside 0..{m.cols}")
+        cut = bisect_left(pivots, k)
+        pivot_set = set(pivots[:cut])
+        free = {c: j for j, c in enumerate(c for c in range(k) if c not in pivot_set)}
+        rows = [None] * k
+        for c, j in free.items():
+            rows[c] = {j: one}
+        for row, pc in zip(red, pivots[:cut]):
+            rows[pc] = {free[c]: ring.neg(x) for c, x in row.items()
+                        if c < k and c != pc}
+        return ExactMatrix._of(ring, k, len(free), rows)
+
+    return kernel
 
 
 def image_basis(m: ExactMatrix) -> ExactMatrix:
@@ -490,6 +518,9 @@ class Subquotient:
     The relations are written in the coordinates of `sub` and factored
     by a QuotientModule; without relations no quotient is factored, the
     representatives are `sub` and the classes are coordinates in it.
+    Over a field, when `sub` has a unit row per column (a kernel basis
+    or an identity) those coordinates are read off, not eliminated, so
+    the quotient is the one elimination a subquotient makes.
     """
 
     def __init__(self, ring: RingSpec, n: int, rel: ExactMatrix | None = None,
@@ -537,17 +568,42 @@ def coordinates_in(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_cols(basis.ring, basis.cols, cols)
 
 
+def _unit_rows(basis: ExactMatrix) -> list | None:
+    """For each column of basis, the first row whose only entry is a 1
+    in that column; None when some column has no such row."""
+    one = basis.ring.one()
+    at = {}
+    for i, row in enumerate(basis.sparse_rows):
+        if len(row) == 1:
+            (c, x), = row.items()
+            if x == one:
+                at.setdefault(c, i)
+    return [at[c] for c in range(basis.cols)] if len(at) == basis.cols else None
+
+
 def _field_coordinates(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
-    """coordinates_in over a field: one reduction of [basis | vectors]
-    with pivots among the basis columns.  This is the row transform a
-    FieldSolver records, applied to all columns at once, so the pivots
-    are the same and free variables are again set to zero."""
+    """coordinates_in over a field.  A basis with a unit row per column
+    (only a 1 in that column), as a `kernel_basis` or an identity has,
+    is independent, and row i_c of basis @ x = v reads x_c = v[i_c]: the
+    coordinates are the vectors' unit rows, checked by one product, and
+    being unique they are the ones an elimination gives.  Any other
+    basis takes one reduction of [basis | vectors] with pivots among
+    the basis columns: the row transform a FieldSolver records, applied
+    to all columns at once, with free variables again set to zero."""
     ring = basis.ring
     if vectors.rows != basis.rows:
         raise BadParameter(
             f"vectors have {vectors.rows} rows, the basis {basis.rows}"
         )
     m, k = basis.cols, vectors.cols
+    unit = _unit_rows(basis)
+    if unit is not None:
+        coords = ExactMatrix._of(ring, m, k, [vectors.sparse_rows[i] for i in unit])
+        off = basis @ coords
+        if off == vectors:
+            return coords
+        bad = min(j for row in (off - vectors).sparse_rows for j in row)
+        raise NoSolution(f"column {bad} not in span")
     if k == 0:
         return ExactMatrix.zero(ring, m, 0)
     aug = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .rings import RingSpec, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
-from .linalg import Subquotient, kernel_basis
+from .linalg import Subquotient, prefix_kernels
 from .chain import homology
 from .twisted import embed, tot_layout, tot_twisted
 
@@ -58,7 +58,9 @@ class _PageWorker:
     of Tot_n: its elements lie in F_p, and every coordinate past that
     prefix is zero.  Cycles and E-terms are cached by the prefixes of
     the slices of the total differential they read, not by r: columns
-    without summands give equal prefixes, so many (r, p) share one."""
+    without summands give equal prefixes, so many (r, p) share one.
+    The cycles of one row cut of d_n share one echelon form, whatever
+    their column prefix."""
 
     def __init__(self, x):
         xt = embed(x)
@@ -67,7 +69,9 @@ class _PageWorker:
         self.x = xt
         self.ring = xt.ring
         self.tot = tot_twisted(xt)
+        self.layouts = {}
         self.prefixes = {}
+        self.kernels = {}
         self.z_cache = {}
         self.e_cache = {}
 
@@ -75,30 +79,37 @@ class _PageWorker:
         """Number of coordinates of F_p Tot_n."""
         key = (n, p)
         if key not in self.prefixes:
+            if n not in self.layouts:
+                self.layouts[n] = tot_layout(self.x, n)
             self.prefixes[key] = sum(
-                r for (pp, _), r in tot_layout(self.x, n).items() if pp <= p
+                r for (pp, _), r in self.layouts[n].items() if pp <= p
             )
         return self.prefixes[key]
 
     def z_basis(self, r, p, n) -> ExactMatrix:
         """Basis of the elements of filtration <= p whose boundary has
-        filtration <= p - r, as prefix(n, p) x dim matrix."""
-        key = (n, self.prefix(n - 1, p - r), self.prefix(n, p))
+        filtration <= p - r, as prefix(n, p) x dim matrix: the kernel
+        of d_n with the rows from s = prefix(n - 1, p - r) on and the
+        first k = prefix(n, p) columns."""
+        s, k = self.prefix(n - 1, p - r), self.prefix(n, p)
+        key = (n, s, k)
         if key not in self.z_cache:
-            k = self.prefix(n, p)
-            d = self.tot.diff(n)[self.prefix(n - 1, p - r):, :k]
-            # with no constraint rows every element of F_p qualifies
-            self.z_cache[key] = (
-                kernel_basis(d)
-                if d.rows and k
-                else ExactMatrix.identity(self.ring, k)
-            )
+            d = self.tot.d.get(n)
+            if d is None:
+                # d_n is zero, so every element of F_p qualifies
+                self.z_cache[key] = ExactMatrix.identity(self.ring, k)
+            else:
+                if (n, s) not in self.kernels:
+                    self.kernels[(n, s)] = prefix_kernels(d[s:, :])
+                self.z_cache[key] = self.kernels[(n, s)](k)
         return self.z_cache[key]
 
-    def boundary(self, n, z, k) -> ExactMatrix:
+    def boundary(self, n, z, k) -> ExactMatrix | None:
         """d z for a basis z of Z^r_{p,n}, on the first k coordinates of
-        Tot_{n-1}; the caller knows the rest vanish."""
-        return self.tot.diff(n)[:k, :z.rows] @ z
+        Tot_{n-1}; the caller knows the rest vanish.  None when d_n is
+        zero."""
+        d = self.tot.d.get(n)
+        return None if d is None else d[:k, :z.rows] @ z
 
     def e_term(self, r, p, q) -> Subquotient:
         """E^r_{p,q} as a subquotient of the first prefix(p + q, p)
@@ -109,17 +120,16 @@ class _PageWorker:
         if key not in self.e_cache:
             znum = self.z_basis(r, p, n)
             lower = self.z_basis(r - 1, p - 1, n)
-            den = ExactMatrix.hstack(
-                self.ring,
-                [
-                    ExactMatrix.block(
+            zup = self.z_basis(r - 1, p + r - 1, n + 1)
+            den = ExactMatrix.block(
+                self.ring, [znum.rows], [lower.cols, zup.cols],
+                {
+                    (0, 0): ExactMatrix.block(
                         self.ring, [lower.rows, znum.rows - lower.rows],
                         [lower.cols], {(0, 0): lower},
                     ),
-                    self.boundary(n + 1, self.z_basis(r - 1, p + r - 1, n + 1),
-                                  znum.rows),
-                ],
-                rows=znum.rows,
+                    (0, 1): self.boundary(n + 1, zup, znum.rows),
+                },
             )
             self.e_cache[key] = Subquotient(self.ring, znum.rows, rel=den, sub=znum)
         return self.e_cache[key]
@@ -135,7 +145,9 @@ class _PageWorker:
 def pages(x, r_max: int | None = None) -> SpectralData:
     """The pages and differentials up to min(r_max, stable page) (r_max
     defaults to the stable page), and E-infinity, for a bicomplex or
-    twisted complex over a field."""
+    twisted complex over a field.  A bound below 1 is refused."""
+    if r_max is not None and r_max < 1:
+        raise BadParameter(f"page bound must be at least 1, got {r_max}")
     worker = _PageWorker(x)
     stable = worker.x.pmax + 1
     last = stable if r_max is None else min(r_max, stable)
@@ -153,7 +165,10 @@ def pages(x, r_max: int | None = None) -> SpectralData:
             target = terms.get((p - r, q + r - 1))
             if target is None:
                 continue
-            m = target.classes(worker.boundary(p + q, term.reps, target.n))
+            image = worker.boundary(p + q, term.reps, target.n)
+            if image is None:
+                continue
+            m = target.classes(image)
             if not m.is_zero:
                 diffs[(p, q)] = m
         diff_tables[r] = diffs

@@ -67,6 +67,22 @@ def test_e2_and_ss(tmp_path, capsys):
     assert code == 1 and "field" in err
 
 
+def test_ss_and_e2_refuse_bad_parameters(tmp_path, capsys):
+    f = str(tmp_path / "b.json")
+    run(capsys, "gen", "twisted-boundary", "3", "0", "--ring", "Q", "-o", f)
+    for bound in ("0", "-5"):
+        code, out, err = run(capsys, "ss", f, "--max-page", bound)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "at least 1" in err
+    # a map document cannot be viewed as a twisted complex
+    m = str(tmp_path / "m.json")
+    run(capsys, "gen", "boundary-inclusion", "3", "0", "--ring", "Q", "-o", m)
+    for cmd in ("e2", "ss"):
+        code, out, err = run(capsys, cmd, m)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "cannot embed" in err
+
+
 def test_tensor_roundtrip(tmp_path, capsys):
     a = str(tmp_path / "a.json")
     out = str(tmp_path / "t.json")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigraded.rings import ZZ, QQ, GF, BadParameter
+from bigraded.rings import ZZ, QQ, GF, BadParameter, UnsupportedRing
 from bigraded.matrices import ExactMatrix
 from bigraded.linalg import (
     FieldSolver,
@@ -22,6 +22,7 @@ from bigraded.linalg import (
     is_surjective,
     is_unimodular,
     kernel_basis,
+    prefix_kernels,
     rank,
     smith_normal_form,
     solve_exact,
@@ -362,6 +363,105 @@ def test_coordinates_in_matches_field_solver(ring):
     basis = ExactMatrix.identity(ring, 3)
     assert coordinates_in(basis, ExactMatrix.zero(ring, 3, 0)) == \
         ExactMatrix.zero(ring, 3, 0)
+
+
+FAST_PATH_RINGS = [GF(2), GF(3), QQ]
+
+
+def _rand_field_matrix(rng, ring, r, c):
+    return ExactMatrix.from_rows(
+        ring, [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(c)] for _ in range(r)]
+    ) if r and c else ExactMatrix.zero(ring, r, c)
+
+
+def _unit_row_count(basis) -> int:
+    one = basis.ring.one()
+    return sum(1 for row in basis.sparse_rows
+               if len(row) == 1 and next(iter(row.values())) == one)
+
+
+def _unit_row_bases(ring, rng):
+    """Seeded bases with a unit row per column: kernel bases of random
+    matrices, and identities."""
+    for _ in range(40):
+        m = _rand_field_matrix(rng, ring, rng.randint(0, 5), rng.randint(0, 7))
+        yield kernel_basis(m)
+    for n in range(4):
+        yield ExactMatrix.identity(ring, n)
+
+
+@pytest.mark.parametrize("ring", FAST_PATH_RINGS, ids=str)
+def test_coordinates_in_unit_row_bases_match_solver(ring, monkeypatch):
+    # on a basis with a unit row per column the coordinates are read
+    # off those rows and checked by one product, with no elimination;
+    # they must be what the FieldSolver finds column by column
+    import bigraded.linalg as linalg
+
+    rng = random.Random(29)
+    cases = list(_unit_row_bases(ring, rng))
+    if ring.p == 2:
+        # over F2 a pivot row of the kernel basis can itself be a single
+        # 1, so a column has more than one unit row
+        cases += [kernel_basis(M([[1, 1]], ring)),
+                  kernel_basis(M([[1, 0, 1], [0, 1, 1]], ring)),
+                  kernel_basis(M([[1, 1, 0], [0, 0, 1]], ring))]
+        assert all(_unit_row_count(b) > b.cols for b in cases[-3:])
+    eliminations = []
+    real = linalg._rref
+    monkeypatch.setattr(linalg, "_rref",
+                        lambda *a, **k: eliminations.append(a) or real(*a, **k))
+    checked = 0
+    for basis in cases:
+        n, m = basis.rows, basis.cols
+        assert _unit_row_count(basis) >= m
+        inside = basis @ _rand_field_matrix(rng, ring, m, rng.randint(0, 3))
+        outside = _rand_field_matrix(rng, ring, n, 3)
+        for vectors in (inside, outside):
+            solved = [solve_exact(basis, vectors.col(j)) for j in range(vectors.cols)]
+            eliminations.clear()
+            if None in solved:
+                with pytest.raises(NoSolution, match=f"column {solved.index(None)} "):
+                    coordinates_in(basis, vectors)
+            else:
+                got = coordinates_in(basis, vectors)
+                assert got == ExactMatrix.from_cols(ring, m, solved)
+                checked += 1
+            assert eliminations == []
+    assert checked > len(cases)
+
+
+@pytest.mark.parametrize("ring", FAST_PATH_RINGS, ids=str)
+def test_prefix_kernels_match_kernel_basis_of_every_cut(ring):
+    rng = random.Random(31)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(25)]
+    for rows, cols in shapes:
+        m = _rand_field_matrix(rng, ring, rows, cols)
+        for s in range(rows + 1):
+            kernel = prefix_kernels(m[s:, :])
+            for k in range(cols + 1):
+                assert kernel(k) == kernel_basis(m[s:, :k]), (rows, cols, s, k)
+        with pytest.raises(BadParameter):
+            prefix_kernels(m)(cols + 1)
+    with pytest.raises(UnsupportedRing):
+        prefix_kernels(M([[1, 2]]))
+
+
+def test_kernel_basis_matches_sympy_nullspace():
+    # an independent oracle: sympy's nullspace over Q is the echelon
+    # kernel basis too, one vector per free column in increasing order
+    from sympy import Matrix, Rational
+
+    rng = random.Random(37)
+    for _ in range(40):
+        r, c = rng.randint(1, 5), rng.randint(1, 7)
+        m = _rand_field_matrix(rng, QQ, r, c)
+        expect = Matrix([[Rational(x.numerator, x.denominator) for x in row]
+                         for row in m.entries]).nullspace()
+        basis = kernel_basis(m)
+        assert basis.cols == len(expect)
+        for j, vec in enumerate(expect):
+            assert basis.col(j) == tuple(Fraction(int(x.p), int(x.q)) for x in vec)
 
 
 def _sympy_rref(ring, rows, ncols):

@@ -139,6 +139,41 @@ def test_pages_stop_at_r_max():
     assert part.page(9) == part.page(50) == full.einf
 
 
+@pytest.mark.parametrize("r_max", [0, -5])
+def test_pages_refuse_a_bound_below_one(r_max):
+    with pytest.raises(BadParameter, match="at least 1"):
+        pages(twisted_disc(2, 0, GF(3)), r_max=r_max)
+    # refused before a worker is built: over Z that would raise
+    # UnsupportedRing
+    with pytest.raises(BadParameter):
+        pages(twisted_disc(2, 0, ZZ), r_max=r_max)
+    assert sorted(pages(twisted_disc(2, 0, GF(3)), r_max=1).pages) == [1]
+
+
+def test_pages_build_no_zero_matrices(monkeypatch):
+    # the page worker reads the stored total differentials and skips an
+    # absent one; slicing `tot.diff(n)` instead built 176 zero matrices
+    # here
+    import traceback
+
+    real = ExactMatrix.zero
+    calls = []
+
+    def spy(*args):
+        if any(fr.filename.endswith("spectral.py") for fr in traceback.extract_stack()):
+            calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ExactMatrix, "zero", staticmethod(spy))
+    f3 = GF(3)
+    cells = [twisted_disc(p, 0, f3) for p in range(8)]
+    cells += [twisted_boundary(p, 0, f3) for p in range(1, 8)]
+    for x in cells:
+        pages(x)
+        assert convergence_check(x)["ok"]
+    assert calls == []
+
+
 LARGE_PRIME = 4294967311
 
 
