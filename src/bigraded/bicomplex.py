@@ -30,7 +30,6 @@ from .twisted import (
     summed,
     tensor_layout,
     tensor_twisted,
-    validate_twisted,
 )
 
 
@@ -39,14 +38,11 @@ class TorsionInSubquotient(Exception):
 
 
 class Bicomplex(TwistedComplex):
-    """A twisted complex with d_v = d_0, d_h = d_1 and no d_i for i >= 2."""
+    """A twisted complex with d_v = d_0, d_h = d_1 and no d_i for i >= 2;
+    `validate_twisted` checks its relations."""
 
     def __init__(self, ring: RingSpec, ranks: dict, d_h: dict, d_v: dict, check: bool = True):
-        super().__init__(ring, ranks, {0: d_v, 1: d_h}, check=False)
-        if check:
-            bad = validate(self)
-            if bad:
-                raise BadParameter("invalid bicomplex: " + "; ".join(bad))
+        super().__init__(ring, ranks, {0: d_v, 1: d_h}, check=check)
 
     @property
     def d_h(self) -> dict:
@@ -55,13 +51,6 @@ class Bicomplex(TwistedComplex):
     @property
     def d_v(self) -> dict:
         return self.ds.get(0, {})
-
-
-def validate(x: TwistedComplex) -> list:
-    """Empty list when x is a valid bicomplex, else a description per
-    failed identity."""
-    extra = [f"structure map d_{i} present" for i in x.indices() if i >= 2]
-    return validate_twisted(x) + extra
 
 
 class BicomplexMap(TwistedMap):
@@ -175,7 +164,7 @@ def koszul_swap(x: Bicomplex, y: Bicomplex) -> BicomplexMap:
         for (a, b, a2, b2) in src:
             ra, rb = x.rank(a, b), y.rank(a2, b2)
             perm = incidence(ring, list(product(range(rb), range(ra))),
-                             list(product(range(ra), range(rb))), lambda ij: ij[::-1])
+                             list(product(range(ra), range(rb))), lambda ij: {ij[::-1]: 1})
             sign = (a + b) * (a2 + b2) % 2
             blocks[((a2, b2, a, b), (a, b, a2, b2))] = -perm if sign else perm
         comps[pq] = summed(ring, tensor_layout(y, x, *pq), src, blocks)

@@ -129,14 +129,6 @@ class ChainMap:
             if lhs != rhs:
                 raise BadParameter("chain map does not commute at degree %d" % n)
 
-    def component(self, n: int) -> ExactMatrix:
-        m = self.f.get(n)
-        if m is None:
-            return ExactMatrix.zero(
-                self.source.ring, self.target.rank(n), self.source.rank(n)
-            )
-        return m
-
     @staticmethod
     def identity(c: ChainComplex) -> "ChainMap":
         return ChainMap(
@@ -154,7 +146,7 @@ class ChainMap:
         return ChainMap(
             other.source,
             self.target,
-            {n: self.component(n) @ other.component(n) for n in other.source.ranks},
+            {n: _product(self.f.get(n), m) for n, m in other.f.items()},
         )
 
 
@@ -217,13 +209,17 @@ def cochain_basis(n: int, t: int, front: int | None) -> list:
     return simps if front is None else [s for s in simps if s and s[-1] > front]
 
 
-def incidence(ring: RingSpec, targets: list, sources: list, f=lambda s: s) -> ExactMatrix:
-    """The 0/1 matrix sending the basis element s of `sources` to f(s)
-    of `targets`."""
+def incidence(ring: RingSpec, targets: list, sources: list, action) -> ExactMatrix:
+    """The matrix of the linear map sending the basis element s of
+    `sources` to action(s), a dict {element of `targets`: integer
+    coefficient}."""
     index = {x: i for i, x in enumerate(targets)}
     rows = [{} for _ in targets]
     for j, s in enumerate(sources):
-        rows[index[f(s)]][j] = ring.one()
+        for t, c in action(s).items():
+            rows[index[t]][j] = ring.from_int(c)
+    # ring.from_int normalises, and the constructor drops the entries
+    # that are zero in the ring
     return ExactMatrix(ring, len(targets), len(sources), rows)
 
 
@@ -234,7 +230,8 @@ def _cochain(n: int, ring: RingSpec, front: int | None) -> ChainComplex:
     a vertex include the empty simplex, so this covers the
     coaugmentation too."""
     bases = {t: cochain_basis(n, t, front) for t in range(-1, n + 1)}
-    keep = {t: incidence(ring, simplex_basis(n, t), b) for t, b in bases.items()}
+    keep = {t: incidence(ring, simplex_basis(n, t), b, lambda s: {s: 1})
+            for t, b in bases.items()}
     d = {
         -t: (keep[t].transpose() @ simplex_boundary(n, t + 1, ring) @ keep[t + 1]).transpose()
         for t in range(-1, n)

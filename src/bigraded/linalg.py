@@ -76,43 +76,26 @@ def _rref(ring: RingSpec, rows, ncols: int, limit: int | None = None):
 
 
 class FieldSolver:
-    """Factored solver for A x = b over a field, reusable for many b."""
+    """Solver for A x = b over a field: the coordinates of b in the
+    columns of A, as `coordinates_in` finds them."""
 
     def __init__(self, a: ExactMatrix):
         if not a.ring.is_field:
             raise UnsupportedRing("FieldSolver needs a field")
-        self.ring = a.ring
         self.a = a
-        n, m = a.rows, a.cols
-        one = a.ring.one()
-        aug = [{**r, m + i: one} for i, r in enumerate(a.sparse_rows)]
-        red, pivots = _rref(a.ring, aug, m + n, limit=m)
-        self.pivots = pivots
-        self.rank = len(pivots)
-        # the row transform E with E A in reduced echelon form
-        self.transform = [{j - m: e for j, e in row.items() if j >= m} for row in red]
-        self.m = m
-        self.n = n
 
     def solve(self, b):
         """One solution of A x = b (b a flat sequence) or None."""
-        ring = self.ring
-        if len(b) != self.n:
+        a = self.a
+        if len(b) != a.rows:
             raise BadParameter(
-                f"right-hand side has length {len(b)}, expected {self.n}"
+                f"right-hand side has length {len(b)}, expected {a.rows}"
             )
-        b = [ring.normalize(x) for x in b]
-        ys = [ring.normalize(sum(e * b[j] for j, e in row.items()))
-              for row in self.transform]
-        for i in range(self.rank, self.n):
-            if ys[i] != 0:
-                return None
-        x = [ring.zero()] * self.m
-        for i, c in enumerate(self.pivots):
-            x[c] = ys[i]
-        # reduced rows may have free-column entries; subtract nothing since
-        # free variables are set to zero
-        return tuple(x)
+        rows = [{0: x} if x else {} for x in map(a.ring.normalize, b)]
+        try:
+            return _field_coordinates(a, ExactMatrix._of(a.ring, a.rows, 1, rows)).col(0)
+        except NoSolution:
+            return None
 
 
 def _snf_core(mat, n, m):
@@ -357,7 +340,8 @@ def solve_exact(a: ExactMatrix, b):
 
 def rank(m: ExactMatrix) -> int:
     if m.ring.is_field:
-        _, pivots = _rref(m.ring, m.sparse_rows, m.cols)
+        # a zero row holds no pivot, and _rref copies every row it gets
+        _, pivots = _rref(m.ring, [r for r in m.sparse_rows if r], m.cols)
         return len(pivots)
     return len(invariant_factors(m))
 
@@ -588,8 +572,8 @@ def _field_coordinates(basis: ExactMatrix, vectors: ExactMatrix) -> ExactMatrix:
     coordinates are the vectors' unit rows, checked by one product, and
     being unique they are the ones an elimination gives.  Any other
     basis takes one reduction of [basis | vectors] with pivots among
-    the basis columns: the row transform a FieldSolver records, applied
-    to all columns at once, with free variables again set to zero."""
+    the basis columns, free variables set to zero.  This is the one
+    field solve: `FieldSolver` and `solve_exact` come here too."""
     ring = basis.ring
     if vectors.rows != basis.rows:
         raise BadParameter(

@@ -347,14 +347,27 @@ def solve_lift(problem: LiftingProblem):
     return morphism_from_vector(b, x, vec)
 
 
-def _cycles(x, pq, rels) -> ExactMatrix:
+def _cycles(x, pq, rels) -> ExactMatrix | None:
     """Columns: a basis of the elements of x at pq killed by every d_i
     with i in `rels`, that is of Mor(B, x) for a cell B free on one
-    generator at pq subject to those relations (Yoneda)."""
+    generator at pq subject to those relations (Yoneda).  None stands
+    for all of x at pq, when no such d_i is stored."""
     ds = [x.ds[i][pq] for i in rels if pq in x.ds.get(i, {})]
-    if not ds:
-        return ExactMatrix.identity(x.ring, x.rank(*pq))
-    return kernel_basis(ExactMatrix.vstack(x.ring, ds))
+    return kernel_basis(ExactMatrix.vstack(x.ring, ds)) if ds else None
+
+
+def _dim(x, pq, k) -> int:
+    return x.rank(*pq) if k is None else k.cols
+
+
+def _on(m, k):
+    """m on the cycles k (None: on all of its source); None when zero."""
+    return m if k is None else _product(m, k)
+
+
+def _basis(x, pq, k) -> ExactMatrix:
+    """The cycles k as a matrix, for the lattice tests over Z."""
+    return ExactMatrix.identity(x.ring, x.rank(*pq)) if k is None else k
 
 
 def _spans(gens: ExactMatrix, vectors: ExactMatrix) -> bool:
@@ -391,28 +404,30 @@ def has_rlp(g, ref: GeneratorRef) -> bool:
     ring = x.ring
     kby = _cycles(y, beta, cell.rel_b)
     if cell.rel_a is None:
-        if kby.cols == 0:
+        if _dim(y, beta, kby) == 0:
             return True
         if beta not in g.f:  # K_B^Y is nonzero and g is zero there
             return False
-        lifts = g.f[beta] @ _cycles(x, beta, cell.rel_b)
+        kbx = _cycles(x, beta, cell.rel_b)
+        lifts = g.f[beta] if kbx is None else g.f[beta] @ kbx
         if ring.is_field:
-            return rank(lifts) == kby.cols
-        return _spans(lifts, kby)
+            return rank(lifts) == _dim(y, beta, kby)
+        return _spans(lifts, _basis(y, beta, kby))
     alpha = (beta[0] - cell.k, beta[1] + cell.k - 1)
     kax = _cycles(x, alpha, cell.rel_a)
-    if kax.cols + kby.cols == 0:
+    dax, dby = _dim(x, alpha, kax), _dim(y, beta, kby)
+    if dax + dby == 0:
         return True
     kbx = _cycles(x, beta, cell.rel_b)
     # only stored blocks enter: an absent one is None and is never built
     dx, dy = x.ds.get(cell.k, {}).get(beta), y.ds.get(cell.k, {}).get(beta)
     # S in coordinates of K_A^X + K_B^Y is the kernel of `relation`
-    relation = ExactMatrix.block(ring, [y.rank(*alpha)], [kax.cols, kby.cols], {
-        (0, 0): _product(g.f.get(alpha), kax),
-        (0, 1): None if dy is None else _product(-dy, kby),
+    relation = ExactMatrix.block(ring, [y.rank(*alpha)], [dax, dby], {
+        (0, 0): _on(g.f.get(alpha), kax),
+        (0, 1): None if dy is None else _on(-dy, kby),
     })
-    lifts = ExactMatrix.block(ring, [x.rank(*alpha), y.rank(*beta)], [kbx.cols], {
-        (0, 0): _product(dx, kbx), (1, 0): _product(g.f.get(beta), kbx),
+    lifts = ExactMatrix.block(ring, [x.rank(*alpha), y.rank(*beta)], [_dim(x, beta, kbx)], {
+        (0, 0): _on(dx, kbx), (1, 0): _on(g.f.get(beta), kbx),
     })
     if ring.is_field:
         # im Phi lies in S, so it contains S when the dimensions agree
@@ -420,6 +435,7 @@ def has_rlp(g, ref: GeneratorRef) -> bool:
     coords = kernel_basis(relation)
     if coords.cols == 0:
         return True
+    kax, kby = _basis(x, alpha, kax), _basis(y, beta, kby)
     return _spans(lifts, ExactMatrix.direct_sum(ring, [kax, kby]) @ coords)
 
 

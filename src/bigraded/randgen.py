@@ -38,9 +38,7 @@ def _rand_scalar(rng: random.Random, ring: RingSpec, bound: int = 2):
 
 
 def random_int_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9):
-    return ExactMatrix.from_rows(
-        ZZ, [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-    )
+    return _random_matrix(rng, ZZ, rows, cols, bound)
 
 
 def _random_matrix(rng, ring, rows, cols, bound=2):

@@ -306,19 +306,6 @@ def boundary_words(p: int, q: int) -> dict:
     return _word_table(p, q - 1)
 
 
-def _matrix_from_action(ring, src_words, tgt_words, action):
-    """Matrix of a linear map given by `action` on basis words (a dict
-    word -> int coefficient per source word)."""
-    index = {w: k for k, w in enumerate(tgt_words)}
-    rows = [{} for _ in tgt_words]
-    for j, w in enumerate(src_words):
-        for w2, c in action(w).items():
-            rows[index[w2]][j] = ring.from_int(c)
-    # ring.from_int normalises, and the constructor drops the entries
-    # that are zero in the ring
-    return ExactMatrix(ring, len(tgt_words), len(src_words), rows)
-
-
 def _cell(ring, words, act, indices) -> TwistedComplex:
     """The twisted complex free on the basis `words` (bidegree -> list of
     words) whose d_i, for i in `indices`, sends each word w to act(i, w),
@@ -329,7 +316,7 @@ def _cell(ring, words, act, indices) -> TwistedComplex:
         for (p, q), ws in words.items():
             tgt = words.get((p - i, q + i - 1))
             if tgt is not None:
-                ds[i][(p, q)] = _matrix_from_action(ring, ws, tgt, lambda w: act(i, w))
+                ds[i][(p, q)] = incidence(ring, tgt, ws, lambda w: act(i, w))
     ranks = {pq: len(ws) for pq, ws in words.items()}
     return TwistedComplex(ring, ranks, ds, labels=words)
 
@@ -366,7 +353,7 @@ def boundary_inclusion(p: int, q: int, ring: RingSpec = ZZ) -> TwistedMap:
     f = {}
     for pq, ws in src.labels.items():
         tws = tgt.labels[pq]
-        f[pq] = _matrix_from_action(ring, ws, tws, lambda w: {w + (0,): 1})
+        f[pq] = incidence(ring, tws, ws, lambda w: {w + (0,): 1})
     return TwistedMap(src, tgt, f)
 
 
@@ -444,7 +431,7 @@ def compare_to_simplex_cochain(p: int, q: int, s: int | None, u: int, ring: Ring
             if word_to_simplex(w) not in known:
                 raise MismatchAt((u, qq), w, "image simplex not in cochain basis")
             bijection[w] = word_to_simplex(w)
-        perm[t] = incidence(ring, simps, words, word_to_simplex)
+        perm[t] = incidence(ring, simps, words, lambda w: {word_to_simplex(w): 1})
     for t in range(-1, n):
         qq = q + n - t - 1
         delta = cochain.diff(-t) @ perm[t]
@@ -868,6 +855,6 @@ def alternative_basis_change(p: int, q: int, ring: RingSpec = ZZ) -> dict:
     canon = disc_words(p, q)
     alt = alternative_disc_words(p, q)
     return {
-        pq: _matrix_from_action(ring, words, canon[pq], normal_form)
+        pq: incidence(ring, canon[pq], words, normal_form)
         for pq, words in alt.items()
     }

@@ -28,7 +28,6 @@ from bigraded.bicomplex import (
     line_quasi_iso,
     subquotient_map,
     v_boundary,
-    validate,
     z_row,
 )
 from bigraded.docio import serialize, to_document
@@ -54,6 +53,7 @@ from bigraded.twisted import (
     tot_twisted_map,
     twisted_boundary,
     twisted_disc,
+    validate_twisted,
 )
 
 
@@ -89,7 +89,7 @@ def test_include_chain_round_trip():
 
 def test_invalid_bicomplex_messages():
     one = I()
-    bad = validate(Bicomplex(
+    bad = validate_twisted(Bicomplex(
         ZZ, {(0, 0): 1, (1, 0): 1, (0, -1): 1, (1, -1): 1},
         {(1, 0): one, (1, -1): one}, {(0, 0): one, (1, 0): one},
         check=False,

@@ -147,6 +147,23 @@ def test_cone_detects_quasi_iso():
                                  {0: M([[2]], ring=QQ)}))
 
 
+def test_compose_multiplies_stored_components_only(monkeypatch):
+    # an absent component is the zero map: composing never builds one,
+    # and a product that vanishes is not stored
+    x = ChainComplex(QQ, {0: 2, 1: 3, 2: 1, 3: 2}, {})
+    f = ChainMap(x, x, {0: M([[1, 2], [0, 1]], QQ), 2: M([[2]], QQ),
+                        3: M([[1, 0], [0, 0]], QQ)})
+    g = ChainMap(x, x, {1: M([[1, 0, 0], [0, 1, 0], [0, 0, 1]], QQ), 2: M([[3]], QQ),
+                        3: M([[0, 0], [0, 1]], QQ)})
+    zeros = []
+    real = ExactMatrix.zero
+    monkeypatch.setattr(ExactMatrix, "zero", staticmethod(
+        lambda *a: zeros.append(a) or real(*a)))
+    assert g.compose(f).f == {2: M([[6]], QQ)}
+    assert f.compose(g).f == {2: M([[6]], QQ)}
+    assert zeros == []
+
+
 def test_truncate_nonneg():
     # degree 0 becomes the kernel of the last differential, so the
     # truncation of an acyclic complex stays acyclic
@@ -349,7 +366,7 @@ def test_rank_only_documents_stay_small():
 
     def map_homology():
         f = parse(text)
-        assert f.component(0)[7, 0] == 1
+        assert f.f[0][7, 0] == 1
         assert homology(f.target) == {-1: ModuleClass(1500), 0: ModuleClass(1500)}
         assert not is_quasi_iso(f)
 

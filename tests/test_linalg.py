@@ -317,20 +317,42 @@ def test_large_prime_solve_round_trip(p):
         assert a @ coordinates_in(a, vecs) == vecs
 
 
-def _coordinates_by_solver(basis, vectors):
+def _sympy_coordinates(basis, vectors):
+    """coordinates_in by an independent oracle: in sympy's RREF of
+    [basis | vectors] the first pivot among the vectors' columns marks
+    the first vector outside the span; with none, the pivot rows give
+    the solution whose free variables are zero."""
+    ring, m, k = basis.ring, basis.cols, vectors.cols
+    rows = [a + b for a, b in zip(basis.entries, vectors.entries)]
+    red, pivots = _sympy_rref(ring, rows, m + k)
+    bad = [c - m for c in pivots if c >= m]
+    if bad:
+        raise NoSolution(f"column {bad[0]} not in span")
+    out = [[ring.zero()] * k for _ in range(m)]
+    for row, c in zip(red, pivots):
+        out[c] = row[m:]
+    return ExactMatrix(ring, m, k, out)
+
+
+def _check_against_sympy(basis, vectors):
+    """coordinates_in, FieldSolver and solve_exact, one solve path, all
+    give sympy's answer: the coordinates, or the first bad column."""
     solver = FieldSolver(basis)
-    cols = []
-    for j in range(vectors.cols):
-        x = solver.solve(vectors.col(j))
-        if x is None:
-            raise NoSolution(f"column {j} not in span")
-        cols.append(x)
-    if not cols or basis.cols == 0:
-        return ExactMatrix.zero(basis.ring, basis.cols, vectors.cols)
-    return ExactMatrix.from_rows(basis.ring, list(zip(*cols)))
+    solved = [solver.solve(vectors.col(j)) for j in range(vectors.cols)]
+    assert solved == [solve_exact(basis, vectors.col(j)) for j in range(vectors.cols)]
+    try:
+        expect = _sympy_coordinates(basis, vectors)
+    except NoSolution as exc:
+        with pytest.raises(NoSolution, match=str(exc)):
+            coordinates_in(basis, vectors)
+        assert solved.index(None) == int(str(exc).split()[1])
+        return False
+    assert coordinates_in(basis, vectors) == expect
+    assert solved == [expect.col(j) for j in range(vectors.cols)]
+    return True
 
 
-@pytest.mark.parametrize("ring", [QQ, GF(3), GF(4294967311)], ids=str)
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(4294967311)], ids=str)
 def test_coordinates_in_matches_field_solver(ring):
     rng = random.Random(13)
 
@@ -340,25 +362,29 @@ def test_coordinates_in_matches_field_solver(ring):
         return M([[rng.choice((0, 0, 1, -1, 2)) for _ in range(c)]
                   for _ in range(r)], ring)
 
+    outcomes = set()
     for _ in range(60):
         n, m, k = rng.randint(0, 6), rng.randint(0, 4), rng.randint(0, 4)
         basis = rand(n, m)
         inside = basis @ rand(m, k)
-        assert coordinates_in(basis, inside) == _coordinates_by_solver(basis, inside)
-        outside = ExactMatrix.hstack(ring, [inside, rand(n, 1)])
-        try:
-            expect = _coordinates_by_solver(basis, outside)
-        except NoSolution:
-            with pytest.raises(NoSolution):
-                coordinates_in(basis, outside)
-        else:
-            assert coordinates_in(basis, outside) == expect
+        assert _check_against_sympy(basis, inside)
+        outcomes.add(_check_against_sympy(
+            basis, ExactMatrix.hstack(ring, [inside, rand(n, 1)])))
+    assert outcomes == {True, False}
+    # a dependent basis: the second column repeats the first, and the
+    # free variable of the repeat is zero
+    dependent = M([[1, 1, 0], [0, 0, 1], [0, 0, 0]], ring)
+    vectors = M([[1, 0], [1, 0], [0, 1]], ring)
+    assert _check_against_sympy(dependent, vectors[:, :1])
+    assert coordinates_in(dependent, vectors[:, :1]) == M([[1], [0], [1]], ring)
+    assert not _check_against_sympy(dependent, vectors)
+    with pytest.raises(NoSolution, match="column 1 "):
+        coordinates_in(dependent, vectors)
     # a zero-column basis spans only the zero vector
     empty = ExactMatrix.zero(ring, 3, 0)
     assert coordinates_in(empty, ExactMatrix.zero(ring, 3, 2)) == \
         ExactMatrix.zero(ring, 0, 2)
-    with pytest.raises(NoSolution):
-        coordinates_in(empty, ExactMatrix.identity(ring, 3))
+    assert not _check_against_sympy(empty, ExactMatrix.identity(ring, 3))
     # no vectors at all
     basis = ExactMatrix.identity(ring, 3)
     assert coordinates_in(basis, ExactMatrix.zero(ring, 3, 0)) == \
@@ -394,7 +420,7 @@ def _unit_row_bases(ring, rng):
 def test_coordinates_in_unit_row_bases_match_solver(ring, monkeypatch):
     # on a basis with a unit row per column the coordinates are read
     # off those rows and checked by one product, with no elimination;
-    # they must be what the FieldSolver finds column by column
+    # they must be what sympy's RREF of [basis | vectors] gives
     import bigraded.linalg as linalg
 
     rng = random.Random(29)
@@ -417,14 +443,15 @@ def test_coordinates_in_unit_row_bases_match_solver(ring, monkeypatch):
         inside = basis @ _rand_field_matrix(rng, ring, m, rng.randint(0, 3))
         outside = _rand_field_matrix(rng, ring, n, 3)
         for vectors in (inside, outside):
-            solved = [solve_exact(basis, vectors.col(j)) for j in range(vectors.cols)]
-            eliminations.clear()
-            if None in solved:
-                with pytest.raises(NoSolution, match=f"column {solved.index(None)} "):
+            try:
+                expect = _sympy_coordinates(basis, vectors)
+            except NoSolution as exc:
+                eliminations.clear()
+                with pytest.raises(NoSolution, match=f"{exc}"):
                     coordinates_in(basis, vectors)
             else:
-                got = coordinates_in(basis, vectors)
-                assert got == ExactMatrix.from_cols(ring, m, solved)
+                eliminations.clear()
+                assert coordinates_in(basis, vectors) == expect
                 checked += 1
             assert eliminations == []
     assert checked > len(cases)

@@ -413,6 +413,25 @@ def test_rank_only_document_costs_its_entries_not_its_ranks(structure):
     assert cls.evidence["surjective_failures"] == [(1, 0)]
 
 
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_rank_only_document_builds_no_identity_of_its_rank(structure, monkeypatch):
+    # where no relation is stored every element is a cycle: the lifting
+    # test reads that without building an identity of the declared rank
+    big = parse(_rank_only_map_document(200_000))
+    small = parse(_rank_only_map_document(1))
+    sizes = []
+    real = ExactMatrix.identity
+    monkeypatch.setattr(ExactMatrix, "identity", staticmethod(
+        lambda ring, n: sizes.append(n) or real(ring, n)))
+    rep, cls = rlp_report(big, structure), classify_map(big, structure)
+    assert max(sizes, default=0) < 1000
+    assert not (rep.has_rlp_I or rep.has_rlp_J)
+    assert not (cls.is_weq or cls.is_fibration or cls.is_trivial_fibration)
+    # the same answers as the same document at rank 1
+    assert rep == rlp_report(small, structure)
+    assert repr(cls) == repr(classify_map(small, structure))
+
+
 def test_cli_classifies_a_rank_only_document(tmp_path):
     path = tmp_path / "map.json"
     path.write_text(_rank_only_map_document(200_000))

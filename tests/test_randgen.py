@@ -4,7 +4,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from bigraded.rings import ZZ, QQ, GF
-from bigraded.bicomplex import validate
 from bigraded.twisted import validate_twisted
 from bigraded.randgen import (
     MatrixSystem,
@@ -28,7 +27,7 @@ def test_random_objects_valid():
     for ring in RINGS:
         for _ in range(10):
             random_chain_complex(rng, ring)  # ctor validates
-            assert validate(random_bicomplex(rng, ring)) == []
+            assert validate_twisted(random_bicomplex(rng, ring)) == []
             assert validate_twisted(random_twisted(rng, ring)) == []
 
 

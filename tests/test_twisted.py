@@ -14,7 +14,6 @@ from bigraded.bicomplex import (
     directional_subquotient,
     h_boundary,
     v_boundary,
-    validate,
 )
 from bigraded.twisted import (
     MismatchAt,
@@ -211,7 +210,8 @@ def test_vertical_homology():
     for p in (1, 2, 3):
         vh = vertical_homology_twisted(twisted_boundary(p, 0, QQ))
         assert dict(vh.ranks) == dict(v_boundary(p, 0, 1, QQ).ranks)
-        assert validate(vh) == []
+        assert validate_twisted(vh) == []
+        assert max(vh.indices(), default=0) < 2
         assert vertical_homology_twisted(twisted_disc(p, 0, QQ)).is_zero
     for obj in (bic_disc(2, 1, 1, QQ), v_boundary(2, 0, 1, QQ),
                 h_boundary(1, 0, 1, QQ)):
