@@ -6,7 +6,7 @@ with d_h^2 = d_v^2 = 0 and d_h d_v + d_v d_h = 0.  `Bicomplex` and
 `BicomplexMap` subclass the twisted carrier, so totalisation, tensor,
 strict-morphism spaces, kernels, cokernels and direct sums are the
 twisted operations; a result is a bicomplex exactly when its inputs are.
-This module adds the standard bicomplex cells, rows and lines, the
+This module adds the standard bicomplex cells and rows, the
 directional subquotients and the E2-isomorphism test.  Documents in the
 commuting sign convention are converted on input by `docio`.
 """
@@ -18,14 +18,14 @@ from itertools import product
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import Subquotient, kernel_basis, image_basis
-from .chain import ChainComplex, ChainMap, incidence
+from .chain import ChainComplex, incidence, is_acyclic
 from .twisted import (
     TwistedComplex,
     TwistedMap,
-    column_twisted,
-    column_twisted_map,
     complex_like,
+    cone_twisted,
     induced_structure,
+    line,
     map_like,
     summed,
     tensor_layout,
@@ -172,29 +172,8 @@ def koszul_swap(x: Bicomplex, y: Bicomplex) -> BicomplexMap:
 
 
 # ---------------------------------------------------------------------------
-# Lines and directional subquotients
+# Directional subquotients and page two
 # ---------------------------------------------------------------------------
-
-def row(x: TwistedComplex, q: int) -> ChainComplex:
-    ranks = {p: r for (p, qq), r in x.ranks.items() if qq == q}
-    d = {p: m for (p, qq), m in x.ds.get(1, {}).items() if qq == q}
-    return ChainComplex(x.ring, ranks, d)
-
-
-def line_map(f: TwistedMap, direction: str, index: int) -> ChainMap:
-    if direction == "v":
-        return column_twisted_map(f, index)
-    if direction == "h":
-        comps = {p: m for (p, q), m in f.f.items() if q == index}
-        return ChainMap(row(f.source, index), row(f.target, index), comps)
-    raise BadParameter("direction must be 'h' or 'v'")
-
-
-def line_quasi_iso(f: TwistedMap, direction: str, index: int) -> bool:
-    from .chain import is_quasi_iso
-
-    return is_quasi_iso(line_map(f, direction, index))
-
 
 def _subquotients(x: TwistedComplex, direction: str, kind: str):
     """Shared worker for directional_subquotient and subquotient_map:
@@ -251,13 +230,13 @@ def subquotient_map(f: TwistedMap, direction: str, kind: str) -> TwistedMap:
 
 
 def e2_iso(f: TwistedMap) -> bool:
-    """Whether f induces an isomorphism on E2 = H_h(H_v): the map it
-    induces on vertical homology is a quasi-isomorphism on every row.
-    Over Z raises TorsionInSubquotient when vertical homology has
-    torsion."""
-    hf = subquotient_map(f, "v", "H")
-    rows = sorted({q for _, q in set(hf.source.ranks) | set(hf.target.ranks)})
-    return all(line_quasi_iso(hf, "h", q) for q in rows)
+    """Whether f induces an isomorphism on E2 = H_h(H_v): whether the E2
+    term of its cone along d_1 vanishes.  d_0 of that cone is block
+    diagonal, so its vertical homology is the cone along d_1 of the map
+    f induces on vertical homology, row by row.  Over Z raises
+    TorsionInSubquotient when vertical homology has torsion."""
+    hv = directional_subquotient(cone_twisted(f, 1), "v", "H")
+    return all(is_acyclic(line(hv, 1, q)) for q in {q for _, q in hv.ranks})
 
 
 def e2(x: TwistedComplex) -> dict:
@@ -272,4 +251,4 @@ def e2(x: TwistedComplex) -> dict:
 
 def ev0(x: TwistedComplex) -> ChainComplex:
     """The column p = 0 with its vertical differential."""
-    return column_twisted(x, 0)
+    return line(x, 0, 0)

@@ -302,25 +302,11 @@ def is_acyclic(c: ChainComplex) -> bool:
 
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: degree n is X_{n-1} + Y_n with the usual twisted
-    differential; acyclic exactly when f is a quasi-isomorphism."""
-    x, y = f.source, f.target
-    ring = x.ring
-    ranks = {}
-    for n in set(d + 1 for d in x.ranks) | set(y.ranks):
-        r = x.rank(n - 1) + y.rank(n)
-        if r:
-            ranks[n] = r
-    d = {}
-    for n in ranks:
-        blocks = {(1, 0): f.f.get(n - 1), (1, 1): y.d.get(n)}
-        if n - 1 in x.d:
-            blocks[(0, 0)] = -x.d[n - 1]
-        if any(blocks.values()):
-            d[n] = ExactMatrix.block(
-                ring, [x.rank(n - 2), y.rank(n - 1)], [x.rank(n - 1), y.rank(n)], blocks
-            )
-    # d*d = 0 follows from that of x and y and f being a chain map
-    return ChainComplex(ring, ranks, d, check=False)
+    differential; acyclic exactly when f is a quasi-isomorphism.  It is
+    column 0 of the cone along d_0 of f embedded as column 0."""
+    from .twisted import cone_twisted, embed_map, line
+
+    return line(cone_twisted(embed_map(f), 0), 0, 0)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -346,14 +332,14 @@ def truncate_nonneg(c: ChainComplex) -> ChainComplex:
 
 def direct_sum(complexes) -> ChainComplex:
     """The column 0 of the direct sum of the embedded columns."""
-    from .twisted import column_twisted, direct_sum_twisted, embed
+    from .twisted import direct_sum_twisted, embed, line
 
-    return column_twisted(direct_sum_twisted([embed(c) for c in complexes]), 0)
+    return line(direct_sum_twisted([embed(c) for c in complexes]), 0, 0)
 
 
 def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
     """Tensor product with the sign (-1)^{|x|} on the second factor: the
     column 0 of the tensor product of the two embedded columns."""
-    from .twisted import column_twisted, embed, tensor_twisted
+    from .twisted import embed, line, tensor_twisted
 
-    return column_twisted(tensor_twisted(embed(x), embed(y)), 0)
+    return line(tensor_twisted(embed(x), embed(y)), 0, 0)

@@ -80,10 +80,7 @@ def cmd_homology(args) -> int:
 
 def cmd_e2(args) -> int:
     obj = _read(args.file)
-    try:
-        table = pages(obj, r_max=2).page(2)
-    except (BadParameter, UnsupportedRing) as exc:
-        raise CheckFailure(str(exc))
+    table = pages(obj, r_max=2).page(2)
     _print_page(2, table)
     return 0
 
@@ -99,10 +96,7 @@ def _print_page(r: int, table: dict):
 
 def cmd_ss(args) -> int:
     obj = _read(args.file)
-    try:
-        data = pages(obj, r_max=args.max_page)
-    except (BadParameter, UnsupportedRing) as exc:
-        raise CheckFailure(str(exc))
+    data = pages(obj, r_max=args.max_page)
     for r in range(1, args.max_page + 1):
         _print_page(r, data.page(r))
     print(f"stable from page {data.stable_page}")
@@ -128,10 +122,7 @@ def cmd_classify(args) -> int:
     f = _read(args.mapfile)
     if not isinstance(f, tw.TwistedMap):
         raise CheckFailure("classify expects a bicomplex or twisted map")
-    try:
-        rep = classify_map(f, args.structure)
-    except (BadParameter, UnsupportedRing) as exc:
-        raise CheckFailure(str(exc))
+    rep = classify_map(f, args.structure)
     print(f"structure: {rep.structure}")
     weq = "unknown" if rep.is_weq is None else str(rep.is_weq).lower()
     print(f"weak equivalence: {weq}")
@@ -154,8 +145,6 @@ def cmd_lift(args) -> int:
         raise CheckFailure(f"not a commuting square: {exc}")
     except NoLift as exc:
         raise CheckFailure(f"no lift: {exc}")
-    except BadParameter as exc:
-        raise CheckFailure(str(exc))
     _write(h, args.output)
     return 0
 
@@ -164,10 +153,7 @@ def cmd_ce_resolve(args) -> int:
     y = _read(args.file)
     if not isinstance(y, chain.ChainComplex):
         raise CheckFailure("ce-resolve expects a chain complex document")
-    try:
-        _, eps = ce_resolution(y)
-    except (BadParameter, UnsupportedRing) as exc:
-        raise CheckFailure(str(exc))
+    _, eps = ce_resolution(y)
     _write(eps, args.output)
     return 0
 
@@ -190,11 +176,7 @@ def cmd_gen(args) -> int:
         raise CheckFailure(
             f"{args.kind} is free on one generator: --rank must be 1, not {args.rank}"
         )
-    try:
-        ring = ring_from_name(args.ring)
-        obj = _GEN_KINDS[args.kind](args.p, args.q, args.rank, ring)
-    except BadParameter as exc:
-        raise CheckFailure(str(exc))
+    obj = _GEN_KINDS[args.kind](args.p, args.q, args.rank, ring_from_name(args.ring))
     _write(obj, args.output)
     return 0
 
@@ -272,7 +254,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CheckFailure as exc:
+    # a refused input or parameter is one line on stderr, not a traceback
+    except (CheckFailure, BadParameter, UnsupportedRing) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -405,6 +405,8 @@ def from_document(doc) -> object:
 def parse(text: str) -> object:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError, as is an integer literal over the
+    # interpreter's digit limit; deep nesting exhausts the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DocumentSyntaxError(f"not valid JSON: {exc}")
     return from_document(doc)

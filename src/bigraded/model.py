@@ -85,7 +85,7 @@ from .linalg import (
     rank,
     solve_exact,
 )
-from .chain import ChainComplex, _product, homology, is_quasi_iso
+from .chain import ChainComplex, _product, homology, is_acyclic
 from .bicomplex import (
     Bicomplex,
     BicomplexMap,
@@ -95,8 +95,6 @@ from .bicomplex import (
     e2_iso,
     h_boundary,
     include_chain,
-    line_quasi_iso,
-    row,
     subquotient_map,
     v_boundary,
 )
@@ -104,10 +102,10 @@ from .twisted import (
     TwistedComplex,
     TwistedMap,
     boundary_inclusion,
-    column_twisted,
-    column_twisted_map,
     complex_like,
+    cone_twisted,
     direct_sum_twisted,
+    line,
     map_like,
     morphism_from_vector,
     morphism_space_basis,
@@ -116,7 +114,7 @@ from .twisted import (
     pre_operator,
     tensor_twisted,
     tensor_twisted_map,
-    tot_twisted_map,
+    tot_twisted,
     twisted_disc,
 )
 
@@ -498,9 +496,12 @@ def classify_map(f, structure) -> ClassifyReport:
     cols = sorted({p for p, _ in set(f.source.ranks) | set(f.target.ranks)})
     rows = sorted({q for _, q in set(f.source.ranks) | set(f.target.ranks)})
 
+    # the columns, rows and Tot of the cone of f along d_0 or d_1 are the
+    # cones of those of f: each condition is an acyclic line or Tot
     if structure in ("tot", "twisted-tot"):
-        col_iso = {p: is_quasi_iso(column_twisted_map(f, p)) for p in cols}
-        weq = is_quasi_iso(tot_twisted_map(f))
+        c = cone_twisted(f, 0)
+        col_iso = {p: is_acyclic(line(c, 0, p)) for p in cols}
+        weq = is_acyclic(tot_twisted(c))
         evidence["column_homology_iso"] = col_iso
         fib = surj and all(ok for p, ok in col_iso.items() if p > 0)
         triv = surj and all(col_iso.values())
@@ -514,11 +515,13 @@ def classify_map(f, structure) -> ClassifyReport:
         evidence["vertical_cycles_surjective"] = zv_ok
         if zv_fail:
             evidence["vertical_cycles_failures"] = zv_fail
-        hh_iso = {q: line_quasi_iso(f, "h", q) for q in rows}
+        c = cone_twisted(f, 1)
+        hh_iso = {q: is_acyclic(line(c, 1, q)) for q in rows}
         evidence["row_homology_iso"] = hh_iso
         fib = surj and zv_ok and all(hh_iso.values())
         zrows = sorted({q for _, q in set(zf.source.ranks) | set(zf.target.ranks)})
-        hh_zv = {q: line_quasi_iso(zf, "h", q) for q in zrows}
+        zc = cone_twisted(zf, 1)
+        hh_zv = {q: is_acyclic(line(zc, 1, q)) for q in zrows}
         evidence["row_homology_of_vertical_cycles_iso"] = hh_zv
         triv = fib and all(hh_zv.values())
         weq = None
@@ -556,7 +559,7 @@ def cofibrancy_report(x, structure) -> CofibrancyReport:
         ok_pos = True
         ok_zero = True
         for q in sorted({qq for _, qq in x.ranks}):
-            h = homology(row(x, q))
+            h = homology(line(x, 1, q))
             for p, cls in h.items():
                 if p > 0 and not cls.is_zero:
                     ok_pos = False
@@ -569,7 +572,7 @@ def cofibrancy_report(x, structure) -> CofibrancyReport:
         conds["vertical_boundaries_projective"] = True
         ok = True
         for p in sorted({pp for pp, _ in x.ranks}):
-            h = homology(column_twisted(x, p))
+            h = homology(line(x, 0, p))
             if any(cls.torsion for cls in h.values()):
                 ok = False
         conds["vertical_homology_projective"] = ok

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
 from .linalg import Subquotient, kernel_basis, image_basis
-from .chain import ChainComplex, _cochain, _product, cochain_basis, incidence
+from .chain import ChainComplex, ChainMap, _cochain, _product, cochain_basis, incidence
 
 
 class TorsionQuotient(Exception):
@@ -518,8 +518,6 @@ def tot_twisted(x: TwistedComplex) -> ChainComplex:
 
 def tot_twisted_map(f: TwistedMap):
     """Totalisation of a strict map, blockwise over the column layout."""
-    from .chain import ChainMap
-
     comps = {
         n: summed(f.source.ring, tot_layout(f.target, n), tot_layout(f.source, n), {
             (pq, pq): m for pq, m in f.f.items() if sum(pq) == n
@@ -731,8 +729,6 @@ def embed(obj) -> TwistedComplex:
 
 
 def embed_map(f) -> TwistedMap:
-    from .chain import ChainMap
-
     if isinstance(f, TwistedMap):
         return f
     if isinstance(f, ChainMap):
@@ -744,7 +740,7 @@ def embed_map(f) -> TwistedMap:
 
 
 # ---------------------------------------------------------------------------
-# Kernels, cokernels, sums, totalisation and columns of maps
+# Kernels, cokernels, sums, lines and cones
 # ---------------------------------------------------------------------------
 
 def kernel_twisted(f: TwistedMap):
@@ -827,20 +823,49 @@ def direct_sum_twisted(objs) -> TwistedComplex:
     return complex_like(objs, ring, ranks, ds)
 
 
-def column_twisted(x: TwistedComplex, p: int):
-    """Column p with the degree-(0,-1) structure map as differential."""
-    ranks = {q: r for (pp, q), r in x.ranks.items() if pp == p}
-    d = {q: m for (pp, q), m in x.ds.get(0, {}).items() if pp == p}
+def line(x: TwistedComplex, i: int, n: int) -> ChainComplex:
+    """Column n (i = 0) or row n (i = 1) of x as a chain complex with
+    differential d_i, indexed by the other coordinate."""
+    if i not in (0, 1):
+        raise BadParameter("a line is a column (i = 0) or a row (i = 1)")
+    ranks = {pq[1 - i]: r for pq, r in x.ranks.items() if pq[i] == n}
+    d = {pq[1 - i]: m for pq, m in x.ds.get(i, {}).items() if pq[i] == n}
     return ChainComplex(x.ring, ranks, d)
 
 
-def column_twisted_map(f: TwistedMap, p: int):
-    from .chain import ChainMap
+def cone_twisted(f: TwistedMap, i: int) -> TwistedComplex:
+    """The mapping cone of f along d_i, i = 0 or 1: X_{p,q} sits at
+    (p + i, q + 1 - i) beside Y_{p,q}, and d_k is [[-d_k^X, 0], [f, d_k^Y]]
+    with the block f only for k = i.  Its columns (i = 0), rows (i = 1)
+    and Tot (up to the order of summands) are the cones of those of f.
+    A TwistedComplex for every f: the tests read only its lines and Tot."""
+    if i not in (0, 1):
+        raise BadParameter("a cone is taken along d_0 or d_1")
+    x, y = f.source, f.target
 
-    comps = {q: m for (pp, q), m in f.f.items() if pp == p}
-    return ChainMap(
-        column_twisted(f.source, p), column_twisted(f.target, p), comps
-    )
+    def at(p, q):  # where X_{p,q} sits in the cone
+        return (p + i, q + 1 - i)
+
+    ranks = {at(*pq): r for pq, r in x.ranks.items()}
+    for pq, r in y.ranks.items():
+        ranks[pq] = ranks.get(pq, 0) + r
+    ds = {}
+    for k in sorted(set(x.ds) | set(y.ds) | {i}):
+        dx, dy, fk = x.ds.get(k, {}), y.ds.get(k, {}), f.f if k == i else {}
+        fam = ds[k] = {}
+        # only the bidegrees where some block is stored
+        for (p, q) in {at(*pq) for pq in (*dx, *fk)} | set(dy):
+            src, tgt = (p - i, q - 1 + i), (p - k - i, q + k - 2 + i)
+            blocks = {(1, 0): fk.get(src), (1, 1): dy.get((p, q))}
+            if src in dx:
+                blocks[(0, 0)] = -dx[src]
+            fam[(p, q)] = ExactMatrix.block(
+                y.ring, [x.rank(*tgt), y.rank(p - k, q + k - 1)], [x.rank(*src), y.rank(p, q)], blocks
+            )
+    # unchecked: the relations of x and y give those of the diagonal, and
+    # the f block of sum_{a+b=n} d_a d_b is d_{n-i}^Y f - f d_{n-i}^X = 0
+    # because f commutes with every d_k
+    return TwistedComplex(y.ring, ranks, ds, check=False)
 
 
 def alternative_disc_words(p: int, q: int) -> dict:

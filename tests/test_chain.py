@@ -9,9 +9,8 @@ from bigraded import chain, linalg
 from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.matrices import ExactMatrix
 from bigraded.linalg import QuotientModule, coordinates_in, image_basis, kernel_basis
-from bigraded.bicomplex import row
 from bigraded.docio import parse
-from bigraded.twisted import column_twisted, tot_twisted, twisted_boundary, twisted_disc
+from bigraded.twisted import line, tot_twisted, twisted_boundary, twisted_disc
 from bigraded.chain import (
     ChainComplex,
     ChainMap,
@@ -270,7 +269,7 @@ def test_homology_matches_oracle_on_cells(ring):
             _assert_matches_oracle(tot_twisted(twisted_disc(p, q, ring)))
             _assert_matches_oracle(tot_twisted(twisted_boundary(p, q, ring)))
             for u in range(p + 1):
-                _assert_matches_oracle(column_twisted(twisted_boundary(p, q, ring), u))
+                _assert_matches_oracle(line(twisted_boundary(p, q, ring), 0, u))
 
 
 def test_homology_matches_oracle_on_planted_torsion():
@@ -288,8 +287,8 @@ def test_homology_matches_oracle_on_lines_and_totals(ring):
     for _ in range(25):
         x = random_bicomplex(rng, ring, p_range=(0, 3), q_range=(-1, 2))
         lines = [tot_twisted(x)]
-        lines += [row(x, q) for q in range(-1, 3)]
-        lines += [column_twisted(x, p) for p in range(4)]
+        lines += [line(x, 1, q) for q in range(-1, 3)]
+        lines += [line(x, 0, p) for p in range(4)]
         for c in lines:
             _assert_matches_oracle(c)
             torsion |= any(cls.torsion for cls in homology(c).values())

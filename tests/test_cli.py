@@ -93,6 +93,27 @@ def test_tensor_roundtrip(tmp_path, capsys):
     assert dict(obj.ranks) == {(0, 2): 1}
 
 
+def test_tensor_over_different_rings_is_one_line(tmp_path, capsys):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    run(capsys, "gen", "sphere", "0", "1", "--ring", "Z", "-o", a)
+    run(capsys, "gen", "sphere", "0", "1", "--ring", "Q", "-o", b)
+    code, out, err = run(capsys, "tensor", a, b)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "different rings" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"schema_version": 1, "kind": "chain", "ring": "Z", "ranks": [[0, 1' + "0" * 5000 + "]]}",
+], ids=["deep-nesting", "rank-5001-digits"])
+def test_check_refuses_hostile_json_in_one_line(tmp_path, capsys, text):
+    f = tmp_path / "hostile.json"
+    f.write_text(text)
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(str(f))
+
+
 def test_classify_quotient(tmp_path, capsys):
     from bigraded.bicomplex import bic_disc, v_boundary
     from bigraded.matrices import ExactMatrix

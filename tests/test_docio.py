@@ -400,3 +400,18 @@ def test_hostile_ring_and_scalar_are_syntax_errors(ring, entry):
            "differentials": {"d": [[[1], [[0, 0, entry]]]]}}
     with pytest.raises(DocumentSyntaxError):
         parse(json.dumps(doc))
+
+
+# 100,000 nested lists exhaust the recursion limit of the JSON decoder;
+# a 5,001-digit integer is over the interpreter's limit for int literals
+HOSTILE_TEXTS = {
+    "deep-nesting": "[" * 100_000,
+    "rank-5001-digits": '{"schema_version": 1, "kind": "chain", "ring": "Z", '
+                        '"ranks": [[0, 1' + "0" * 5000 + ']], "differentials": {"d": []}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_TEXTS))
+def test_hostile_json_is_a_syntax_error(name):
+    with pytest.raises(DocumentSyntaxError):
+        parse(HOSTILE_TEXTS[name])

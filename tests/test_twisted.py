@@ -25,12 +25,12 @@ from bigraded.twisted import (
     boundary_inclusion,
     boundary_words,
     cokernel_twisted,
-    column_twisted,
     compare_to_simplex_cochain,
     complex_like,
     direct_sum_twisted,
     disc_words,
     embed,
+    line,
     morphism_space_basis,
     normal_form,
     quotient_to_bicomplex,
@@ -194,10 +194,17 @@ def test_embed_and_to_bicomplex_round_trip():
         complex_like((b,), QQ, x.ranks, x.ds)
 
 
-def test_column_twisted():
+def test_line_columns_and_rows():
     d = twisted_disc(3, 0, QQ)
-    col = column_twisted(d, 1)
+    col = line(d, 0, 1)
     assert dict(col.ranks) == {q: r for (p, q), r in d.ranks.items() if p == 1}
+    assert col.d == {q: m for (p, q), m in d.ds[0].items() if p == 1}
+    b = bic_disc(2, 1, 1, QQ)
+    row = line(b, 1, 0)
+    assert dict(row.ranks) == {1: 1, 2: 1}
+    assert row.d == {2: b.ds[1][(2, 0)]}
+    with pytest.raises(BadParameter):
+        line(d, 2, 0)
 
 
 def test_tot_twisted_map_identity():
