@@ -41,8 +41,8 @@ class Bicomplex(TwistedComplex):
     """A twisted complex with d_v = d_0, d_h = d_1 and no d_i for i >= 2;
     `validate_twisted` checks its relations."""
 
-    def __init__(self, ring: RingSpec, ranks: dict, d_h: dict, d_v: dict, check: bool = True):
-        super().__init__(ring, ranks, {0: d_v, 1: d_h}, check=check)
+    def __init__(self, ring: RingSpec, ranks: dict, d_h: dict, d_v: dict):
+        super().__init__(ring, ranks, {0: d_v, 1: d_h})
 
     @property
     def d_h(self) -> dict:
@@ -60,10 +60,10 @@ class BicomplexMap(TwistedMap):
     # inherited, because perfbench/tracer.py wraps them through the
     # class __dict__.
 
-    def __init__(self, source: Bicomplex, target: Bicomplex, f: dict, check=True):
+    def __init__(self, source: Bicomplex, target: Bicomplex, f: dict):
         if not (isinstance(source, Bicomplex) and isinstance(target, Bicomplex)):
             raise BadParameter("a bicomplex map needs bicomplex ends")
-        super().__init__(source, target, f, check=check)
+        super().__init__(source, target, f)
 
     def compose(self, other: "TwistedMap") -> "TwistedMap":
         """self after other."""
@@ -233,9 +233,15 @@ def e2_iso(f: TwistedMap) -> bool:
     """Whether f induces an isomorphism on E2 = H_h(H_v): whether the E2
     term of its cone along d_1 vanishes.  d_0 of that cone is block
     diagonal, so its vertical homology is the cone along d_1 of the map
-    f induces on vertical homology, row by row.  Over Z raises
+    f induces on vertical homology, row by row."""
+    return e2_vanishes(cone_twisted(f, 1))
+
+
+def e2_vanishes(x: TwistedComplex) -> bool:
+    """Whether E2 = H_h(H_v) of x vanishes: whether each row of the
+    vertical homology of x is acyclic.  Over Z raises
     TorsionInSubquotient when vertical homology has torsion."""
-    hv = directional_subquotient(cone_twisted(f, 1), "v", "H")
+    hv = directional_subquotient(x, "v", "H")
     return all(is_acyclic(line(hv, 1, q)) for q in {q for _, q in hv.ranks})
 
 

@@ -2,8 +2,9 @@
 
 Differentials lower the degree by one.  Complexes are stored sparsely:
 a dict of ranks per degree and a dict of differential matrices, with
-missing entries meaning zero.  All objects validate d*d = 0 at
-construction time.
+missing entries meaning zero.  A complex and a map are checked at
+construction as column 0 of the twisted carrier, by the one object
+checker and the one map checker of ``twisted``.
 """
 
 from __future__ import annotations
@@ -47,28 +48,27 @@ def _product(a, b):
 
 
 class ChainComplex:
-    def __init__(self, ring: RingSpec, ranks: dict, d: dict, check: bool = True):
+    """Checked as column 0 by `twisted.validate_twisted`."""
+
+    def __init__(self, ring: RingSpec, ranks: dict, d: dict):
+        from .twisted import embed, validate_twisted
+
+        self._set(ring, ranks, d)
+        bad = validate_twisted(embed(self))
+        if bad:
+            raise BadParameter("invalid chain complex: " + "; ".join(bad))
+
+    @classmethod
+    def _of(cls, ring: RingSpec, ranks: dict, d: dict) -> "ChainComplex":
+        """Unchecked, like `TwistedComplex._of`."""
+        c = object.__new__(cls)
+        c._set(ring, ranks, d)
+        return c
+
+    def _set(self, ring, ranks, d):
         self.ring = ring
         self.ranks = {n: r for n, r in ranks.items() if r}
-        diffs = {}
-        for n, m in d.items():
-            if m is None or m.is_zero:
-                continue
-            diffs[n] = m
-        self.d = diffs
-        if check:
-            self._validate()
-
-    def _validate(self):
-        for n, r in self.ranks.items():
-            if r < 0:
-                raise BadParameter("negative rank in degree %d" % n)
-        for n, m in self.d.items():
-            if m.cols != self.rank(n) or m.rows != self.rank(n - 1):
-                raise BadParameter("differential at degree %d has wrong shape" % n)
-        for n, m in self.d.items():
-            if _product(self.d.get(n - 1), m) is not None:
-                raise BadParameter("d*d != 0 at degree %d" % n)
+        self.d = {n: m for n, m in d.items() if m is not None and not m.is_zero}
 
     # -- access --------------------------------------------------------
 
@@ -84,10 +84,6 @@ class ChainComplex:
     def degrees(self):
         return sorted(self.ranks)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.ranks
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChainComplex)
@@ -99,35 +95,28 @@ class ChainComplex:
     def __repr__(self) -> str:
         return "ChainComplex(%s, ranks=%s)" % (self.ring, self.ranks)
 
-    def to_ring(self, ring: RingSpec) -> "ChainComplex":
-        return ChainComplex(
-            ring, dict(self.ranks), {n: m.to_ring(ring) for n, m in self.d.items()}
-        )
-
 
 class ChainMap:
-    def __init__(self, source: ChainComplex, target: ChainComplex, f: dict):
-        self.source = source
-        self.target = target
-        comps = {}
-        for n, m in f.items():
-            if m is None or m.is_zero:
-                continue
-            comps[n] = m
-        self.f = comps
-        self._validate()
+    """Checked as a map of columns 0 by `twisted.validate_map`."""
 
-    def _validate(self):
-        if self.source.ring != self.target.ring:
-            raise BadParameter("chain map between different rings")
-        for n, m in self.f.items():
-            if m.cols != self.source.rank(n) or m.rows != self.target.rank(n):
-                raise BadParameter("component at degree %d has wrong shape" % n)
-        for n in set(self.f) | set(self.source.d):
-            lhs = _product(self.target.d.get(n), self.f.get(n))
-            rhs = _product(self.f.get(n - 1), self.source.d.get(n))
-            if lhs != rhs:
-                raise BadParameter("chain map does not commute at degree %d" % n)
+    def __init__(self, source: ChainComplex, target: ChainComplex, f: dict):
+        from .twisted import embed_map, validate_map
+
+        self._set(source, target, f)
+        bad = validate_map(embed_map(self))
+        if bad:
+            raise BadParameter("invalid chain map: " + "; ".join(bad))
+
+    @classmethod
+    def _of(cls, source: ChainComplex, target: ChainComplex, f: dict) -> "ChainMap":
+        """Unchecked, like `TwistedComplex._of`."""
+        g = object.__new__(cls)
+        g._set(source, target, f)
+        return g
+
+    def _set(self, source, target, f):
+        self.source, self.target = source, target
+        self.f = {n: m for n, m in f.items() if m is not None and not m.is_zero}
 
     @staticmethod
     def identity(c: ChainComplex) -> "ChainMap":

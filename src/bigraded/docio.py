@@ -32,7 +32,9 @@ from .rings import RingSpec, BadParameter, ring_from_name
 from .matrices import ExactMatrix
 from .chain import ChainComplex, ChainMap
 from .bicomplex import Bicomplex, BicomplexMap
-from .twisted import TwistedComplex, TwistedMap, validate_twisted
+from .twisted import (
+    TwistedComplex, TwistedMap, embed, embed_map, validate_map, validate_twisted,
+)
 
 SCHEMA_VERSION = 1
 
@@ -73,33 +75,23 @@ def _matrix_triplets(ring: RingSpec, m: ExactMatrix) -> list:
 
 class _Kind(NamedTuple):
     """A kind of document.  `families` lists (name, structure index) in
-    written order, empty for the ``d<i>`` names of a twisted complex;
-    `make(ring, ranks, ds)` builds the carrier on ds, index -> family."""
+    written order, empty for the ``d<i>`` names of a twisted complex."""
 
     cls: type
     map_cls: type
     arity: int
     families: tuple
     conventions: tuple
-    make: Callable
 
 
 # Bicomplex comes before its base class TwistedComplex: the first kind
 # whose class matches an object names it.
 _KINDS = {
-    "chain": _Kind(
-        ChainComplex, ChainMap, 1, (("d", 0),), ("anticommute",),
-        lambda ring, ranks, ds: ChainComplex(ring, ranks, ds.get(0, {})),
-    ),
+    "chain": _Kind(ChainComplex, ChainMap, 1, (("d", 0),), ("anticommute",)),
     "bicomplex": _Kind(
-        Bicomplex, BicomplexMap, 2, (("dh", 1), ("dv", 0)), ("anticommute", "commute"),
-        lambda ring, ranks, ds: Bicomplex(
-            ring, ranks, ds.get(1, {}), ds.get(0, {}), check=False),
+        Bicomplex, BicomplexMap, 2, (("dh", 1), ("dv", 0)), ("anticommute", "commute")
     ),
-    "twisted": _Kind(
-        TwistedComplex, TwistedMap, 2, (), ("anticommute",),
-        lambda ring, ranks, ds: TwistedComplex(ring, ranks, ds, check=False),
-    ),
+    "twisted": _Kind(TwistedComplex, TwistedMap, 2, (), ("anticommute",)),
 }
 
 # d<i>, i without leading zeros and short enough for int()
@@ -297,6 +289,16 @@ def _parse_ranks(raw, arity):
     return ranks
 
 
+def _checked(x):
+    """x, built unchecked by `_of`, once the one checker of its kind
+    lists no violation; a chain complex or map is checked as column 0."""
+    is_map = isinstance(x, (ChainMap, TwistedMap))
+    bad = validate_map(embed_map(x)) if is_map else validate_twisted(embed(x))
+    if bad:
+        raise ValidationError(bad)
+    return x
+
+
 class _Pending(NamedTuple):
     """A parsed complex whose matrices are not built yet: `cells` is the
     sum of rows x cols over them, `build()` makes the object."""
@@ -345,15 +347,9 @@ def _pending_object(doc) -> _Pending:
         ds = {i: _build_family(ring, fam) for i, fam in fams.items()}
         if convention == "commute":
             ds[0] = {(p, q): -m if p % 2 else m for (p, q), m in ds.get(0, {}).items()}
-        try:
-            x = carrier.make(ring, ranks, ds)
-        except BadParameter as exc:
-            raise ValidationError([str(exc)])
-        # the bigraded carriers are built unchecked, to report every violation
-        bad = validate_twisted(x) if isinstance(x, TwistedComplex) else []
-        if bad:
-            raise ValidationError(bad)
-        return x
+        # unchecked, so that _checked lists every violation; a chain
+        # complex stores its one family, d = d_0, alone
+        return _checked(carrier.cls._of(ring, ranks, ds.get(0, {}) if carrier.arity == 1 else ds))
 
     return _Pending(kind, ring, ranks, _cells(fams.values()), build)
 
@@ -396,10 +392,8 @@ def from_document(doc) -> object:
     _check_size(src.cells + tgt.cells + _cells([comps]))
     source, target = src.build(), tgt.build()
     mats = _build_family(src.ring, comps)
-    try:
-        return _KINDS[map_kind].map_cls(source, target, mats)
-    except BadParameter as exc:
-        raise ValidationError([str(exc)])
+    # unchecked, so that _checked lists every violation
+    return _checked(_KINDS[map_kind].map_cls._of(source, target, mats))
 
 
 def parse(text: str) -> object:

@@ -430,11 +430,9 @@ class QuotientModule:
     `torsion`.
     """
 
-    def __init__(self, ring: RingSpec, n: int, relations: ExactMatrix | None):
+    def __init__(self, ring: RingSpec, n: int, relations: ExactMatrix):
         self.ring = ring
         self.ambient_dim = n
-        if relations is None:
-            relations = ExactMatrix.zero(ring, n, 0)
         if relations.rows != n:
             raise ValueError("relation matrix has wrong ambient dimension")
         if ring.is_field:

@@ -92,7 +92,7 @@ from .bicomplex import (
     TorsionInSubquotient,
     bic_disc,
     bic_sphere,
-    e2_iso,
+    e2_vanishes,
     h_boundary,
     include_chain,
     subquotient_map,
@@ -526,7 +526,7 @@ def classify_map(f, structure) -> ClassifyReport:
         triv = fib and all(hh_zv.values())
         weq = None
         try:
-            weq = e2_iso(f)
+            weq = e2_vanishes(c)  # e2_iso(f), on the cone built above
         except TorsionInSubquotient:
             evidence["weq_unavailable"] = "vertical homology has torsion"
         report = ClassifyReport(structure, weq, fib, triv, evidence)

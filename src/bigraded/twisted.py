@@ -44,20 +44,27 @@ class TwistedComplex:
     """ranks maps bidegrees (p, q) with p >= 0 to positive ranks; ds maps
     each index i to a family of matrices d_i indexed by source bidegree."""
 
-    def __init__(self, ring: RingSpec, ranks: dict, ds: dict, labels=None, check=True):
-        self.ring = ring
+    def __init__(self, ring: RingSpec, ranks: dict, ds: dict, labels=None):
+        self._set(ring, ranks, ds, labels)
+        bad = validate_twisted(self)
+        if bad:
+            raise BadParameter("invalid twisted complex: " + "; ".join(bad))
+
+    @classmethod
+    def _of(cls, ring: RingSpec, ranks: dict, ds: dict) -> "TwistedComplex":
+        """An object of this class on data that needs no check, because
+        the operation that computed it proves the relations; each call
+        site says how.  Data from outside goes through the constructor."""
+        x = object.__new__(cls)
+        x._set(ring, ranks, ds, None)
+        return x
+
+    def _set(self, ring, ranks, ds, labels):
+        self.ring, self.labels = ring, labels
         self.ranks = {pq: r for pq, r in ranks.items() if r}
-        clean = {}
-        for i, fam in ds.items():
-            fam = {pq: m for pq, m in fam.items() if m is not None and not m.is_zero}
-            if fam:
-                clean[i] = fam
-        self.ds = clean
-        self.labels = labels
-        if check:
-            bad = validate_twisted(self)
-            if bad:
-                raise BadParameter("invalid twisted complex: " + "; ".join(bad))
+        fams = {i: {pq: m for pq, m in fam.items() if m is not None and not m.is_zero}
+                for i, fam in ds.items()}
+        self.ds = {i: fam for i, fam in fams.items() if fam}
 
     # -- access --------------------------------------------------------
 
@@ -145,32 +152,49 @@ def validate_twisted(x: TwistedComplex) -> list:
     return [f"{_relation_name(n)} at ({p},{q})" for n, _, p, q in sorted(fails)]
 
 
+def validate_map(f) -> list:
+    """Empty list when the strict map f is valid, else a description of
+    each violation: different rings; else every component of the wrong
+    shape; else every (p, q) and i, in that order, where f does not
+    commute with d_i."""
+    src, tgt = f.source, f.target
+    if src.ring != tgt.ring:
+        return ["map between different rings"]
+    bad = [
+        f"component at ({p},{q}) has wrong shape"
+        for (p, q), m in sorted(f.f.items())
+        if m.cols != src.rank(p, q) or m.rows != tgt.rank(p, q)
+    ]
+    indices = sorted(set(src.ds) | set(tgt.ds))
+    # the products are taken only when every shape fits
+    return bad or [
+        f"map does not commute with d_{i} at ({p},{q})"
+        for (p, q) in sorted(set(src.ranks) | set(tgt.ranks))
+        for i in indices
+        if _product(tgt.ds.get(i, {}).get((p, q)), f.f.get((p, q)))
+        != _product(f.f.get((p - i, q + i - 1)), src.ds.get(i, {}).get((p, q)))
+    ]
+
+
 class TwistedMap:
     """Strict morphism: bidegree (0,0) components commuting with every d_i."""
 
-    def __init__(self, source: TwistedComplex, target: TwistedComplex, f: dict, check=True):
-        self.source = source
-        self.target = target
-        self.f = {pq: m for pq, m in f.items() if m is not None and not m.is_zero}
-        if check:
-            self._validate()
+    def __init__(self, source: TwistedComplex, target: TwistedComplex, f: dict):
+        self._set(source, target, f)
+        bad = validate_map(self)
+        if bad:
+            raise BadParameter("invalid map: " + "; ".join(bad))
 
-    def _validate(self):
-        src, tgt = self.source, self.target
-        if src.ring != tgt.ring:
-            raise BadParameter("map between different rings")
-        for (p, q), m in self.f.items():
-            if m.cols != src.rank(p, q) or m.rows != tgt.rank(p, q):
-                raise BadParameter(f"component at ({p},{q}) has wrong shape")
-        indices = sorted(set(src.ds) | set(tgt.ds))
-        for (p, q) in set(src.ranks) | set(tgt.ranks):
-            for i in indices:
-                lhs = _product(tgt.ds.get(i, {}).get((p, q)), self.f.get((p, q)))
-                rhs = _product(
-                    self.f.get((p - i, q + i - 1)), src.ds.get(i, {}).get((p, q))
-                )
-                if lhs != rhs:
-                    raise BadParameter(f"map does not commute with d_{i} at ({p},{q})")
+    @classmethod
+    def _of(cls, source: TwistedComplex, target: TwistedComplex, f: dict) -> "TwistedMap":
+        """Unchecked, like `TwistedComplex._of`."""
+        g = object.__new__(cls)
+        g._set(source, target, f)
+        return g
+
+    def _set(self, source, target, f):
+        self.source, self.target = source, target
+        self.f = {pq: m for pq, m in f.items() if m is not None and not m.is_zero}
 
     def component(self, p: int, q: int) -> ExactMatrix:
         m = self.f.get((p, q))
@@ -194,11 +218,11 @@ class TwistedMap:
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise BadParameter("composition mismatch")
-        return map_like(
+        # a composite of strict maps commutes with every d_i
+        return _map_class(other.source, self.target)._of(
             other.source,
             self.target,
             {pq: _product(self.f.get(pq), m) for pq, m in other.f.items()},
-            check=False,
         )
 
 
@@ -225,14 +249,18 @@ def complex_like(inputs, ring, ranks, ds) -> TwistedComplex:
     return TwistedComplex(ring, ranks, ds)
 
 
-def map_like(source, target, f, check=True) -> TwistedMap:
-    """A BicomplexMap exactly when both ends are bicomplexes, else a
-    TwistedMap."""
+def _map_class(source, target) -> type:
+    """The class of the maps `map_like` builds between these ends."""
     from .bicomplex import Bicomplex, BicomplexMap
 
     if isinstance(source, Bicomplex) and isinstance(target, Bicomplex):
-        return BicomplexMap(source, target, f, check=check)
-    return TwistedMap(source, target, f, check=check)
+        return BicomplexMap
+    return TwistedMap
+
+
+def map_like(source, target, f) -> TwistedMap:
+    """A BicomplexMap exactly when both ends are bicomplexes, else a TwistedMap."""
+    return _map_class(source, target)(source, target, f)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +541,8 @@ def tot_twisted(x: TwistedComplex) -> ChainComplex:
         }
         if blocks:
             d[n] = summed(x.ring, layouts[n - 1], src, blocks)
-    return ChainComplex(x.ring, {n: sum(lay.values()) for n, lay in layouts.items()}, d)
+    # unchecked: (sum_i d_i)^2 = 0 is the sum of the relations of x
+    return ChainComplex._of(x.ring, {n: sum(lay.values()) for n, lay in layouts.items()}, d)
 
 
 def tot_twisted_map(f: TwistedMap):
@@ -646,7 +675,7 @@ def morphism_space_basis(x: TwistedComplex, y: TwistedComplex) -> ExactMatrix:
     return kernel_basis(ExactMatrix.vstack(ring, rows, cols=n))
 
 
-def morphism_from_vector(x: TwistedComplex, y: TwistedComplex, vec, check=True) -> TwistedMap:
+def morphism_from_vector(x: TwistedComplex, y: TwistedComplex, vec) -> TwistedMap:
     """Inverse of the flattening used by morphism_space_basis."""
     comps = {}
     off = 0
@@ -656,7 +685,7 @@ def morphism_from_vector(x: TwistedComplex, y: TwistedComplex, vec, check=True) 
             x.ring, [vec[k : k + rx] for k in range(off, off + n, rx)]
         )
         off += n
-    return map_like(x, y, comps, check=check)
+    return map_like(x, y, comps)
 
 
 def morphism_to_vector(f: TwistedMap) -> tuple:
@@ -724,7 +753,9 @@ def embed(obj) -> TwistedComplex:
     if isinstance(obj, ChainComplex):
         ranks = {(0, n): r for n, r in obj.ranks.items()}
         d0 = {(0, n): m for n, m in obj.d.items()}
-        return TwistedComplex(obj.ring, ranks, {0: d0}, check=False)
+        # unchecked: the one relation of a column, d_0^2 = 0, is d*d = 0
+        # of obj, which ChainComplex checks on this very embedding
+        return TwistedComplex._of(obj.ring, ranks, {0: d0})
     raise BadParameter(f"cannot embed {type(obj).__name__}")
 
 
@@ -732,9 +763,10 @@ def embed_map(f) -> TwistedMap:
     if isinstance(f, TwistedMap):
         return f
     if isinstance(f, ChainMap):
-        return TwistedMap(
-            embed(f.source), embed(f.target),
-            {(0, n): m for n, m in f.f.items()}, check=False,
+        # unchecked: commuting with d_0 on column 0 is being a chain map,
+        # which ChainMap checks on this very embedding
+        return TwistedMap._of(
+            embed(f.source), embed(f.target), {(0, n): m for n, m in f.f.items()}
         )
     raise BadParameter(f"cannot embed {type(f).__name__}")
 
@@ -825,12 +857,17 @@ def direct_sum_twisted(objs) -> TwistedComplex:
 
 def line(x: TwistedComplex, i: int, n: int) -> ChainComplex:
     """Column n (i = 0) or row n (i = 1) of x as a chain complex with
-    differential d_i, indexed by the other coordinate."""
+    differential d_i, indexed by the other coordinate.  A row needs
+    d_k = 0 for k >= 2, since only then does d_1 square to zero."""
     if i not in (0, 1):
         raise BadParameter("a line is a column (i = 0) or a row (i = 1)")
+    if i == 1 and any(k >= 2 for k in x.ds):
+        raise BadParameter("a row needs d_i = 0 for i >= 2")
     ranks = {pq[1 - i]: r for pq, r in x.ranks.items() if pq[i] == n}
     d = {pq[1 - i]: m for pq, m in x.ds.get(i, {}).items() if pq[i] == n}
-    return ChainComplex(x.ring, ranks, d)
+    # unchecked: d_0^2 = 0 is the relation n = 0 of x, and with no d_k
+    # for k >= 2 the relation n = 2 is d_1^2 = 0
+    return ChainComplex._of(x.ring, ranks, d)
 
 
 def cone_twisted(f: TwistedMap, i: int) -> TwistedComplex:
@@ -865,7 +902,7 @@ def cone_twisted(f: TwistedMap, i: int) -> TwistedComplex:
     # unchecked: the relations of x and y give those of the diagonal, and
     # the f block of sum_{a+b=n} d_a d_b is d_{n-i}^Y f - f d_{n-i}^X = 0
     # because f commutes with every d_k
-    return TwistedComplex(y.ring, ranks, ds, check=False)
+    return TwistedComplex._of(y.ring, ranks, ds)
 
 
 def alternative_disc_words(p: int, q: int) -> dict:

@@ -90,10 +90,9 @@ def test_include_chain_round_trip():
 
 def test_invalid_bicomplex_messages():
     one = I()
-    bad = validate_twisted(Bicomplex(
+    bad = validate_twisted(Bicomplex._of(
         ZZ, {(0, 0): 1, (1, 0): 1, (0, -1): 1, (1, -1): 1},
-        {(1, 0): one, (1, -1): one}, {(0, 0): one, (1, 0): one},
-        check=False,
+        {1: {(1, 0): one, (1, -1): one}, 0: {(0, 0): one, (1, 0): one}},
     ))
     assert any("anticommute" in msg for msg in bad)
 

@@ -10,7 +10,7 @@ from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.matrices import ExactMatrix
 from bigraded.linalg import QuotientModule, coordinates_in, image_basis, kernel_basis
 from bigraded.docio import parse
-from bigraded.twisted import line, tot_twisted, twisted_boundary, twisted_disc
+from bigraded.twisted import embed, line, tot_twisted, twisted_boundary, twisted_disc, validate_twisted
 from bigraded.chain import (
     ChainComplex,
     ChainMap,
@@ -202,7 +202,7 @@ def test_tensor_differential_squares_to_zero_random():
         for _ in range(10):
             x = random_chain_complex(rng, ring, degrees=(0, 2))
             y = random_chain_complex(rng, ring, degrees=(-1, 1))
-            tensor(x, y)  # constructor validates d*d = 0
+            assert validate_twisted(embed(tensor(x, y))) == []
 
 
 def test_euler_characteristic_additive_under_tensor():

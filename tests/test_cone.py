@@ -121,3 +121,23 @@ def test_classifiers_build_no_chain_map(monkeypatch):
     assert built == []
     ChainMap.identity(chain.sphere(0, 1, ZZ))
     assert built == [ChainMap]
+
+
+def test_ce_classifier_builds_two_cones_per_map(monkeypatch):
+    # the cone of f along d_1, shared by the row tests and the E2 test,
+    # and the cone of the map f induces on vertical cycles
+    from bigraded import bicomplex, model, twisted
+
+    built = []
+    real = twisted.cone_twisted
+
+    def spy(f, i):
+        built.append(i)
+        return real(f, i)
+
+    for module in (twisted, bicomplex, model):
+        monkeypatch.setattr(module, "cone_twisted", spy)
+    maps = [f for f in _maps(47, 40) if isinstance(f, BicomplexMap)]
+    for f in maps:
+        classify_map(f, "ce")
+    assert built == [1, 1] * len(maps)

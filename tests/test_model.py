@@ -24,7 +24,6 @@ from bigraded.twisted import (
     TwistedMap,
     embed_map,
     hom_layout,
-    morphism_from_vector,
     morphism_space_basis,
     morphism_to_vector,
     post_operator,
@@ -64,6 +63,19 @@ def I(ring=ZZ, n=1):
     return ExactMatrix.identity(ring, n)
 
 
+def family_from_vector(src, tgt, vec) -> TwistedMap:
+    """The family of degree (0, 0) from src to tgt flattened row-major
+    in `vec`, in the order of hom_layout.  Built unchecked: a column of
+    a basis of all families need not commute with the d_i."""
+    comps, off = {}, 0
+    for (s, t), n in hom_layout(src, tgt, 0, 0).items():
+        rx = src.rank(s, t)
+        comps[(s, t)] = ExactMatrix.from_rows(
+            src.ring, [vec[k:k + rx] for k in range(off, off + n, rx)])
+        off += n
+    return TwistedMap._of(src, tgt, comps)
+
+
 def morphism_matrix(src, tgt, basis, post, out_src, out_tgt) -> ExactMatrix:
     """Columns: flatten(post(m_j)) for the morphisms m_j: src -> tgt
     encoded by the columns of `basis`; post(m) must land in
@@ -71,7 +83,7 @@ def morphism_matrix(src, tgt, basis, post, out_src, out_tgt) -> ExactMatrix:
     independently of the composition operators of `twisted`."""
     nrows = sum(hom_layout(out_src, out_tgt, 0, 0).values())
     cols = [
-        morphism_to_vector(post(morphism_from_vector(src, tgt, basis.col(j), check=False)))
+        morphism_to_vector(post(family_from_vector(src, tgt, basis.col(j))))
         for j in range(basis.cols)
     ]
     return ExactMatrix.from_cols(src.ring, nrows, cols)
