@@ -190,13 +190,13 @@ def _subquotients(x: TwistedComplex, direction: str, kind: str):
     for (p, q) in x.bidegrees():
         # an absent d_own has every element as a cycle and no boundaries
         d_out, d_in = d.get((p, q)), d.get((p + own, q - own + 1))
-        img = None if d_in is None or kind == "Z" else image_basis(d_in)
         if kind == "B":
-            if img is None:
+            if d_in is None:
                 continue
-            sq = Subquotient(ring, img.rows, sub=img)
+            sq = Subquotient(ring, d_in.rows, sub=image_basis(d_in))
         else:
-            sq = Subquotient(ring, x.rank(p, q), rel=img,
+            # a quotient needs relations that span the boundaries, not a basis
+            sq = Subquotient(ring, x.rank(p, q), rel=None if kind == "Z" else d_in,
                              sub=None if d_out is None else kernel_basis(d_out))
             if sq.torsion:
                 raise TorsionInSubquotient(

@@ -35,8 +35,19 @@ class ModuleClass:
 
     def __str__(self) -> str:
         parts = ["k^%d" % self.free_rank] if self.free_rank else []
-        parts += ["Z/%d" % t for t in self.torsion]
+        parts += ["Z/" + _decimal(t) for t in self.torsion]
         return " + ".join(parts) if parts else "0"
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an integer n >= 0 of any size, 600 digits at a time:
+    str() refuses more than sys.get_int_max_str_digits() digits, a limit
+    that is 0 (none) or at least 640."""
+    chunks = []
+    while n >= 10 ** 600:
+        n, r = divmod(n, 10 ** 600)
+        chunks.append(str(r).zfill(600))
+    return str(n) + "".join(reversed(chunks))
 
 
 def _product(a, b):

@@ -128,7 +128,13 @@ class RingSpec:
     # -- text ----------------------------------------------------------
 
     def format_scalar(self, x) -> str:
-        return str(x)
+        # str() refuses an integer of more digits than
+        # sys.get_int_max_str_digits() exactly when the int() of
+        # parse_scalar would refuse to read it back
+        try:
+            return str(x)
+        except ValueError:
+            raise BadParameter("scalar has too many digits to read back") from None
 
     def parse_scalar(self, s: str):
         s = s.strip()

@@ -7,15 +7,25 @@ This is the one carrier type of the package.  A bicomplex is the
 subclass with d_i = 0 for i >= 2 (``bicomplex.Bicomplex``), and a chain
 complex embeds as a single column.  Every operation here serves both
 carriers; ``complex_like`` and ``map_like`` decide the type of a result
-from the types of the inputs.  The module also builds the free cell
-objects on one generator (the disc and its vertical boundary) from a
-word basis with an explicit rewriting algorithm, identifies boundary
-columns with simplicial cochain complexes, and provides totalisation,
-tensor and strict-morphism spaces, kernels, cokernels and direct sums,
-vertical homology, and the quotient down to bicomplexes.
+from the types of the inputs.
+
+The module builds the free cell objects on one generator (the disc and
+its vertical boundary) on a basis of words w = (w_1..w_n) of subscripts:
+every letter positive, or positive letters then one trailing 0.  For
+i >= 1, d_i w is the word (i, w), and d_0 has the closed formula
+
+    d_0 w = sum_k (-1)^k sum_{0<a<w_k} (w_1..w_{k-1}, a, w_k - a, w_{k+1}..w_n)
+            + (-1)^n (w, 0)   when w has no zero.
+
+It also identifies boundary columns with simplicial cochain complexes,
+and provides totalisation, tensor and strict-morphism spaces, kernels,
+cokernels and direct sums, vertical homology, and the quotient down to
+bicomplexes.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
@@ -264,45 +274,45 @@ def map_like(source, target, f) -> TwistedMap:
 
 
 # ---------------------------------------------------------------------------
-# Words and rewriting
+# Words and the closed formula for d_0
 # ---------------------------------------------------------------------------
 
 def normal_form(word: tuple) -> dict:
-    """Rewrite a word of structure-map subscripts applied to the disc
-    generator into the canonical basis.
-
-    Returns a dict from basis words to integer coefficients.  The
-    leftmost zero not in the last position is pushed right one step at a
-    time via d_0 d_m = -sum_{a+b=m} d_a d_b (a >= 1); adjacent zeros kill
-    the word (the m = 0 sum is empty)."""
-    k = next((k for k, i in enumerate(word[:-1]) if i == 0), None)
-    if k is None:
+    """d_i w for the word (i,) + w, w a basis word, as a dict from basis
+    words to coefficients, by the formula of the module docstring: the
+    closed form of pushing the zero right through w by the relation
+    d_0 d_m = -sum_{a+b=m} d_a d_b (a >= 1).  The empty word is the
+    generator.  Any other word raises BadParameter."""
+    if not word:
+        return {(): 1}
+    i, w = word[0], word[1:]
+    if i < 0 or any(a < 1 for a in w[:-1]) or (w and w[-1] < 0):
+        raise BadParameter(f"{word} is not d_i of a basis word")
+    if i:
         return {word: 1}
-    m = word[k + 1]
-    out = {}
-    for a in range(1, m + 1):
-        sub = word[:k] + (a, m - a) + word[k + 2:]
-        for w, c in normal_form(sub).items():
-            out[w] = out.get(w, 0) - c
-            if out[w] == 0:
-                del out[w]
+    out, sign = {}, 1
+    for k, m in enumerate(w):
+        sign = -sign
+        for a in range(1, m):
+            out[w[:k] + (a, m - a) + w[k + 1:]] = sign
+    # sign is now (-1)^n
+    if not w or w[-1]:
+        out[w + (0,)] = sign
     return out
 
 
 def _compositions(s: int, n: int):
     """Length-n sequences of positive integers summing to s, in
-    lexicographic order."""
-    if n < 0:
-        return []
-    if n == 0:
-        return [()] if s == 0 else []
-    if n == 1:
-        return [(s,)] if s >= 1 else []
-    out = []
-    for first in range(1, s - n + 2):
-        for rest in _compositions(s - first, n - 1):
-            out.append((first,) + rest)
-    return out
+    lexicographic order: the gaps between n - 1 cut points in 1..s-1,
+    whose sets come in the same order."""
+    if n < 1 or s < 1:
+        return [()] if n == s == 0 else []
+    # tuple() of a list, not of a generator, which over-allocates: the
+    # words are kept as the labels of the cells
+    return [
+        tuple([b - a for a, b in zip((0,) + cut, cut + (s,))])
+        for cut in combinations(range(1, s), n - 1)
+    ]
 
 
 def _word_table(p: int, q: int, zeroed=None) -> dict:
@@ -338,13 +348,9 @@ def _cell(ring, words, act, indices) -> TwistedComplex:
     """The twisted complex free on the basis `words` (bidegree -> list of
     words) whose d_i, for i in `indices`, sends each word w to act(i, w),
     a dict word -> int coefficient."""
-    ds = {}
-    for i in indices:
-        ds[i] = {}
-        for (p, q), ws in words.items():
-            tgt = words.get((p - i, q + i - 1))
-            if tgt is not None:
-                ds[i][(p, q)] = incidence(ring, tgt, ws, lambda w: act(i, w))
+    ds = {i: {(p, q): incidence(ring, words[(p - i, q + i - 1)], ws, lambda w: act(i, w))
+              for (p, q), ws in words.items() if (p - i, q + i - 1) in words}
+          for i in indices}
     ranks = {pq: len(ws) for pq, ws in words.items()}
     return TwistedComplex(ring, ranks, ds, labels=words)
 
@@ -357,13 +363,9 @@ def twisted_disc(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
 
 
 def _on_boundary(i: int, w: tuple) -> dict:
-    """d_i of the boundary word w(y), y = d_0 x, as boundary words."""
-    out = {}
-    for w2, c in normal_form((i,) + w + (0,)).items():
-        if w2[-1] != 0:
-            raise AssertionError("boundary left its own span")
-        out[w2[:-1]] = c
-    return out
+    """d_i of the boundary word w(y), y = d_0 x, as boundary words: the
+    cell's d_i of w + (0,), with the trailing zero every term keeps."""
+    return {w2[:-1]: c for w2, c in normal_form((i,) + w + (0,)).items()}
 
 
 def twisted_boundary(p: int, q: int, ring: RingSpec = ZZ) -> TwistedComplex:
@@ -378,10 +380,8 @@ def boundary_inclusion(p: int, q: int, ring: RingSpec = ZZ) -> TwistedMap:
     """The map sending each boundary word w(y) to w d_0 (x) in the cell."""
     src = twisted_boundary(p, q, ring)
     tgt = twisted_disc(p, q, ring)
-    f = {}
-    for pq, ws in src.labels.items():
-        tws = tgt.labels[pq]
-        f[pq] = incidence(ring, tws, ws, lambda w: {w + (0,): 1})
+    f = {pq: incidence(ring, tgt.labels[pq], ws, lambda w: {w + (0,): 1})
+         for pq, ws in src.labels.items()}
     return TwistedMap(src, tgt, f)
 
 
@@ -390,19 +390,11 @@ def truncated_boundary(p: int, q: int, s: int, ring: RingSpec = ZZ) -> TwistedCo
     words with first subscript at most s, with only d_0 retained."""
     if p < 0 or s < 0:
         raise BadParameter("need p >= 0 and s >= 0")
-    words = {}
-    for pq, ws in boundary_words(p, q).items():
-        keep = [w for w in ws if not w or w[0] <= s]
-        if keep:
-            words[pq] = keep
-
-    def act(i, w):
-        out = _on_boundary(i, w)
-        if any(inner and inner[0] > s for inner in out):
-            raise AssertionError("truncation is not d_0-closed")
-        return out
-
-    return _cell(ring, words, act, (0,))
+    kept = {pq: [w for w in ws if not w or w[0] <= s]
+            for pq, ws in boundary_words(p, q).items()}
+    words = {pq: ws for pq, ws in kept.items() if ws}
+    # d_0 only splits letters, so no first subscript grows past s
+    return _cell(ring, words, _on_boundary, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +791,8 @@ def cokernel_twisted(f: TwistedMap):
     ring = y.ring
     quots = {}
     for (p, q) in y.bidegrees():
-        sq = Subquotient(ring, y.rank(p, q), rel=image_basis(f.component(p, q)))
+        # the components span the image; an absent one relates nothing
+        sq = Subquotient(ring, y.rank(p, q), rel=f.f.get((p, q)))
         if sq.torsion:
             raise TorsionCokernel(f"cokernel at ({p},{q}) has torsion {sq.torsion}")
         if sq.rank:
@@ -915,8 +908,5 @@ def alternative_basis_change(p: int, q: int, ring: RingSpec = ZZ) -> dict:
     """Per-bidegree matrix expressing the alternative basis in the
     canonical one (columns indexed by the alternative words)."""
     canon = disc_words(p, q)
-    alt = alternative_disc_words(p, q)
-    return {
-        pq: incidence(ring, canon[pq], words, normal_form)
-        for pq, words in alt.items()
-    }
+    return {pq: incidence(ring, canon[pq], words, normal_form)
+            for pq, words in alternative_disc_words(p, q).items()}

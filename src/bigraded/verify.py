@@ -45,6 +45,17 @@ BOUNDARY_4_0_RANKS = {
 }
 
 
+# The rows q of the generators of the cells the checks build; cell
+# acyclicity is checked for generators in row 0 over each ring listed.
+QS = (-1, 0, 2)
+ACYCLICITY_RINGS = (QQ, GF(2), GF(3), ZZ)
+# Seeded random maps per model structure in the lifting check, over the
+# rings listed in turn, and seeded samples in the spectral check.
+RLP_MAPS_PER_STRUCTURE = 30
+RLP_RINGS = (GF(2), GF(3))
+SPECTRAL_SAMPLES = 12
+
+
 def disc_rank_formula(p: int, q: int) -> dict:
     """Closed-form ranks of the twisted cell on a generator at (p, q):
     C(s-1, n-1) + C(s-1, n-2) words of weight s and length n."""
@@ -70,10 +81,10 @@ def boundary_rank_formula(p: int, q: int) -> dict:
     return out
 
 
-def check_rank_tables(max_p: int, qs=(-1, 0, 2)) -> dict:
+def check_rank_tables(max_p: int) -> dict:
     bad = []
     for p in range(max_p + 1):
-        for q in qs:
+        for q in QS:
             if dict(twisted_disc(p, q).ranks) != disc_rank_formula(p, q):
                 bad.append(f"disc ({p},{q})")
             if dict(twisted_boundary(p, q).ranks) != boundary_rank_formula(p, q):
@@ -96,16 +107,15 @@ def check_figure_tables() -> dict:
     }
 
 
-def check_acyclicity(max_p: int, qs=(0,), rings=(QQ, GF(2), GF(3), ZZ)) -> dict:
+def check_acyclicity(max_p: int) -> dict:
     bad = []
-    for ring in rings:
-        for q in qs:
-            for p in range(max_p + 1):
-                if not is_acyclic(tot_twisted(twisted_disc(p, q, ring))):
-                    bad.append(f"disc ({p},{q}) over {ring}")
-            for p in range(1, max_p + 1):
-                if not is_acyclic(tot_twisted(twisted_boundary(p, q, ring))):
-                    bad.append(f"boundary ({p},{q}) over {ring}")
+    for ring in ACYCLICITY_RINGS:
+        for p in range(max_p + 1):
+            if not is_acyclic(tot_twisted(twisted_disc(p, 0, ring))):
+                bad.append(f"disc ({p},0) over {ring}")
+        for p in range(1, max_p + 1):
+            if not is_acyclic(tot_twisted(twisted_boundary(p, 0, ring))):
+                bad.append(f"boundary ({p},0) over {ring}")
     ok = not bad
     return {
         "name": "cell-acyclicity",
@@ -114,11 +124,11 @@ def check_acyclicity(max_p: int, qs=(0,), rings=(QQ, GF(2), GF(3), ZZ)) -> dict:
     }
 
 
-def check_simplicial(max_p: int, qs=(-1, 0, 2)) -> dict:
+def check_simplicial(max_p: int) -> dict:
     bad = []
     n_abs = n_rel = 0
     for p in range(max_p + 1):
-        for q in qs:
+        for q in QS:
             for u in range(0, p - 1):
                 try:
                     compare_to_simplex_cochain(p, q, None, u)
@@ -143,8 +153,8 @@ def check_simplicial(max_p: int, qs=(-1, 0, 2)) -> dict:
     }
 
 
-def check_tensor_identities(pmax: int = 3, qs=(-1, 0, 2), seed: int = 0) -> dict:
-    results = verify_generator_identities(pmax=pmax, qs=qs, seed=seed)
+def check_tensor_identities(pmax: int = 3, seed: int = 0) -> dict:
+    results = verify_generator_identities(pmax=pmax, qs=QS, seed=seed)
     bad = [r for r in results if not r["ok"]]
     return {
         "name": "tensor-identities",
@@ -155,14 +165,13 @@ def check_tensor_identities(pmax: int = 3, qs=(-1, 0, 2), seed: int = 0) -> dict
     }
 
 
-def check_rlp_agreement(seed: int, per_structure: int = 30,
-                        rings=(GF(2), GF(3))) -> dict:
+def check_rlp_agreement(seed: int) -> dict:
     rng = random.Random(seed)
     bad = []
     checked = 0
     for structure in ("tot", "ce", "twisted-tot"):
-        for k in range(per_structure):
-            ring = rings[k % len(rings)]
+        for k in range(RLP_MAPS_PER_STRUCTURE):
+            ring = RLP_RINGS[k % len(RLP_RINGS)]
             if structure == "twisted-tot":
                 f = randgen.random_twisted_map(rng, ring)
             else:
@@ -184,10 +193,10 @@ def check_rlp_agreement(seed: int, per_structure: int = 30,
     }
 
 
-def check_spectral(seed: int, samples: int = 12) -> dict:
+def check_spectral(seed: int) -> dict:
     rng = random.Random(seed)
     bad = []
-    for k in range(samples):
+    for k in range(SPECTRAL_SAMPLES):
         for make in (randgen.random_bicomplex, randgen.random_twisted):
             x = make(rng, QQ, p_range=(0, 3), q_range=(-1, 2))
             res = convergence_check(x)
@@ -208,7 +217,7 @@ def check_spectral(seed: int, samples: int = 12) -> dict:
     return {
         "name": "spectral-convergence",
         "ok": ok,
-        "detail": f"{samples} bicomplexes and twisted complexes converge"
+        "detail": f"{SPECTRAL_SAMPLES} bicomplexes and twisted complexes converge"
         if ok else "; ".join(bad[:4]),
     }
 

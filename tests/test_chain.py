@@ -58,6 +58,16 @@ def test_module_class_str():
     assert ModuleClass(0).is_zero
 
 
+def test_module_class_prints_integers_past_the_str_digit_limit():
+    # str() of an int refuses more than 4,300 digits by default
+    huge = 10**5000 + 1
+    assert str(ModuleClass(0, (huge,))) == "Z/1" + "0" * 4999 + "1"
+    assert str(ModuleClass(2, (3, 7 * 10**1300))) == "k^2 + Z/3 + Z/7" + "0" * 1300
+    # the homology the library computes prints too
+    c = ChainComplex(ZZ, {0: 1, 1: 1}, {1: ExactMatrix.from_rows(ZZ, [[huge]])})
+    assert str(homology(c)[0]) == "Z/1" + "0" * 4999 + "1"
+
+
 def test_sphere_and_disc_homology():
     for ring in (ZZ, QQ, GF(2)):
         assert homology(sphere(3, 2, ring)) == {3: ModuleClass(2)}

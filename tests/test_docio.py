@@ -1,10 +1,11 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigraded.rings import ZZ, QQ, GF
+from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.chain import ChainComplex, ChainMap, sphere
 from bigraded.matrices import ExactMatrix
 from bigraded.bicomplex import bic_disc
@@ -53,6 +54,21 @@ def test_canonical_ordering_is_idempotent():
     doc["ranks"] = list(reversed(doc["ranks"]))
     again = serialize(parse(json.dumps(doc)))
     assert again == serialize(twisted_disc(3, 0, ZZ))
+
+
+def _one_entry_complex(ring, x):
+    return ChainComplex(ring, {0: 1, 1: 1}, {1: ExactMatrix.from_rows(ring, [[x]])})
+
+
+def test_serialize_refuses_an_entry_parse_could_not_read_back():
+    # int() reads at most 4,300 digits by default, and str() writes as many
+    for ring, x in ((ZZ, 10**5000 + 1), (ZZ, -10**4300), (QQ, Fraction(1, 10**4300))):
+        with pytest.raises(BadParameter):
+            serialize(_one_entry_complex(ring, x))
+    # at the limit the document still parses back
+    for ring, x in ((ZZ, 10**4300 - 1), (ZZ, 1 - 10**4300), (QQ, Fraction(1, 10**4300 - 1))):
+        c = _one_entry_complex(ring, x)
+        assert parse(serialize(c)) == c
 
 
 def test_rational_scalars_as_strings():

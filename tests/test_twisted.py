@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from bigraded.bicomplex import (
     h_boundary,
     v_boundary,
 )
+from bigraded import bicomplex, twisted
 from bigraded.twisted import (
     MismatchAt,
     TwistedComplex,
@@ -44,8 +46,8 @@ from bigraded.twisted import (
     vertical_homology_twisted,
     word_to_simplex,
 )
-from bigraded.linalg import is_unimodular
-from bigraded.randgen import random_twisted
+from bigraded.linalg import is_unimodular, rank
+from bigraded.randgen import random_bicomplex, random_twisted
 from bigraded.verify import (
     BOUNDARY_4_0_RANKS,
     DISC_4_0_RANKS,
@@ -62,6 +64,94 @@ def test_normal_form_zero_pushing():
     # already-canonical words are fixed
     assert normal_form((2, 1, 0)) == {(2, 1, 0): 1}
     assert normal_form((3,)) == {(3,): 1}
+
+
+def _rewrite(word):
+    """The rewriting recursion the closed formula of normal_form replaced:
+    push the leftmost zero not in the last position right by one step via
+    d_0 d_m = -sum_{a+b=m} d_a d_b (a >= 1); adjacent zeros kill the word."""
+    k = next((k for k, i in enumerate(word[:-1]) if i == 0), None)
+    if k is None:
+        return {word: 1}
+    m, out = word[k + 1], {}
+    for a in range(1, m + 1):
+        for w, c in _rewrite(word[:k] + (a, m - a) + word[k + 2:]).items():
+            out[w] = out.get(w, 0) - c
+            if out[w] == 0:
+                del out[w]
+    return out
+
+
+def test_normal_form_matches_the_rewriting_oracle(monkeypatch):
+    # every word the cells and the alternative basis change rewrite
+    seen = set()
+
+    def spy(word):
+        seen.add(word)
+        return normal_form(word)
+
+    monkeypatch.setattr(twisted, "normal_form", spy)
+    for p in range(10):
+        twisted_disc(p, 0, GF(2))
+        twisted_boundary(p, 0, GF(2))
+        alternative_basis_change(p, 0, GF(2))
+        for s in range(p + 1):
+            truncated_boundary(p, 0, s, GF(2))
+    assert len(seen) > 2000
+    for word in seen:
+        assert normal_form(word) == _rewrite(word), word
+
+
+def test_normal_form_and_compositions_do_not_recurse(monkeypatch):
+    calls = []
+    for name in ("normal_form", "_compositions"):
+        def spy(*args, f=getattr(twisted, name)):
+            calls.append(args)
+            return f(*args)
+        monkeypatch.setattr(twisted, name, spy)
+    assert twisted.normal_form((0, 3, 2, 4)) == _rewrite((0, 3, 2, 4))
+    assert twisted._compositions(6, 3)
+    assert calls == [((0, 3, 2, 4),), (6, 3)]
+
+
+@pytest.mark.parametrize("word", [(1, 0, 2), (0, 0, 1), (0, 2, 0, 0), (-1,), (1, -2)])
+def test_normal_form_refuses_a_word_outside_the_basis(word):
+    with pytest.raises(BadParameter):
+        normal_form(word)
+
+
+def test_compositions_match_brute_force():
+    for s in range(10):
+        for n in range(-1, s + 3):
+            # no part of a length-n composition of s exceeds s - n + 1
+            parts = range(1, s - n + 2)
+            brute = sorted(c for c in product(parts, repeat=n) if sum(c) == s) if n >= 0 else []
+            assert twisted._compositions(s, n) == brute, (s, n)
+
+
+def test_quotients_take_spanning_relations_without_image_basis(monkeypatch):
+    def refused(m):
+        raise AssertionError("image_basis called")
+
+    monkeypatch.setattr(bicomplex, "image_basis", refused)
+    monkeypatch.setattr(twisted, "image_basis", refused)
+    rng = random.Random(5)
+    for ring in (GF(3), QQ):
+        for _ in range(10):
+            x = random_bicomplex(rng, ring)
+            for direction, own in (("v", 0), ("h", 1)):
+                h = directional_subquotient(x, direction, "H")
+                d = x.ds.get(own, {})
+                for p, q in x.bidegrees():
+                    d_out, d_in = d.get((p, q)), d.get((p + own, q - own + 1))
+                    cycles = x.rank(p, q) - (0 if d_out is None else rank(d_out))
+                    assert h.rank(p, q) == cycles - (0 if d_in is None else rank(d_in))
+    for p in (0, 1, 2, 3):
+        for ring in (ZZ, GF(3)):
+            ck, _ = cokernel_twisted(boundary_inclusion(p, 0, ring))
+            # over Z the quotient basis need not be the word basis
+            assert ck.ranks == twisted_boundary(p, 1, ring).ranks
+            assert ring == ZZ or ck == twisted_boundary(p, 1, ring)
 
 
 def test_disc_ranks_match_reference_tables():
