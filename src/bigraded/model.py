@@ -501,7 +501,8 @@ def classify_map(f, structure) -> ClassifyReport:
     if structure in ("tot", "twisted-tot"):
         c = cone_twisted(f, 0)
         col_iso = {p: is_acyclic(line(c, 0, p)) for p in cols}
-        weq = is_acyclic(tot_twisted(c))
+        # acyclic columns make E_1 of the cone zero, so its Tot is acyclic
+        weq = all(col_iso.values()) or is_acyclic(tot_twisted(c))
         evidence["column_homology_iso"] = col_iso
         fib = surj and all(ok for p, ok in col_iso.items() if p > 0)
         triv = surj and all(col_iso.values())

@@ -12,6 +12,16 @@ concentrated in non-negative columns, the pages stabilize no later than
 r = pmax + 1 and the stable page computes the homology of the total
 complex degreewise.
 
+``pages`` tracks the dimensions of each page.  E_1 is vertical
+homology, so dim E_1(p,q) is dim X_{p,q} less the ranks of the d_0 out
+of and into (p, q); dim E_{r+1}(p,q) is dim E_r(p,q) less the ranks of
+the d_r out of and into (p, q).  An E-term is built only where its
+dimension is positive, and must have that dimension.  For each n the
+sum of dim E_r(p,q) over p + q = n can only fall from one page to the
+next, never falls below dim H_n(Tot), and reaches it at the stable page.
+So the first page on which it equals dim H_n for every n is E-infinity:
+every later d_s is zero, and the loop stops there.
+
 No filtration map is ever built.  The summands of Tot_n are laid out by
 increasing column (``tot_layout``), so F_p Tot_n is a prefix of the
 coordinates and Tot_{n-1} / F_{p-r} is the complementary suffix.  Hence
@@ -29,7 +39,7 @@ from dataclasses import dataclass
 
 from .rings import RingSpec, BadParameter, UnsupportedRing
 from .matrices import ExactMatrix
-from .linalg import Subquotient, prefix_kernels
+from .linalg import Subquotient, prefix_kernels, rank
 from .chain import homology
 from .twisted import embed, tot_layout, tot_twisted
 
@@ -145,21 +155,33 @@ class _PageWorker:
 def pages(x, r_max: int | None = None) -> SpectralData:
     """The pages and differentials up to min(r_max, stable page) (r_max
     defaults to the stable page), and E-infinity, for a bicomplex or
-    twisted complex over a field.  A bound below 1 is refused."""
+    twisted complex over a field.  A bound below 1 is refused.  Pages
+    from the first one known to be E-infinity on are copies of it."""
     if r_max is not None and r_max < 1:
         raise BadParameter(f"page bound must be at least 1, got {r_max}")
     worker = _PageWorker(x)
     stable = worker.x.pmax + 1
     last = stable if r_max is None else min(r_max, stable)
-    page_tables = {}
-    diff_tables = {}
+    h = {n: cls.free_rank for n, cls in homology(worker.tot).items()}
+    # E_1 is vertical homology: dim X_{p,q} less the ranks of d_0 out and in
+    rk = {pq: rank(m) for pq, m in worker.x.ds.get(0, {}).items()}
+    dims = {(p, q): d - rk.get((p, q), 0) - rk.get((p, q + 1), 0)
+            for (p, q), d in sorted(worker.x.ranks.items())}
+    page_tables, diff_tables = {}, {}
     for r in range(1, last + 1):
-        terms = {}
-        for (p, q) in sorted(worker.x.ranks):
-            term = worker.e_term(r, p, q)
-            if term.rank:
-                terms[(p, q)] = term
-        page_tables[r] = {pq: term.rank for pq, term in terms.items()}
+        dims = {pq: d for pq, d in dims.items() if d}
+        sums = {}
+        for (p, q), d in dims.items():
+            sums[p + q] = sums.get(p + q, 0) + d
+        if sums == h:
+            for s in range(r, last + 1):
+                page_tables[s], diff_tables[s] = dict(dims), {}
+            return SpectralData(worker.ring, page_tables, diff_tables, stable, dims)
+        terms = {pq: worker.e_term(r, *pq) for pq in dims}
+        bad = [pq for pq, term in terms.items() if term.rank != dims[pq]]
+        if bad:
+            raise RuntimeError(f"E_{r} at {bad} is off the page bookkeeping")
+        page_tables[r] = dict(dims)
         diffs = {}
         for (p, q), term in terms.items():
             target = terms.get((p - r, q + r - 1))
@@ -171,6 +193,9 @@ def pages(x, r_max: int | None = None) -> SpectralData:
             m = target.classes(image)
             if not m.is_zero:
                 diffs[(p, q)] = m
+                k = rank(m)
+                dims[(p, q)] -= k
+                dims[(p - r, q + r - 1)] -= k
         diff_tables[r] = diffs
     return SpectralData(worker.ring, page_tables, diff_tables, stable, worker.einf())
 

@@ -22,6 +22,7 @@ from bigraded.bicomplex import (
 )
 from bigraded.twisted import (
     TwistedMap,
+    cone_twisted,
     embed_map,
     hom_layout,
     morphism_space_basis,
@@ -349,6 +350,29 @@ def test_classify_trivial_fibration_asserts_consistency():
     d = bic_disc(1, 0, 1, QQ)
     rep = classify_map(BicomplexMap.identity(d), "tot")
     assert rep.is_weq and rep.is_fibration and rep.is_trivial_fibration
+
+
+def test_acyclic_columns_decide_tot_weq_without_the_tot_of_the_cone(monkeypatch):
+    # every column of the cone acyclic makes E_1 of its column filtration
+    # zero, so its Tot is acyclic: the classifier does not build it
+    import bigraded.model as model
+
+    real = model.tot_twisted
+    calls = []
+    monkeypatch.setattr(model, "tot_twisted", lambda c: calls.append(c) or real(c))
+    rng = random.Random(26)
+    maps = [("tot", BicomplexMap.identity(bic_disc(2, 0, 1, QQ)))]
+    maps += [(s, make(rng, ring)) for ring in (QQ, GF(2), ZZ) for _ in range(8)
+             for s, make in (("tot", random_bicomplex_map), ("twisted-tot", random_twisted_map))]
+    seen = set()
+    for structure, f in maps:
+        calls.clear()
+        rep = classify_map(f, structure)
+        skipped = all(rep.evidence["column_homology_iso"].values())
+        assert bool(calls) != skipped
+        assert rep.is_weq == is_acyclic(real(cone_twisted(f, 0)))
+        seen.add(skipped)
+    assert seen == {True, False}
 
 
 def test_classify_ce_weq_unavailable_over_z():

@@ -16,13 +16,15 @@ from bigraded.bicomplex import (
 )
 from bigraded.twisted import (
     TwistedComplex,
+    direct_sum_twisted,
     embed,
     tot_twisted,
     twisted_boundary,
     twisted_disc,
     vertical_homology_twisted,
 )
-from bigraded.spectral import convergence_check, pages
+from bigraded import spectral
+from bigraded.spectral import SpectralData, _PageWorker, convergence_check, pages
 from bigraded.randgen import (
     random_bicomplex,
     random_bicomplex_map,
@@ -32,11 +34,11 @@ from bigraded.randgen import (
 from bigraded.verify import e2_of_vertical
 
 
-def d2_example():
-    """One generator at (2, 0) hitting one at (0, 1) through the second
-    structure map: pages one and two are nonzero, page three is empty."""
-    return TwistedComplex(QQ, {(2, 0): 1, (0, 1): 1},
-                          {2: {(2, 0): ExactMatrix.identity(QQ, 1)}})
+def dk_example(k):
+    """One generator at (k, 0) hitting one at (0, k - 1) through the
+    structure map d_k: pages one to k are nonzero, page k + 1 is empty."""
+    return TwistedComplex(QQ, {(k, 0): 1, (0, k - 1): 1},
+                          {k: {(k, 0): ExactMatrix.identity(QQ, 1)}})
 
 
 def test_sphere_pages_constant():
@@ -70,7 +72,7 @@ def test_page_two_is_e2():
 
 
 def test_d2_example_runs_to_empty():
-    x = d2_example()
+    x = dk_example(2)
     data = pages(x)
     assert data.page(1) == {(2, 0): 1, (0, 1): 1}
     assert data.page(2) == {(2, 0): 1, (0, 1): 1}
@@ -122,8 +124,8 @@ def test_stable_page_clamping():
 
 
 def test_pages_stop_at_r_max():
-    # the (8, 0) cell is stable from page 9; r_max = 2 computes pages 1
-    # and 2 only, and E-infinity on its own
+    # the (8, 0) cell has E_1 = 0, so pages 1..9 are all empty; r_max = 2
+    # reports pages 1 and 2 only, and E-infinity on its own
     x = twisted_disc(8, 0, GF(3))
     full = pages(x)
     part = pages(x, r_max=2)
@@ -275,3 +277,102 @@ def test_convergence_table_matches_all_pages():
         assert convergence_check(x)["table"] == expect
         n += 1
     assert n == 95
+
+
+# --- the page bookkeeping against the every-page loop ----------------------
+
+def _reference_pages(x, r_max=None) -> SpectralData:
+    """The loop `pages` ran before it tracked dimensions: every E-term of
+    every page up to min(r_max, stable page), and E-infinity read from
+    the stable page alone."""
+    worker = _PageWorker(x)
+    stable = worker.x.pmax + 1
+    last = stable if r_max is None else min(r_max, stable)
+    page_tables = {}
+    diff_tables = {}
+    for r in range(1, last + 1):
+        terms = {}
+        for (p, q) in sorted(worker.x.ranks):
+            term = worker.e_term(r, p, q)
+            if term.rank:
+                terms[(p, q)] = term
+        page_tables[r] = {pq: term.rank for pq, term in terms.items()}
+        diffs = {}
+        for (p, q), term in terms.items():
+            target = terms.get((p - r, q + r - 1))
+            if target is None:
+                continue
+            image = worker.boundary(p + q, term.reps, target.n)
+            if image is None:
+                continue
+            m = target.classes(image)
+            if not m.is_zero:
+                diffs[(p, q)] = m
+        diff_tables[r] = diffs
+    return SpectralData(worker.ring, page_tables, diff_tables, stable, worker.einf())
+
+
+def _fast_path_inputs():
+    yield from _digest_objects()
+    f3, big = GF(3), GF(LARGE_PRIME)
+    for p in range(8):
+        yield twisted_disc(p, 0, f3)
+        yield twisted_boundary(p, 0, f3)
+    for p in range(5):
+        yield twisted_disc(p, 0, big)
+        yield twisted_boundary(p, 0, big)
+    rng = random.Random(26)
+    for ring in (QQ, GF(2), f3):
+        for _ in range(4):
+            yield random_bicomplex(rng, ring, p_range=(0, 3), q_range=(-1, 2))
+            yield random_twisted(rng, ring, p_range=(0, 3), q_range=(-1, 2))
+    for k in range(1, 7):
+        yield dk_example(k)
+        yield direct_sum_twisted([dk_example(k), twisted_boundary(3, 0, QQ)])
+
+
+def _in_order(data: SpectralData) -> tuple:
+    """Every output of `pages`, with the order of each table's keys."""
+    return (
+        [(r, list(t.items())) for r, t in data.pages.items()],
+        [(r, list(t.items())) for r, t in data.differentials.items()],
+        list(data.einf.items()),
+        data.stable_page,
+    )
+
+
+@pytest.mark.parametrize("r_max", [None, 1, 2, 3, 5])
+def test_pages_match_the_every_page_loop(r_max):
+    for x in _fast_path_inputs():
+        assert _in_order(pages(x, r_max)) == _in_order(_reference_pages(x, r_max))
+
+
+def test_pages_build_e_terms_only_where_a_page_is_nonzero(monkeypatch):
+    real = _PageWorker.e_term
+    built = []
+
+    def spy(self, r, p, q):
+        built.append(r)
+        return real(self, r, p, q)
+
+    monkeypatch.setattr(_PageWorker, "e_term", spy)
+    # E_1 = 0: the d_0 ranks alone show that page 1 is E-infinity
+    pages(twisted_disc(7, 0, GF(3)))
+    assert built == []
+    # E_2 = 0 = H(Tot)
+    pages(twisted_boundary(7, 0, GF(3)))
+    assert set(built) == {1}
+    # d_k is nonzero, so the stop fires at page k + 1 and not before
+    for k in range(1, 7):
+        for x in (dk_example(k), direct_sum_twisted([dk_example(k), twisted_boundary(3, 0, QQ)])):
+            built.clear()
+            pages(x)
+            assert sorted(set(built)) == list(range(1, k + 1))
+
+
+def test_pages_refuse_an_e_term_off_its_tracked_dimension(monkeypatch):
+    # with every d_0 rank read as 0, page 1 is tracked as the whole
+    # object, and the first E-term built contradicts it
+    monkeypatch.setattr(spectral, "rank", lambda m: 0)
+    with pytest.raises(RuntimeError, match="bookkeeping"):
+        pages(twisted_boundary(3, 0, QQ))
