@@ -21,7 +21,7 @@ def main():
         width = max((pp for pp, _ in p.ranks), default=0) + 1
         rep = classify_map(eps, "ce")
         cof = cofibrancy_report(p, "ce")
-        print(f"sample {k}: input ranks {dict(sorted(y.ranks.items()))}")
+        print(f"sample {k}: input ranks {({n: y.rank(0, n) for n in y.degrees()})}")
         print(f"  resolution ranks {dict(sorted(p.ranks.items()))}")
         print(f"  width={width}  trivial_fibration={rep.is_trivial_fibration}  "
               f"cofibrancy={'pass' if cof.passes else 'fail'}")

@@ -6,9 +6,11 @@ with d_h^2 = d_v^2 = 0 and d_h d_v + d_v d_h = 0.  `Bicomplex` and
 `BicomplexMap` subclass the twisted carrier, so totalisation, tensor,
 strict-morphism spaces, kernels, cokernels and direct sums are the
 twisted operations; a result is a bicomplex exactly when its inputs are.
-This module adds the standard bicomplex cells and rows, the
-directional subquotients and the E2-isomorphism test.  Documents in the
-commuting sign convention are converted on input by `docio`.
+A chain complex is the subclass on column 0 with d_h = 0
+(``chain.ChainComplex``).  This module adds the standard bicomplex
+cells and rows, the directional subquotients and the E2-isomorphism
+test.  Documents in the commuting sign convention are converted on
+input by `docio`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from __future__ import annotations
 from itertools import product
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, incidence
 from .linalg import Subquotient, kernel_basis, image_basis
-from .chain import ChainComplex, incidence, is_acyclic
 from .twisted import (
     TwistedComplex,
     TwistedMap,
@@ -61,8 +62,6 @@ class BicomplexMap(TwistedMap):
     # class __dict__.
 
     def __init__(self, source: Bicomplex, target: Bicomplex, f: dict):
-        if not (isinstance(source, Bicomplex) and isinstance(target, Bicomplex)):
-            raise BadParameter("a bicomplex map needs bicomplex ends")
         super().__init__(source, target, f)
 
     def compose(self, other: "TwistedMap") -> "TwistedMap":
@@ -114,41 +113,34 @@ def v_boundary(p: int, q: int, r: int = 1, ring: RingSpec = ZZ) -> Bicomplex:
     )
 
 
-def z_row(q: int, c: ChainComplex) -> Bicomplex:
+def z_row(q: int, c: Bicomplex) -> Bicomplex:
     """A non-negative chain complex placed in vertical degree q, with its
-    differential horizontal."""
-    if any(n < 0 for n in c.ranks):
+    differential horizontal; a bicomplex off column 0 is refused."""
+    if any(p or n < 0 for p, n in c.ranks):
         raise BadParameter("chain complex must be concentrated in degrees >= 0")
-    ranks = {(n, q): r for n, r in c.ranks.items()}
-    d_h = {(n, q): m for n, m in c.d.items()}
+    ranks = {(n, q): r for (_, n), r in c.ranks.items()}
+    d_h = {(n, q): m for (_, n), m in c.d_v.items()}
     return Bicomplex(c.ring, ranks, d_h, {})
 
 
-def c_row(q: int, c: ChainComplex) -> Bicomplex:
+def c_row(q: int, c: Bicomplex) -> Bicomplex:
     """A non-negative chain complex doubled into vertical degrees q and
     q-1 with d_v = (-1)^p between the copies."""
-    if any(n < 0 for n in c.ranks):
+    if any(p or n < 0 for p, n in c.ranks):
         raise BadParameter("chain complex must be concentrated in degrees >= 0")
     ring = c.ring
     ranks = {}
     d_h = {}
     d_v = {}
-    for n, r in c.ranks.items():
+    for (_, n), r in c.ranks.items():
         ranks[(n, q)] = r
         ranks[(n, q - 1)] = r
         sign = -1 if n % 2 else 1
         d_v[(n, q)] = ExactMatrix.identity(ring, r).scale(ring.from_int(sign))
-    for n, m in c.d.items():
+    for (_, n), m in c.d_v.items():
         d_h[(n, q)] = m
         d_h[(n, q - 1)] = m
     return Bicomplex(ring, ranks, d_h, d_v)
-
-
-def include_chain(c: ChainComplex) -> Bicomplex:
-    """A chain complex as the column p = 0 with vertical differential."""
-    ranks = {(0, n): r for n, r in c.ranks.items()}
-    d_v = {(0, n): m for n, m in c.d.items()}
-    return Bicomplex(c.ring, ranks, {}, d_v)
 
 
 def koszul_swap(x: Bicomplex, y: Bicomplex) -> BicomplexMap:
@@ -241,6 +233,8 @@ def e2_vanishes(x: TwistedComplex) -> bool:
     """Whether E2 = H_h(H_v) of x vanishes: whether each row of the
     vertical homology of x is acyclic.  Over Z raises
     TorsionInSubquotient when vertical homology has torsion."""
+    from .chain import is_acyclic
+
     hv = directional_subquotient(x, "v", "H")
     return all(is_acyclic(line(hv, 1, q)) for q in {q for _, q in hv.ranks})
 
@@ -255,6 +249,6 @@ def e2(x: TwistedComplex) -> dict:
     return dict(hh.ranks)
 
 
-def ev0(x: TwistedComplex) -> ChainComplex:
-    """The column p = 0 with its vertical differential."""
+def ev0(x: TwistedComplex) -> Bicomplex:
+    """The column p = 0 with its vertical differential, a chain complex."""
     return line(x, 0, 0)

@@ -1,10 +1,14 @@
 """Bounded chain complexes of finitely generated free modules.
 
-Differentials lower the degree by one.  Complexes are stored sparsely:
-a dict of ranks per degree and a dict of differential matrices, with
-missing entries meaning zero.  A complex and a map are checked at
-construction as column 0 of the twisted carrier, by the one object
-checker and the one map checker of ``twisted``.
+A chain complex is the bicomplex on column 0 with d_h = 0: degree n sits
+at (0, n), and the differential, which lowers the degree by one, is
+d_v = d_0 there.  `ChainComplex` and `ChainMap` subclass the bicomplex
+carrier and keep nothing of their own: the one object checker and the
+one map checker of ``twisted`` check them, and every operation on
+bigraded objects takes them.  Only their constructors take data keyed
+by degree; `degrees`, `diff` and `d` read the column back by degree.
+This module adds the standard complexes, homology, cones and the
+non-negative truncation.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from itertools import combinations
 from math import comb
 
 from .rings import RingSpec, ZZ, BadParameter
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, incidence
 from .linalg import kernel_basis, coordinates_in, invariant_factors, rank
+from .bicomplex import Bicomplex, BicomplexMap
+from .twisted import cone_twisted, direct_sum_twisted, line, tensor_twisted
 
 
 @dataclass(frozen=True)
@@ -50,104 +56,43 @@ def _decimal(n: int) -> str:
     return str(n) + "".join(reversed(chunks))
 
 
-def _product(a, b):
-    """a @ b, or None when a factor is absent or the product is zero."""
-    if a is None or b is None:
-        return None
-    m = a @ b
-    return None if m.is_zero else m
-
-
-class ChainComplex:
-    """Checked as column 0 by `twisted.validate_twisted`."""
+class ChainComplex(Bicomplex):
+    """The bicomplex on column 0 with d_v = d and d_h = 0, built from
+    ranks and differentials keyed by degree."""
 
     def __init__(self, ring: RingSpec, ranks: dict, d: dict):
-        from .twisted import embed, validate_twisted
+        super().__init__(
+            ring, {(0, n): r for n, r in ranks.items()}, {}, {(0, n): m for n, m in d.items()}
+        )
 
-        self._set(ring, ranks, d)
-        bad = validate_twisted(embed(self))
-        if bad:
-            raise BadParameter("invalid chain complex: " + "; ".join(bad))
-
-    @classmethod
-    def _of(cls, ring: RingSpec, ranks: dict, d: dict) -> "ChainComplex":
-        """Unchecked, like `TwistedComplex._of`."""
-        c = object.__new__(cls)
-        c._set(ring, ranks, d)
-        return c
-
-    def _set(self, ring, ranks, d):
-        self.ring = ring
-        self.ranks = {n: r for n, r in ranks.items() if r}
-        self.d = {n: m for n, m in d.items() if m is not None and not m.is_zero}
-
-    # -- access --------------------------------------------------------
-
-    def rank(self, n: int) -> int:
-        return self.ranks.get(n, 0)
+    @property
+    def d(self) -> dict:
+        """The differentials keyed by source degree."""
+        return {n: m for (_, n), m in self.d_v.items()}
 
     def diff(self, n: int) -> ExactMatrix:
-        m = self.d.get(n)
+        m = self.d_v.get((0, n))
         if m is None:
-            return ExactMatrix.zero(self.ring, self.rank(n - 1), self.rank(n))
+            return ExactMatrix.zero(self.ring, self.rank(0, n - 1), self.rank(0, n))
         return m
 
     def degrees(self):
-        return sorted(self.ranks)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChainComplex)
-            and self.ring == other.ring
-            and self.ranks == other.ranks
-            and self.d == other.d
-        )
-
-    def __repr__(self) -> str:
-        return "ChainComplex(%s, ranks=%s)" % (self.ring, self.ranks)
+        return [n for _, n in self.bidegrees()]
 
 
-class ChainMap:
-    """Checked as a map of columns 0 by `twisted.validate_map`."""
+class ChainMap(BicomplexMap):
+    """A map of chain complexes, built from components keyed by degree."""
+
+    # __init__ and compose are defined in this class body, not only
+    # inherited, because perfbench/tracer.py wraps them through the
+    # class __dict__.
 
     def __init__(self, source: ChainComplex, target: ChainComplex, f: dict):
-        from .twisted import embed_map, validate_map
-
-        self._set(source, target, f)
-        bad = validate_map(embed_map(self))
-        if bad:
-            raise BadParameter("invalid chain map: " + "; ".join(bad))
-
-    @classmethod
-    def _of(cls, source: ChainComplex, target: ChainComplex, f: dict) -> "ChainMap":
-        """Unchecked, like `TwistedComplex._of`."""
-        g = object.__new__(cls)
-        g._set(source, target, f)
-        return g
-
-    def _set(self, source, target, f):
-        self.source, self.target = source, target
-        self.f = {n: m for n, m in f.items() if m is not None and not m.is_zero}
-
-    @staticmethod
-    def identity(c: ChainComplex) -> "ChainMap":
-        return ChainMap(
-            c, c, {n: ExactMatrix.identity(c.ring, r) for n, r in c.ranks.items()}
-        )
-
-    @staticmethod
-    def zero(source: ChainComplex, target: ChainComplex) -> "ChainMap":
-        return ChainMap(source, target, {})
+        super().__init__(source, target, {(0, n): m for n, m in f.items()})
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise BadParameter("composition mismatch")
-        return ChainMap(
-            other.source,
-            self.target,
-            {n: _product(self.f.get(n), m) for n, m in other.f.items()},
-        )
+        return super().compose(other)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +125,9 @@ def simplex_basis(n: int, t: int):
 
 def simplex_boundary(n: int, t: int, ring: RingSpec) -> ExactMatrix:
     """Face differential C_t -> C_{t-1} of the augmented simplex complex."""
-    src = simplex_basis(n, t)
-    tgt = simplex_basis(n, t - 1)
-    index = {s: i for i, s in enumerate(tgt)}
-    rows = [{} for _ in tgt]
-    for j, s in enumerate(src):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            rows[index[face]][j] = ring.from_int(-1 if i % 2 else 1)
-    return ExactMatrix(ring, len(tgt), len(src), rows)
+    return incidence(ring, simplex_basis(n, t - 1), simplex_basis(n, t), lambda s: {
+        s[:i] + s[i + 1:]: -1 if i % 2 else 1 for i in range(len(s))
+    })
 
 
 def simplex_chain(n: int, ring: RingSpec = None) -> ChainComplex:
@@ -207,20 +146,6 @@ def cochain_basis(n: int, t: int, front: int | None) -> list:
     spanned by {0,...,m}, in the order of simplex_basis."""
     simps = simplex_basis(n, t)
     return simps if front is None else [s for s in simps if s and s[-1] > front]
-
-
-def incidence(ring: RingSpec, targets: list, sources: list, action) -> ExactMatrix:
-    """The matrix of the linear map sending the basis element s of
-    `sources` to action(s), a dict {element of `targets`: integer
-    coefficient}."""
-    index = {x: i for i, x in enumerate(targets)}
-    rows = [{} for _ in targets]
-    for j, s in enumerate(sources):
-        for t, c in action(s).items():
-            rows[index[t]][j] = ring.from_int(c)
-    # ring.from_int normalises, and the constructor drops the entries
-    # that are zero in the ring
-    return ExactMatrix(ring, len(targets), len(sources), rows)
 
 
 def _cochain(n: int, ring: RingSpec, front: int | None) -> ChainComplex:
@@ -289,7 +214,7 @@ def homology(c: ChainComplex) -> dict:
     out = {}
     for n in c.degrees():
         cls = _homology_class(
-            c.rank(n), factors.get(n, zero), factors.get(n + 1, zero)
+            c.rank(0, n), factors.get(n, zero), factors.get(n + 1, zero)
         )
         if not cls.is_zero:
             out[n] = cls
@@ -303,10 +228,8 @@ def is_acyclic(c: ChainComplex) -> bool:
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: degree n is X_{n-1} + Y_n with the usual twisted
     differential; acyclic exactly when f is a quasi-isomorphism.  It is
-    column 0 of the cone along d_0 of f embedded as column 0."""
-    from .twisted import cone_twisted, embed_map, line
-
-    return line(cone_twisted(embed_map(f), 0), 0, 0)
+    column 0 of the cone of f along d_0."""
+    return line(cone_twisted(f, 0), 0, 0)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -321,25 +244,17 @@ def truncate_nonneg(c: ChainComplex) -> ChainComplex:
     """Replace degree 0 by the kernel of d: C_0 -> C_{-1} and drop the
     negative part."""
     k = kernel_basis(c.diff(0))
-    ranks = {n: r for n, r in c.ranks.items() if n >= 1}
+    ranks = {n: c.rank(0, n) for n in c.degrees() if n >= 1}
     if k.cols:
         ranks[0] = k.cols
     d = {n: m for n, m in c.d.items() if n >= 2}
-    if c.rank(1) and k.cols:
+    if c.rank(0, 1) and k.cols:
         d[1] = coordinates_in(k, c.diff(1))
     return ChainComplex(c.ring, ranks, d)
 
 
-def direct_sum(complexes) -> ChainComplex:
-    """The column 0 of the direct sum of the embedded columns."""
-    from .twisted import direct_sum_twisted, embed, line
-
-    return line(direct_sum_twisted([embed(c) for c in complexes]), 0, 0)
-
-
-def tensor(x: ChainComplex, y: ChainComplex) -> ChainComplex:
-    """Tensor product with the sign (-1)^{|x|} on the second factor: the
-    column 0 of the tensor product of the two embedded columns."""
-    from .twisted import embed, line, tensor_twisted
-
-    return line(tensor_twisted(embed(x), embed(y)), 0, 0)
+# The direct sum and the tensor product (sign (-1)^{|x|} on the second
+# factor) of chain complexes are the bigraded ones, which return a chain
+# complex on chain complexes alone.
+direct_sum = direct_sum_twisted
+tensor = tensor_twisted

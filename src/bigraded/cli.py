@@ -35,9 +35,7 @@ def _read(path: str):
     except DocumentSyntaxError as exc:
         raise CheckFailure(f"{path}: {exc}")
     except ValidationError as exc:
-        raise CheckFailure(
-            f"{path}: invalid object:\n  " + "\n  ".join(exc.violations)
-        )
+        raise CheckFailure(f"{path}: invalid object: {exc}")
 
 
 def _write(obj, out: str | None):
@@ -49,12 +47,6 @@ def _write(obj, out: str | None):
             fh.write(text)
 
 
-def _tot_of(obj):
-    if isinstance(obj, chain.ChainComplex):
-        return obj
-    return tw.tot_twisted(obj)
-
-
 def cmd_check(args) -> int:
     obj = _read(args.file)
     kind = type(obj).__name__
@@ -64,10 +56,9 @@ def cmd_check(args) -> int:
 
 def cmd_homology(args) -> int:
     obj = _read(args.file)
-    if isinstance(obj, (chain.ChainMap, tw.TwistedMap)):
+    if isinstance(obj, tw.TwistedMap):
         raise CheckFailure("homology expects an object document, not a map")
-    tot = _tot_of(obj)
-    h = chain.homology(tot)
+    h = chain.homology(tw.tot_twisted(obj))
     degs = sorted(n for n, cls in h.items() if not cls.is_zero)
     if not degs:
         print("homology: 0")
@@ -108,20 +99,16 @@ def cmd_tensor(args) -> int:
     y = _read(args.b)
     if type(x) is not type(y):
         raise CheckFailure("tensor factors must have the same kind")
-    if isinstance(x, chain.ChainComplex):
-        out = chain.tensor(x, y)
-    elif isinstance(x, tw.TwistedComplex):
-        out = tw.tensor_twisted(x, y)
-    else:
+    if not isinstance(x, tw.TwistedComplex):
         raise CheckFailure("tensor expects object documents, not maps")
-    _write(out, args.output)
+    _write(tw.tensor_twisted(x, y), args.output)
     return 0
 
 
 def cmd_classify(args) -> int:
     f = _read(args.mapfile)
     if not isinstance(f, tw.TwistedMap):
-        raise CheckFailure("classify expects a bicomplex or twisted map")
+        raise CheckFailure("classify expects a map document")
     rep = classify_map(f, args.structure)
     print(f"structure: {rep.structure}")
     weq = "unknown" if rep.is_weq is None else str(rep.is_weq).lower()

@@ -10,12 +10,14 @@ parse(serialize(x)) reconstructs x exactly.
 
 Omitted (bi)degrees mean rank zero, omitted matrices mean zero maps.
 A top-level field that a document of its kind does not have is a
-syntax error, and a map document names the ring of its endpoints.
-One table, `_KINDS`, gives for each kind of document its carrier and
-map classes and the names of its differential families with their
-structure index: ``d`` (index 0) for a chain complex, ``dv`` (0) and
-``dh`` (1) for a bicomplex, ``d<i>`` (i) for a twisted complex.  Any
-other family name is a syntax error.  Bicomplexes are written with
+syntax error, and a map document names the ring of its endpoints and
+writes them in its own kind.  One table, `_KINDS`, gives for each kind
+of document its carrier and map classes and the names of its
+differential families with their structure index: ``d`` (index 0) for
+a chain complex, ``dv`` (0) and ``dh`` (1) for a bicomplex, ``d<i>``
+(i) for a twisted complex.  Any other family name is a syntax error.
+Every carrier stores bidegrees; a chain document writes the degree n
+of the bidegree (0, n) alone.  Bicomplexes are written with
 anticommuting squares.  A bicomplex document may say
 ``"convention": "commute"``; its d_v is then scaled by (-1)^p on input,
 which is the only place the commuting convention exists.  No other kind
@@ -32,9 +34,7 @@ from .rings import RingSpec, BadParameter, ring_from_name
 from .matrices import ExactMatrix
 from .chain import ChainComplex, ChainMap
 from .bicomplex import Bicomplex, BicomplexMap
-from .twisted import (
-    TwistedComplex, TwistedMap, embed, embed_map, validate_map, validate_twisted,
-)
+from .twisted import TwistedComplex, TwistedMap, validate_map, validate_twisted
 
 SCHEMA_VERSION = 1
 
@@ -84,8 +84,8 @@ class _Kind(NamedTuple):
     conventions: tuple
 
 
-# Bicomplex comes before its base class TwistedComplex: the first kind
-# whose class matches an object names it.
+# Each class comes before its base class (ChainComplex, then Bicomplex,
+# then TwistedComplex): the first kind whose class matches names an object.
 _KINDS = {
     "chain": _Kind(ChainComplex, ChainMap, 1, (("d", 0),), ("anticommute",)),
     "bicomplex": _Kind(
@@ -105,42 +105,61 @@ def _kind_of(obj, attr: str) -> str:
     raise BadParameter(f"cannot serialize {type(obj).__name__}")
 
 
-def _key_list(key) -> list:
-    return list(key) if isinstance(key, tuple) else [key]
+# The one place where a key of arity 1, the degree n of a chain
+# document, meets the bidegree (0, n) it stands for: written, read, and
+# named in a message.
+
+def _key_list(key: tuple, arity: int) -> list:
+    return list(key[2 - arity:])
 
 
-def _family_entries(ring: RingSpec, fam: dict) -> list:
+def _parse_key(raw, arity: int) -> tuple:
+    if not (isinstance(raw, list) and len(raw) == arity and all(map(_is_int, raw))):
+        raise DocumentSyntaxError(f"bad degree key {raw!r}")
+    return (0,) * (2 - arity) + tuple(raw)
+
+
+def _shown(key: tuple, arity: int):
+    return key[1] if arity == 1 else key
+
+
+def _family_entries(ring: RingSpec, fam: dict, arity: int) -> list:
     out = []
     for key in sorted(fam):
         trip = _matrix_triplets(ring, fam[key])
         if trip:
-            out.append([_key_list(key), trip])
+            out.append([_key_list(key, arity), trip])
     return out
 
 
 def to_document(obj) -> dict:
-    """The JSON-ready dict form of a complex or map."""
-    if isinstance(obj, (ChainMap, TwistedMap)):
-        ring = obj.source.ring
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "map",
-            "ring": str(ring),
-            "map_kind": _kind_of(obj, "map_cls"),
-            "source": to_document(obj.source),
-            "target": to_document(obj.target),
-            "components": _family_entries(ring, obj.f),
-        }
-    kind = _kind_of(obj, "cls")
-    ds = {0: obj.d} if isinstance(obj, ChainComplex) else obj.ds
-    names = _KINDS[kind].families or [(f"d{i}", i) for i in sorted(ds)]
+    """The JSON-ready dict form of a complex or map; a map writes its
+    ends in its own kind."""
+    if not isinstance(obj, TwistedMap):
+        return _object_document(obj, _kind_of(obj, "cls"))
+    ring, kind = obj.source.ring, _kind_of(obj, "map_cls")
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "map",
+        "ring": str(ring),
+        "map_kind": kind,
+        "source": _object_document(obj.source, kind),
+        "target": _object_document(obj.target, kind),
+        "components": _family_entries(ring, obj.f, _KINDS[kind].arity),
+    }
+
+
+def _object_document(obj, kind: str) -> dict:
+    carrier = _KINDS[kind]
+    names = carrier.families or [(f"d{i}", i) for i in sorted(obj.ds)]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "ring": str(obj.ring),
-        "ranks": [_key_list(k) + [obj.ranks[k]] for k in sorted(obj.ranks)],
+        "ranks": [_key_list(k, carrier.arity) + [r] for k, r in sorted(obj.ranks.items())],
         "differentials": {
-            name: _family_entries(obj.ring, ds.get(i, {})) for name, i in names
+            name: _family_entries(obj.ring, obj.ds.get(i, {}), carrier.arity)
+            for name, i in names
         },
     }
 
@@ -205,12 +224,6 @@ def _ring(doc, fields) -> RingSpec:
         raise DocumentSyntaxError(str(exc))
 
 
-def _parse_key(raw, arity):
-    if not (isinstance(raw, list) and len(raw) == arity and all(map(_is_int, raw))):
-        raise DocumentSyntaxError(f"bad degree key {raw!r}")
-    return raw[0] if arity == 1 else tuple(raw)
-
-
 def _parse_matrix(ring, rows, cols, triplets, where):
     if not isinstance(triplets, list):
         raise DocumentSyntaxError(f"matrix entries at {where} must be a list")
@@ -251,9 +264,9 @@ def _parse_family(entries, arity, shape_of, where):
             raise DocumentSyntaxError(f"bad family entry {e!r} in {where}")
         key = _parse_key(e[0], arity)
         if key in fam:
-            raise DocumentSyntaxError(f"duplicate degree {key} in {where}")
+            raise DocumentSyntaxError(f"duplicate degree {_shown(key, arity)} in {where}")
         rows, cols = shape_of(key)
-        fam[key] = (rows, cols, e[1], f"{where}{key}")
+        fam[key] = (rows, cols, e[1], f"{where}{_shown(key, arity)}")
     return fam
 
 
@@ -281,9 +294,9 @@ def _parse_ranks(raw, arity):
         key = _parse_key(entry[:-1], arity)
         r = entry[-1]
         if not _is_int(r) or r < 0:
-            raise DocumentSyntaxError(f"bad rank {r!r} at {key}")
+            raise DocumentSyntaxError(f"bad rank {r!r} at {_shown(key, arity)}")
         if key in ranks:
-            raise DocumentSyntaxError(f"duplicate rank entry at {key}")
+            raise DocumentSyntaxError(f"duplicate rank entry at {_shown(key, arity)}")
         if r:
             ranks[key] = r
     return ranks
@@ -291,9 +304,8 @@ def _parse_ranks(raw, arity):
 
 def _checked(x):
     """x, built unchecked by `_of`, once the one checker of its kind
-    lists no violation; a chain complex or map is checked as column 0."""
-    is_map = isinstance(x, (ChainMap, TwistedMap))
-    bad = validate_map(embed_map(x)) if is_map else validate_twisted(embed(x))
+    lists no violation."""
+    bad = validate_map(x) if isinstance(x, TwistedMap) else validate_twisted(x)
     if bad:
         raise ValidationError(bad)
     return x
@@ -319,11 +331,6 @@ def _family_index(kind: str, name) -> int:
     return fixed[name] if fixed else int(match[1])
 
 
-def _target_key(key, i):
-    """The degree key that d_i sends `key` to."""
-    return key - 1 if isinstance(key, int) else (key[0] - i, key[1] + i - 1)
-
-
 def _pending_object(doc) -> _Pending:
     kind = _need(doc, "kind", str)
     if kind not in _KINDS:
@@ -341,15 +348,14 @@ def _pending_object(doc) -> _Pending:
     for name, entries in diffs.items():
         i = _family_index(kind, name)
         fams[i] = _parse_family(entries, carrier.arity, lambda k, i=i: (
-            ranks.get(_target_key(k, i), 0), ranks.get(k, 0)), name)
+            ranks.get((k[0] - i, k[1] + i - 1), 0), ranks.get(k, 0)), name)
 
     def build():
         ds = {i: _build_family(ring, fam) for i, fam in fams.items()}
         if convention == "commute":
             ds[0] = {(p, q): -m if p % 2 else m for (p, q), m in ds.get(0, {}).items()}
-        # unchecked, so that _checked lists every violation; a chain
-        # complex stores its one family, d = d_0, alone
-        return _checked(carrier.cls._of(ring, ranks, ds.get(0, {}) if carrier.arity == 1 else ds))
+        # unchecked, so that _checked lists every violation
+        return _checked(carrier.cls._of(ring, ranks, ds))
 
     return _Pending(kind, ring, ranks, _cells(fams.values()), build)
 

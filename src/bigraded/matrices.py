@@ -373,3 +373,25 @@ class ExactMatrix:
             " ".join(self.ring.format_scalar(x) for x in r) for r in self.entries
         )
         return body
+
+
+def _product(a, b):
+    """a @ b, or None when a factor is absent or the product is zero."""
+    if a is None or b is None:
+        return None
+    m = a @ b
+    return None if m.is_zero else m
+
+
+def incidence(ring: RingSpec, targets: list, sources: list, action) -> ExactMatrix:
+    """The matrix of the linear map sending the basis element s of
+    `sources` to action(s), a dict {element of `targets`: integer
+    coefficient}."""
+    index = {x: i for i, x in enumerate(targets)}
+    rows = [{} for _ in targets]
+    for j, s in enumerate(sources):
+        for t, c in action(s).items():
+            rows[index[t]][j] = ring.from_int(c)
+    # ring.from_int normalises, and the constructor drops the entries
+    # that are zero in the ring
+    return ExactMatrix(ring, len(targets), len(sources), rows)

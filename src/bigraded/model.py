@@ -19,9 +19,8 @@ Three structures are supported, named by strings:
 
 ``"tot"`` and ``"ce"`` refuse objects with some d_i != 0, i >= 2, up
 front with ``BadParameter``: their cells and conditions are those of
-bicomplexes.  Every entry point refuses chain complexes and chain maps
-the same way; ``twisted.embed`` or ``bicomplex.include_chain`` makes
-them bigraded.
+bicomplexes.  A chain complex is the bicomplex on column 0, so chain
+complexes and chain maps go into every entry point as they are.
 
 Each structure comes with finite families of generating inclusions
 A -> B; every family member is a cell inclusion between standard
@@ -75,7 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rings import RingSpec, ZZ, QQ, BadParameter, UnsupportedRing
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, _product
 from .linalg import (
     NoSolution,
     coordinates_in,
@@ -85,7 +84,7 @@ from .linalg import (
     rank,
     solve_exact,
 )
-from .chain import ChainComplex, _product, homology, is_acyclic
+from .chain import ChainComplex, homology, is_acyclic
 from .bicomplex import (
     Bicomplex,
     BicomplexMap,
@@ -94,7 +93,6 @@ from .bicomplex import (
     bic_sphere,
     e2_vanishes,
     h_boundary,
-    include_chain,
     subquotient_map,
     v_boundary,
 )
@@ -136,23 +134,11 @@ def structure_name(structure) -> str:
     raise BadParameter(f"unknown structure {structure!r}")
 
 
-def _bigraded(*items) -> None:
-    """Refuse what is not a bicomplex or twisted complex or a map of
-    them, such as a chain complex or chain map."""
-    for x in items:
-        if not isinstance(x, (TwistedComplex, TwistedMap)):
-            raise BadParameter(
-                f"the model structures take bigraded inputs, not a {type(x).__name__}; "
-                "embed (embed_map for a map) or include_chain makes chain data bigraded"
-            )
-
-
 def _checked_structure(structure, x) -> str:
     """The structure name, once the object or map x is checked to be
-    valid for it: bigraded, and for "tot" and "ce" (their cells,
-    conditions and lifting data) with d_i = 0 for i >= 2."""
+    valid for it: for "tot" and "ce" (their cells, conditions and
+    lifting data) with d_i = 0 for i >= 2."""
     structure = structure_name(structure)
-    _bigraded(x)
     if structure != "twisted-tot":
         for obj in (x.source, x.target) if isinstance(x, TwistedMap) else (x,):
             extra = [i for i in obj.indices() if i >= 2]
@@ -323,7 +309,6 @@ def solve_lift(problem: LiftingProblem):
     category of the inputs.  Raises BadSquare when g∘u != f∘i and NoLift
     when the (finite) linear system has no solution over the ring."""
     it, gt, ut, ft = problem.i, problem.g, problem.u, problem.f
-    _bigraded(it, gt, ut, ft)
     a, b = it.source, it.target
     x, y = gt.source, gt.target
     if ut.source != a or ut.target != x or ft.source != b or ft.target != y:
@@ -396,7 +381,6 @@ def has_rlp(g, ref: GeneratorRef) -> bool:
 
     When A = 0 this is surjectivity of g: K_B^X -> K_B^Y.  Valid for the
     bicomplex families only when X and Y are bicomplexes."""
-    _bigraded(g)
     cell, beta = _cell(ref)
     x, y = g.source, g.target
     ring = x.ring
@@ -588,7 +572,6 @@ def pushout(i, a):
     """Pushout of the identity-block inclusion i: A -> B along a: A -> X.
     Returns (X', inclusion X -> X'); the cokernel of the inclusion equals
     the cokernel of i."""
-    _bigraded(i, a)
     if a.source != i.source:
         raise BadParameter("pushout needs maps with a common source")
     A, B, X = i.source, i.target, a.target
@@ -638,9 +621,10 @@ def pushout(i, a):
 
 def ce_resolution(y: ChainComplex):
     """A pointwise free bicomplex P of horizontal width <= 2 together
-    with a map P -> include_chain(y) that is surjective in horizontal
-    degree 0 with exact rows in positive degrees; the rows of the
-    vertical cycles, boundaries and homology of P resolve those of y."""
+    with a map P -> y (y the bicomplex on column 0) that is surjective
+    in horizontal degree 0 with exact rows in positive degrees; the rows
+    of the vertical cycles, boundaries and homology of P resolve those
+    of y."""
     ring = y.ring
     if not (ring == ZZ or ring.is_field):
         raise UnsupportedRing("resolution needs the integers or a field")
@@ -650,8 +634,6 @@ def ce_resolution(y: ChainComplex):
     eps = {}
     data = {}
     for q in y.degrees():
-        if y.rank(q) == 0:
-            continue
         bmat = image_basis(y.diff(q + 1))
         kmat = kernel_basis(y.diff(q))
         bprev = image_basis(y.diff(q))
@@ -661,7 +643,7 @@ def ce_resolution(y: ChainComplex):
         eps_blocks = {(0, 0): bmat, (0, 1): kmat}
         if bprev.cols:
             eps_blocks[(0, 2)] = coordinates_in(y.diff(q), bprev)
-        eps[(0, q)] = ExactMatrix.block(ring, [y.rank(q)], sizes, eps_blocks)
+        eps[(0, q)] = ExactMatrix.block(ring, [y.rank(0, q)], sizes, eps_blocks)
         if bmat.cols:
             ranks[(1, q)] = bmat.cols
             d_h[(1, q)] = ExactMatrix.block(
@@ -677,9 +659,7 @@ def ce_resolution(y: ChainComplex):
                 ring, data[q - 1], [b, z, bp], {(0, 2): ExactMatrix.identity(ring, bp)}
             )
     p_obj = Bicomplex(ring, ranks, d_h, d_v)
-    target = include_chain(y)
-    eps_map = BicomplexMap(p_obj, target, eps)
-    return p_obj, eps_map
+    return p_obj, BicomplexMap(p_obj, y, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,7 @@ class _PageWorker:
         self.x = xt
         self.ring = xt.ring
         self.tot = tot_twisted(xt)
+        self.d = self.tot.d  # the differentials of Tot by degree, read once
         self.layouts = {}
         self.prefixes = {}
         self.kernels = {}
@@ -104,7 +105,7 @@ class _PageWorker:
         s, k = self.prefix(n - 1, p - r), self.prefix(n, p)
         key = (n, s, k)
         if key not in self.z_cache:
-            d = self.tot.d.get(n)
+            d = self.d.get(n)
             if d is None:
                 # d_n is zero, so every element of F_p qualifies
                 self.z_cache[key] = ExactMatrix.identity(self.ring, k)
@@ -118,7 +119,7 @@ class _PageWorker:
         """d z for a basis z of Z^r_{p,n}, on the first k coordinates of
         Tot_{n-1}; the caller knows the rest vanish.  None when d_n is
         zero."""
-        d = self.tot.d.get(n)
+        d = self.d.get(n)
         return None if d is None else d[:k, :z.rows] @ z
 
     def e_term(self, r, p, q) -> Subquotient:

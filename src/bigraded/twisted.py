@@ -5,9 +5,9 @@ d_i of bidegree (-i, i-1) satisfying the quadratic relations
 
 This is the one carrier type of the package.  A bicomplex is the
 subclass with d_i = 0 for i >= 2 (``bicomplex.Bicomplex``), and a chain
-complex embeds as a single column.  Every operation here serves both
-carriers; ``complex_like`` and ``map_like`` decide the type of a result
-from the types of the inputs.
+complex the bicomplex on column 0 with d_1 = 0 (``chain.ChainComplex``).
+Every operation here serves all three; ``complex_like`` and
+``map_like`` give a result the most special class of its inputs.
 
 The module builds the free cell objects on one generator (the disc and
 its vertical boundary) on a basis of words w = (w_1..w_n) of subscripts:
@@ -28,9 +28,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .rings import RingSpec, ZZ, BadParameter, UnsupportedRing
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, _product, incidence
 from .linalg import Subquotient, kernel_basis, image_basis
-from .chain import ChainComplex, ChainMap, _cochain, _product, cochain_basis, incidence
 
 
 class TorsionQuotient(Exception):
@@ -56,9 +55,7 @@ class TwistedComplex:
 
     def __init__(self, ring: RingSpec, ranks: dict, ds: dict, labels=None):
         self._set(ring, ranks, ds, labels)
-        bad = validate_twisted(self)
-        if bad:
-            raise BadParameter("invalid twisted complex: " + "; ".join(bad))
+        _checked(self)
 
     @classmethod
     def _of(cls, ring: RingSpec, ranks: dict, ds: dict) -> "TwistedComplex":
@@ -190,10 +187,10 @@ class TwistedMap:
     """Strict morphism: bidegree (0,0) components commuting with every d_i."""
 
     def __init__(self, source: TwistedComplex, target: TwistedComplex, f: dict):
+        if not issubclass(_carrier((source, target))[1], type(self)):
+            raise BadParameter(f"a {type(self).__name__} needs ends of its kind")
         self._set(source, target, f)
-        bad = validate_map(self)
-        if bad:
-            raise BadParameter("invalid map: " + "; ".join(bad))
+        _checked(self)
 
     @classmethod
     def _of(cls, source: TwistedComplex, target: TwistedComplex, f: dict) -> "TwistedMap":
@@ -229,7 +226,7 @@ class TwistedMap:
         if other.target is not self.source and other.target != self.source:
             raise BadParameter("composition mismatch")
         # a composite of strict maps commutes with every d_i
-        return _map_class(other.source, self.target)._of(
+        return _carrier((other.source, self.target))[1]._of(
             other.source,
             self.target,
             {pq: _product(self.f.get(pq), m) for pq, m in other.f.items()},
@@ -240,37 +237,41 @@ class TwistedMap:
 # The carrier of a result
 # ---------------------------------------------------------------------------
 
-def _bicomplex(ring, ranks, ds):
-    from .bicomplex import Bicomplex
+def _checked(x):
+    """x, built unchecked, once the checker of its kind lists no
+    violation; else BadParameter naming every violation."""
+    is_map = isinstance(x, TwistedMap)
+    bad = validate_map(x) if is_map else validate_twisted(x)
+    if bad:
+        raise BadParameter(f"invalid {'map' if is_map else 'twisted complex'}: " + "; ".join(bad))
+    return x
 
-    if any(fam for i, fam in ds.items() if i >= 2):
-        raise BadParameter("structure maps above d_1 present")
-    return Bicomplex(ring, ranks, ds.get(1, {}), ds.get(0, {}))
+
+def _carrier(objs) -> tuple:
+    """(object class, map class) of the most special carrier, chain
+    complex, bicomplex or twisted complex, that every object of `objs`
+    belongs to."""
+    from .bicomplex import Bicomplex, BicomplexMap
+    from .chain import ChainComplex, ChainMap
+
+    carriers = (ChainComplex, ChainMap), (Bicomplex, BicomplexMap), (TwistedComplex, TwistedMap)
+    return next(c for c in carriers if all(isinstance(o, c[0]) for o in objs))
 
 
 def complex_like(inputs, ring, ranks, ds) -> TwistedComplex:
-    """The object an operation computed from `inputs` returns: a
-    Bicomplex exactly when every input is one, else a TwistedComplex.
-    Which d_i happen to be nonzero never decides the type."""
-    from .bicomplex import Bicomplex
-
-    if all(isinstance(o, Bicomplex) for o in inputs):
-        return _bicomplex(ring, ranks, ds)
-    return TwistedComplex(ring, ranks, ds)
-
-
-def _map_class(source, target) -> type:
-    """The class of the maps `map_like` builds between these ends."""
-    from .bicomplex import Bicomplex, BicomplexMap
-
-    if isinstance(source, Bicomplex) and isinstance(target, Bicomplex):
-        return BicomplexMap
-    return TwistedMap
+    """The object an operation computed from `inputs` returns, of the
+    carrier of the inputs: on chain complexes alone an operation keeps
+    to column 0 and d_0, on bicomplexes to d_0 and d_1.  Which d_i
+    happen to be nonzero never decides the type."""
+    cls = _carrier(inputs)[0]
+    if cls is not TwistedComplex and any(fam for i, fam in ds.items() if i >= 2):
+        raise BadParameter("structure maps above d_1 present")
+    return _checked(cls._of(ring, ranks, ds))
 
 
 def map_like(source, target, f) -> TwistedMap:
-    """A BicomplexMap exactly when both ends are bicomplexes, else a TwistedMap."""
-    return _map_class(source, target)(source, target, f)
+    """A map of the carrier of its ends."""
+    return _checked(_carrier((source, target))[1]._of(source, target, f))
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +427,8 @@ def compare_to_simplex_cochain(p: int, q: int, s: int | None, u: int, ring: Ring
     a truncation s and 0 <= u < p-s-1 it is matched with the relative
     cochains modulo the front face spanned by 0..p-u-s-2.  Returns the
     basis bijection; raises MismatchAt on any disagreement."""
+    from .chain import _cochain, cochain_basis
+
     n = p - u - 2
     if s is None or s >= p:
         if n < 0:
@@ -518,10 +521,13 @@ def hom_layout(x: TwistedComplex, y: TwistedComplex, p: int, q: int) -> dict:
 # Totalisation
 # ---------------------------------------------------------------------------
 
-def tot_twisted(x: TwistedComplex) -> ChainComplex:
-    """Total complex: degree n is the sum of the bidegrees with p+q = n
-    (columns in increasing order) and the differential is sum_i d_i.
-    The d_i out of one bidegree land in distinct summands."""
+def tot_twisted(x: TwistedComplex):
+    """Total complex, a chain complex: degree n is the sum of the
+    bidegrees with p+q = n (columns in increasing order) and the
+    differential is sum_i d_i.  The d_i out of one bidegree land in
+    distinct summands."""
+    from .chain import ChainComplex
+
     layouts = {n: tot_layout(x, n) for n in sorted({p + q for p, q in x.ranks})}
     d = {}
     for n, src in layouts.items():
@@ -532,20 +538,21 @@ def tot_twisted(x: TwistedComplex) -> ChainComplex:
             if (p, q) in fam
         }
         if blocks:
-            d[n] = summed(x.ring, layouts[n - 1], src, blocks)
+            d[(0, n)] = summed(x.ring, layouts[n - 1], src, blocks)
+    ranks = {(0, n): sum(lay.values()) for n, lay in layouts.items()}
     # unchecked: (sum_i d_i)^2 = 0 is the sum of the relations of x
-    return ChainComplex._of(x.ring, {n: sum(lay.values()) for n, lay in layouts.items()}, d)
+    return ChainComplex._of(x.ring, ranks, {0: d})
 
 
 def tot_twisted_map(f: TwistedMap):
     """Totalisation of a strict map, blockwise over the column layout."""
     comps = {
-        n: summed(f.source.ring, tot_layout(f.target, n), tot_layout(f.source, n), {
+        (0, n): summed(f.source.ring, tot_layout(f.target, n), tot_layout(f.source, n), {
             (pq, pq): m for pq, m in f.f.items() if sum(pq) == n
         })
         for n in {p + q for p, q in f.f}
     }
-    return ChainMap(tot_twisted(f.source), tot_twisted(f.target), comps)
+    return map_like(tot_twisted(f.source), tot_twisted(f.target), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +714,8 @@ def quotient_to_bicomplex(x: TwistedComplex):
     """Quotient by the d_0,d_1-closure of the images of all d_i with
     i >= 2; the universal bicomplex receiving x.  Over Z a quotient
     with torsion raises TorsionQuotient."""
+    from .bicomplex import Bicomplex
+
     ring = x.ring
     spans = {}
     # the closure at (p, q) is spanned by the images of the d_i (i >= 2)
@@ -731,36 +740,17 @@ def quotient_to_bicomplex(x: TwistedComplex):
             raise TorsionQuotient(f"quotient at ({p},{q}) has torsion {sq.torsion}")
         if sq.rank:
             quots[(p, q)] = sq
-    ds = {i: x.ds.get(i, {}) for i in (0, 1)}
-    return _bicomplex(
-        ring, {pq: sq.rank for pq, sq in quots.items()}, induced_structure(ds, quots)
-    )
+    ds = induced_structure({i: x.ds.get(i, {}) for i in (0, 1)}, quots)
+    return Bicomplex(ring, {pq: sq.rank for pq, sq in quots.items()}, ds[1], ds[0])
 
 
 def embed(obj) -> TwistedComplex:
-    """View a chain complex as the twisted complex on column 0; a
-    twisted complex (bicomplexes included) is returned as it is."""
+    """obj itself when it is bigraded, chain complexes included: a chain
+    complex is already the bicomplex on column 0.  Anything else, such
+    as a map, is refused."""
     if isinstance(obj, TwistedComplex):
         return obj
-    if isinstance(obj, ChainComplex):
-        ranks = {(0, n): r for n, r in obj.ranks.items()}
-        d0 = {(0, n): m for n, m in obj.d.items()}
-        # unchecked: the one relation of a column, d_0^2 = 0, is d*d = 0
-        # of obj, which ChainComplex checks on this very embedding
-        return TwistedComplex._of(obj.ring, ranks, {0: d0})
     raise BadParameter(f"cannot embed {type(obj).__name__}")
-
-
-def embed_map(f) -> TwistedMap:
-    if isinstance(f, TwistedMap):
-        return f
-    if isinstance(f, ChainMap):
-        # unchecked: commuting with d_0 on column 0 is being a chain map,
-        # which ChainMap checks on this very embedding
-        return TwistedMap._of(
-            embed(f.source), embed(f.target), {(0, n): m for n, m in f.f.items()}
-        )
-    raise BadParameter(f"cannot embed {type(f).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -848,19 +838,21 @@ def direct_sum_twisted(objs) -> TwistedComplex:
     return complex_like(objs, ring, ranks, ds)
 
 
-def line(x: TwistedComplex, i: int, n: int) -> ChainComplex:
+def line(x: TwistedComplex, i: int, n: int):
     """Column n (i = 0) or row n (i = 1) of x as a chain complex with
     differential d_i, indexed by the other coordinate.  A row needs
     d_k = 0 for k >= 2, since only then does d_1 square to zero."""
+    from .chain import ChainComplex
+
     if i not in (0, 1):
         raise BadParameter("a line is a column (i = 0) or a row (i = 1)")
     if i == 1 and any(k >= 2 for k in x.ds):
         raise BadParameter("a row needs d_i = 0 for i >= 2")
-    ranks = {pq[1 - i]: r for pq, r in x.ranks.items() if pq[i] == n}
-    d = {pq[1 - i]: m for pq, m in x.ds.get(i, {}).items() if pq[i] == n}
+    ranks = {(0, pq[1 - i]): r for pq, r in x.ranks.items() if pq[i] == n}
+    d = {(0, pq[1 - i]): m for pq, m in x.ds.get(i, {}).items() if pq[i] == n}
     # unchecked: d_0^2 = 0 is the relation n = 0 of x, and with no d_k
     # for k >= 2 the relation n = 2 is d_1^2 = 0
-    return ChainComplex._of(x.ring, ranks, d)
+    return ChainComplex._of(x.ring, ranks, {0: d})
 
 
 def cone_twisted(f: TwistedMap, i: int) -> TwistedComplex:

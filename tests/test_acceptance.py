@@ -39,7 +39,6 @@ from bigraded.bicomplex import (
     directional_subquotient,
     e2_iso,
     ev0,
-    include_chain,
 )
 from bigraded.twisted import (
     compare_to_simplex_cochain,
@@ -226,12 +225,12 @@ def test_criterion_8_adjunction_sanity():
     rng = random.Random(42)
     for _ in range(10):
         c = randgen.random_chain_complex(rng, ZZ, degrees=(0, 3))
-        x = include_chain(c)
+        x = c  # a chain complex is the bicomplex on column 0
         assert ev0(x) == c
         assert homology(tot_twisted(x)) == homology(c)
     # a complex concentrated in column zero is fibrant for the total
     # structure; its column computes the homology of the totalisation
-    for y in (include_chain(randgen.random_chain_complex(rng, QQ)),
+    for y in (randgen.random_chain_complex(rng, QQ),
               bic_sphere(0, 2, 3, QQ)):
         assert directional_subquotient(y, "v", "H").ranks == \
             {pq: r for pq, r in

@@ -23,7 +23,6 @@ from bigraded.bicomplex import (
     e2_iso,
     ev0,
     h_boundary,
-    include_chain,
     koszul_swap,
     subquotient_map,
     v_boundary,
@@ -80,12 +79,20 @@ def test_row_builders():
         assert z_row(-1, chain_disc(p, 1)) == v_boundary(p, 0, 1)
         assert c_row(0, chain_disc(p, 1)).ranks == bic_disc(p, 0, 1).ranks
         assert c_row(0, chain_sphere(p - 1, 1)).ranks == h_boundary(p, 0, 1).ranks
+    # a bicomplex is taken only on column 0, as a chain complex
+    for row in (z_row, c_row):
+        assert row(0, bic_sphere(0, 1)) == row(0, chain_sphere(1, 1))
+        with pytest.raises(BadParameter, match="degrees >= 0"):
+            row(0, bic_sphere(1, 1))
 
 
 def test_include_chain_round_trip():
+    # a chain complex is already the bicomplex on column 0: its total
+    # complex and its column 0 are itself
     c = ChainComplex(ZZ, {0: 2, 1: 1}, {1: ExactMatrix.from_rows(ZZ, [[2], [0]])})
-    assert tot_twisted(include_chain(c)) == c
-    assert ev0(include_chain(c)) == c
+    assert isinstance(c, Bicomplex) and dict(c.ranks) == {(0, 0): 2, (0, 1): 1}
+    assert tot_twisted(c) == c
+    assert ev0(c) == c
 
 
 def test_invalid_bicomplex_messages():

@@ -100,7 +100,7 @@ def test_simplex_chain_ranks():
 
     c = simplex_chain(4, ZZ)
     for t in range(-1, 5):
-        assert c.rank(t) == comb(5, t + 1)
+        assert c.rank(0, t) == comb(5, t + 1)
 
 
 def test_relative_simplex_cochain():
@@ -168,8 +168,8 @@ def test_compose_multiplies_stored_components_only(monkeypatch):
     real = ExactMatrix.zero
     monkeypatch.setattr(ExactMatrix, "zero", staticmethod(
         lambda *a: zeros.append(a) or real(*a)))
-    assert g.compose(f).f == {2: M([[6]], QQ)}
-    assert f.compose(g).f == {2: M([[6]], QQ)}
+    assert g.compose(f).f == {(0, 2): M([[6]], QQ)}
+    assert f.compose(g).f == {(0, 2): M([[6]], QQ)}
     assert zeros == []
 
 
@@ -177,7 +177,7 @@ def test_truncate_nonneg():
     # degree 0 becomes the kernel of the last differential, so the
     # truncation of an acyclic complex stays acyclic
     t = truncate_nonneg(simplex_chain(2, ZZ))
-    assert t.rank(-1) == 0
+    assert t.rank(0, -1) == 0
     assert is_acyclic(t)
     # truncating a complex with nothing below 0 changes nothing
     s = sphere(2, 1, ZZ)
@@ -220,7 +220,7 @@ def test_euler_characteristic_additive_under_tensor():
     for _ in range(10):
         x = random_chain_complex(rng, QQ, degrees=(0, 2))
         y = random_chain_complex(rng, QQ, degrees=(0, 2))
-        chi = lambda c: sum((-1) ** n * r for n, r in c.ranks.items())
+        chi = lambda c: sum((-1) ** n * r for (_, n), r in c.ranks.items())
         assert chi(tensor(x, y)) == chi(x) * chi(y)
 
 
@@ -375,7 +375,7 @@ def test_rank_only_documents_stay_small():
 
     def map_homology():
         f = parse(text)
-        assert f.f[0][7, 0] == 1
+        assert f.f[(0, 0)][7, 0] == 1
         assert homology(f.target) == {-1: ModuleClass(1500), 0: ModuleClass(1500)}
         assert not is_quasi_iso(f)
 

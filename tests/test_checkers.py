@@ -16,7 +16,6 @@ from bigraded.twisted import (
     TwistedMap,
     cone_twisted,
     embed,
-    embed_map,
     line,
     tot_twisted,
     twisted_disc,
@@ -61,10 +60,24 @@ def _violation(kind, case):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_map_violation_kind_is_named(kind, case):
     src, tgt, cls, comps, expected = _violation(kind, case)
-    assert validate_map(embed_map(cls._of(src, tgt, comps))) == expected
+    # `_of` takes the bidegree of the generator, the chain constructor its degree
+    at = KINDS[kind][3]
+    assert validate_map(cls._of(src, tgt, {at: m for m in comps.values()})) == expected
     with pytest.raises(BadParameter) as err:
         cls(src, tgt, comps)
     assert all(v in str(err.value) for v in expected)
+
+
+def test_a_map_class_needs_ends_of_its_kind():
+    chain_end, bicomplex_end = disc(1, 1, ZZ), bic_disc(1, 0, 1, ZZ)
+    with pytest.raises(BadParameter, match="ChainMap needs ends of its kind"):
+        ChainMap(bicomplex_end, bicomplex_end, {})
+    twisted_end = twisted_disc(1, 0, ZZ)
+    with pytest.raises(BadParameter, match="BicomplexMap needs ends of its kind"):
+        BicomplexMap(twisted_end, twisted_end, {})
+    # a less special class takes more special ends
+    assert BicomplexMap(chain_end, chain_end, {}).f == {}
+    assert TwistedMap(bicomplex_end, bicomplex_end, {}).f == {}
 
 
 def test_map_checker_lists_every_failure_in_order():
@@ -108,7 +121,7 @@ def test_rows_refuse_structure_maps_above_d1():
     for q in range(-2, 2):
         with pytest.raises(BadParameter, match="d_i = 0 for i >= 2"):
             line(c, 1, q)
-    assert line(x, 0, 2).ranks == {q: r for (p, q), r in x.ranks.items() if p == 2}
+    assert line(x, 0, 2).ranks == {(0, q): r for (p, q), r in x.ranks.items() if p == 2}
 
 
 def test_derived_lines_and_tot_satisfy_the_relations():

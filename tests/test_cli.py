@@ -152,17 +152,45 @@ def test_lift_success_and_failure(tmp_path, capsys):
     assert code == 1 and "no lift" in err
 
 
-def test_lift_refuses_a_chain_square(tmp_path, capsys):
-    from bigraded.chain import ChainMap, disc
+def _chain_square():
+    """The square (i, e, i, e) of the inclusion i: S^0 -> D^1 and the
+    identity e of D^1 as chain maps, and the same data built as
+    bicomplex maps by `_of`."""
+    from bigraded.chain import ChainMap, disc, sphere
+    from bigraded.matrices import ExactMatrix
 
-    f = serialize(ChainMap.identity(disc(1, 1, ZZ)))
-    sq = tmp_path / "sq"
-    os.makedirs(sq)
-    for name in ("i", "g", "u", "f"):
-        (sq / f"{name}.json").write_text(f)
-    code, out, err = run(capsys, "lift", str(sq))
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and "include_chain" in err
+    i = ChainMap(sphere(0, 1, ZZ), disc(1, 1, ZZ), {0: ExactMatrix.identity(ZZ, 1)})
+    e = ChainMap.identity(i.target)
+    ends = {id(c): Bicomplex._of(ZZ, c.ranks, c.ds) for c in (i.source, i.target)}
+    i2, e2 = (BicomplexMap._of(ends[id(f.source)], ends[id(f.target)], f.f) for f in (i, e))
+    return (i, e, i, e), (i2, e2, i2, e2)
+
+
+def test_lift_takes_a_chain_square(tmp_path, capsys):
+    lifts = []
+    for k, square in enumerate(_chain_square()):
+        sq = tmp_path / f"sq{k}"
+        os.makedirs(sq)
+        for name, m in zip("iguf", square):
+            (sq / f"{name}.json").write_text(serialize(m))
+        code, out, err = run(capsys, "lift", str(sq))
+        assert code == 0 and err == ""
+        lifts.append(parse(out))
+    chain_lift, bicomplex_lift = lifts
+    assert type(chain_lift).__name__ == "ChainMap"
+    assert chain_lift.f == bicomplex_lift.f
+
+
+@pytest.mark.parametrize("structure", ["tot", "ce", "twisted-tot"])
+def test_classify_takes_a_chain_map(tmp_path, capsys, structure):
+    outs = []
+    for k, square in enumerate(_chain_square()):
+        f = tmp_path / f"i{k}.json"
+        f.write_text(serialize(square[0]))
+        code, out, err = run(capsys, "classify", str(f), "--structure", structure)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_ce_resolve(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from bigraded.docio import (
     serialize,
     to_document,
 )
+from bigraded.cli import main
 from bigraded.randgen import (
     random_bicomplex,
     random_bicomplex_map,
@@ -344,17 +347,18 @@ _HOSTILE_NAMES = ["d²", "d" + "9" * 5000, "d-1", "x1", "d", "dh", "dv", "d0", "
 
 
 def _seed_documents():
+    """{name: document} of one complex or map of every kind."""
     rng = random.Random(11)
-    objs = [
-        random_chain_complex(rng, QQ),
-        random_bicomplex(rng, GF(3)),
-        random_twisted(rng, ZZ),
-        twisted_boundary(2, 0, QQ),
-        ChainMap.identity(random_chain_complex(rng, ZZ)),
-        random_bicomplex_map(rng, GF(2)),
-        random_twisted_map(rng, QQ),
-    ]
-    return [to_document(o) for o in objs]
+    objs = {
+        "chain": random_chain_complex(rng, QQ),
+        "bicomplex": random_bicomplex(rng, GF(3)),
+        "twisted": random_twisted(rng, ZZ),
+        "twisted-boundary": twisted_boundary(2, 0, QQ),
+        "chain-map": ChainMap.identity(random_chain_complex(rng, ZZ)),
+        "bicomplex-map": random_bicomplex_map(rng, GF(2)),
+        "twisted-map": random_twisted_map(rng, QQ),
+    }
+    return {name: to_document(o) for name, o in objs.items()}
 
 
 _SEEDS = _seed_documents()
@@ -371,8 +375,8 @@ def _paths(node, path=()):
 
 
 @st.composite
-def malformed_documents(draw):
-    doc = json.loads(json.dumps(draw(st.sampled_from(_SEEDS))))
+def malformed_documents(draw, names=tuple(_SEEDS)):
+    doc = json.loads(json.dumps(_SEEDS[draw(st.sampled_from(names))]))
     for _ in range(draw(st.integers(1, 3))):
         paths = [p for p in _paths(doc) if p]
         if not paths:
@@ -402,6 +406,26 @@ def _parse_or_document_error(text):
 @given(malformed_documents())
 def test_malformed_documents_raise_only_document_errors(text):
     _parse_or_document_error(text)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDS))
+def test_check_answers_mutated_documents_in_one_line(tmp_path_factory, name):
+    # 15 mutations of the document of each kind, 105 in all, through the
+    # command line: valid, or one line on stderr, and never a traceback
+    path = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(malformed_documents((name,)))
+    def check(text):
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", str(path)])
+        assert (code, err.getvalue() == "") in ((0, True), (1, False))
+        assert err.getvalue().count("\n") <= 1
+        assert (code == 0) == out.getvalue().startswith(f"{path}: valid")
+
+    check()
 
 
 @pytest.mark.parametrize("ring, entry", [

@@ -11,19 +11,19 @@ import pytest
 from bigraded.rings import ZZ, QQ, GF, BadParameter
 from bigraded.matrices import ExactMatrix
 from bigraded.linalg import coordinates_in, kernel_basis, make_solver, rank
-from bigraded.chain import ChainComplex, homology, is_acyclic, is_quasi_iso
+from bigraded.chain import (
+    ChainComplex, ChainMap, disc, homology, is_acyclic, is_quasi_iso, sphere,
+)
 from bigraded.bicomplex import (
     Bicomplex,
     BicomplexMap,
     bic_disc,
     bic_sphere,
-    include_chain,
     v_boundary,
 )
 from bigraded.twisted import (
     TwistedMap,
     cone_twisted,
-    embed_map,
     hom_layout,
     morphism_space_basis,
     morphism_to_vector,
@@ -90,13 +90,11 @@ def morphism_matrix(src, tgt, basis, post, out_src, out_tgt) -> ExactMatrix:
     return ExactMatrix.from_cols(src.ring, nrows, cols)
 
 
-def oracle_has_rlp(g, gen) -> bool:
-    """Whether g has the right lifting property against the inclusion
-    `gen`, decided on whole Hom spaces: every commuting square (u, f) is
+def oracle_has_rlp(gt, it) -> bool:
+    """Whether gt has the right lifting property against the inclusion
+    `it`, decided on whole Hom spaces: every commuting square (u, f) is
     (h∘i, g∘h) for a diagonal h.  Slow and independent of the generator
     data that `has_rlp` uses."""
-    it = embed_map(gen)
-    gt = embed_map(g)
     a, b = it.source, it.target
     x, y = gt.source, gt.target
     ring = x.ring
@@ -377,8 +375,7 @@ def test_acyclic_columns_decide_tot_weq_without_the_tot_of_the_cone(monkeypatch)
 
 def test_classify_ce_weq_unavailable_over_z():
     c = ChainComplex(ZZ, {0: 1, 1: 1}, {1: ExactMatrix.from_rows(ZZ, [[2]])})
-    x = include_chain(c)
-    rep = classify_map(BicomplexMap.identity(x), "ce")
+    rep = classify_map(BicomplexMap.identity(c), "ce")
     assert rep.is_weq is None
     assert "weq_unavailable" in rep.evidence
 
@@ -513,26 +510,50 @@ def test_pushout_of_vboundary_inclusion():
 
 # --- chain inputs ----------------------------------------------------------------
 
-def _chain_map():
-    from bigraded.chain import ChainMap, disc
+def _chain_maps():
+    """The inclusion i of the sphere S^0 into the disc D^1 and the
+    identity e of D^1, as chain maps, and the same data built as
+    bicomplex maps by `_of`."""
+    i = ChainMap(sphere(0, 1, QQ), disc(1, 1, QQ), {0: ExactMatrix.identity(QQ, 1)})
+    e = ChainMap.identity(i.target)
+    ends = {id(c): Bicomplex._of(QQ, c.ranks, c.ds) for c in (i.source, i.target)}
+    twins = [BicomplexMap._of(ends[id(f.source)], ends[id(f.target)], f.f) for f in (i, e)]
+    return (i, e), twins
 
-    return ChainMap.identity(disc(1, 1, QQ))
+
+def _data(out):
+    """A report as its repr; an object or a map as its data, whatever
+    its class."""
+    if isinstance(out, tuple):
+        return tuple(_data(o) for o in out)
+    if isinstance(out, TwistedMap):
+        return out.f
+    if isinstance(out, Bicomplex):
+        return out.ranks, out.ds
+    return repr(out)
 
 
 _CHAIN_ENTRY_POINTS = {
-    "rlp_report": lambda f: rlp_report(f, "tot"),
-    "classify_map": lambda f: classify_map(f, "tot"),
-    "has_rlp": lambda f: has_rlp(f, GeneratorRef("TotI_VBoundaryToDisc", 1, 0)),
-    "cofibrancy_report": lambda f: cofibrancy_report(f.source, "tot"),
-    "solve_lift": lambda f: solve_lift(LiftingProblem(f, f, f, f)),
-    "pushout": lambda f: pushout(f, f),
+    "rlp_report": lambda i, e: rlp_report(i, "tot"),
+    "classify_map": lambda i, e: (classify_map(i, "tot"), classify_map(e, "ce")),
+    "has_rlp": lambda i, e: has_rlp(i, GeneratorRef("TotI_VBoundaryToDisc", 1, 0)),
+    "cofibrancy_report": lambda i, e: cofibrancy_report(i.target, "tot"),
+    "solve_lift": lambda i, e: solve_lift(LiftingProblem(i, e, i, e)),
+    "pushout": lambda i, e: pushout(i, i),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_CHAIN_ENTRY_POINTS))
-def test_model_entry_points_refuse_chain_inputs(entry):
-    with pytest.raises(BadParameter, match="embed.*include_chain"):
-        _CHAIN_ENTRY_POINTS[entry](_chain_map())
+def test_model_entry_points_take_chain_inputs(entry):
+    # a chain map goes in as it is, and gives what the same data built
+    # as a bicomplex map gives
+    chain_maps, twins = _chain_maps()
+    out = _CHAIN_ENTRY_POINTS[entry](*chain_maps)
+    assert _data(out) == _data(_CHAIN_ENTRY_POINTS[entry](*twins))
+    # a computed object or map on chain complexes alone is a chain one
+    for o in out if isinstance(out, tuple) else (out,):
+        if isinstance(o, (Bicomplex, TwistedMap)):
+            assert isinstance(o, (ChainComplex, ChainMap))
 
 
 def test_q_indexed_generators_are_cached_once_per_bidegree():

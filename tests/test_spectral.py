@@ -200,7 +200,7 @@ def _sympy_rank(m) -> int:
 def _total_homology_dims(x) -> dict:
     t = tot_twisted(embed(x))
     dims = {
-        n: t.rank(n) - _sympy_rank(t.diff(n)) - _sympy_rank(t.diff(n + 1))
+        n: t.rank(0, n) - _sympy_rank(t.diff(n)) - _sympy_rank(t.diff(n + 1))
         for n in t.degrees()
     }
     return {n: d for n, d in dims.items() if d}

@@ -232,9 +232,9 @@ def test_simplicial_mismatch_guard():
 def test_simplicial_identification_catches_a_flipped_sign(monkeypatch):
     """One coboundary entry with its sign flipped breaks the identity
     P_{t+1} d_0 = (-1)^t delta_t P_t, absolute and relative alike."""
-    from bigraded import twisted
+    from bigraded import chain
 
-    build = twisted._cochain
+    build = chain._cochain
 
     def flipped(n, ring, front):
         c = build(n, ring, front)
@@ -245,11 +245,11 @@ def test_simplicial_identification_catches_a_flipped_sign(monkeypatch):
         rows[i][j] = ring.neg(rows[i][j])
         d = dict(c.d)
         d[deg] = ExactMatrix(ring, c.d[deg].rows, c.d[deg].cols, rows)
-        return ChainComplex._of(ring, c.ranks, d)
+        return ChainComplex._of(ring, c.ranks, {0: {(0, n): m for n, m in d.items()}})
 
     compare_to_simplex_cochain(5, 0, None, 1)
     compare_to_simplex_cochain(5, 0, 2, 1)
-    monkeypatch.setattr(twisted, "_cochain", flipped)
+    monkeypatch.setattr(chain, "_cochain", flipped)
     for s in (None, 2):
         with pytest.raises(MismatchAt) as err:
             compare_to_simplex_cochain(5, 0, s, 1)
@@ -287,11 +287,11 @@ def test_embed_and_to_bicomplex_round_trip():
 def test_line_columns_and_rows():
     d = twisted_disc(3, 0, QQ)
     col = line(d, 0, 1)
-    assert dict(col.ranks) == {q: r for (p, q), r in d.ranks.items() if p == 1}
+    assert dict(col.ranks) == {(0, q): r for (p, q), r in d.ranks.items() if p == 1}
     assert col.d == {q: m for (p, q), m in d.ds[0].items() if p == 1}
     b = bic_disc(2, 1, 1, QQ)
     row = line(b, 1, 0)
-    assert dict(row.ranks) == {1: 1, 2: 1}
+    assert dict(row.ranks) == {(0, 1): 1, (0, 2): 1}
     assert row.d == {2: b.ds[1][(2, 0)]}
     with pytest.raises(BadParameter):
         line(d, 2, 0)
