@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .rings import RingSpec, BadParameter, ring_from_name
@@ -164,6 +165,16 @@ def _object_document(obj, kind: str) -> dict:
     }
 
 
+def _scalar(x) -> str:
+    """x as json.dumps writes it by default: an int in decimal, a str
+    with every non-ASCII character escaped."""
+    if type(x) is int:
+        return str(x)
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    return json.dumps(x)
+
+
 def _dump(x, indent: int) -> str:
     """JSON text with flat lists kept on one line."""
     pad = "  " * indent
@@ -172,15 +183,15 @@ def _dump(x, indent: int) -> str:
         if not x:
             return "{}"
         items = [
-            f"{inner}{json.dumps(k)}: {_dump(v, indent + 1)}" for k, v in x.items()
+            f"{inner}{_scalar(k)}: {_dump(v, indent + 1)}" for k, v in x.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(x, list):
         if all(not isinstance(e, (list, dict)) for e in x):
-            return json.dumps(x)
+            return "[" + ", ".join([_scalar(e) for e in x]) + "]"
         items = [f"{inner}{_dump(e, indent + 1)}" for e in x]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return json.dumps(x)
+    return _scalar(x)
 
 
 def serialize(obj) -> str:

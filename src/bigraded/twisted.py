@@ -123,9 +123,14 @@ def _relation_name(n: int) -> str:
 
 
 def validate_twisted(x: TwistedComplex) -> list:
-    """Empty list when valid, else a description of each violation.
-    Only products of two present blocks enter a relation, so absent
-    structure maps cost nothing."""
+    """Empty list when valid, else a description of each violation:
+    every fault of support and shape; else every relation n that fails
+    at a bidegree (p, q), by n, then by the place of (p, q) in x.ranks.
+    The relations say that D = sum_i d_i squares to zero on Tot x: the
+    block of D D from (p, q) to (p - n, q + n - 2) is the relation n at
+    (p, q), and no two relations share a block.  So one product per
+    total degree checks them all, and its nonzero entries name the
+    failures: the column gives the source, the row the target."""
     bad = []
     for (p, q), r in x.ranks.items():
         if p < 0:
@@ -141,22 +146,18 @@ def validate_twisted(x: TwistedComplex) -> list:
                 bad.append(f"d_{i} at ({p},{q}) has shape {m.rows}x{m.cols}")
     if bad:
         return bad
-    fails = []
-    for k, (p, q) in enumerate(x.ranks):
-        sums = {}
-        for j, fam_j in x.ds.items():
-            first = fam_j.get((p, q))
-            if first is None:
-                continue
-            mid = (p - j, q + j - 1)
-            for i, fam_i in x.ds.items():
-                second = fam_i.get(mid)
-                if second is not None:
-                    term = second @ first
-                    n = i + j
-                    sums[n] = term if n not in sums else sums[n] + term
-        fails.extend((n, k, p, q) for n, acc in sums.items() if not acc.is_zero)
-    return [f"{_relation_name(n)} at ({p},{q})" for n, _, p, q in sorted(fails)]
+    _, d = _tot(x)
+    fails = set()
+    for n, dn in d.items():
+        if n - 1 in d and not (dd := d[n - 1] @ dn).is_zero:
+            src, tgt = _summands(x, n), _summands(x, n - 2)
+            fails.update((src[j][0] - tgt[t][0], src[j])
+                         for t, row in enumerate(dd.sparse_rows) for j in row)
+    pos = {pq: k for k, pq in enumerate(x.ranks)}
+    return [
+        f"{_relation_name(n)} at ({p},{q})"
+        for n, (p, q) in sorted(fails, key=lambda f: (f[0], pos[f[1]]))
+    ]
 
 
 def validate_map(f) -> list:
@@ -521,6 +522,45 @@ def hom_layout(x: TwistedComplex, y: TwistedComplex, p: int, q: int) -> dict:
 # Totalisation
 # ---------------------------------------------------------------------------
 
+def _tot(x: TwistedComplex) -> tuple:
+    """(sizes, d) of Tot x: sizes[n] is the rank of Tot_n, whose
+    summands lie by increasing column, and d[n], by increasing n, is
+    the nonzero differential sum_i d_i from Tot_n to Tot_{n-1}.  One
+    sorted pass over the bidegrees gives the offsets of the summands; a
+    second in the same order shifts the rows of each block into place,
+    so the pieces of a row come by increasing column.  The blocks must
+    fit the ranks, as every caller has checked or its construction
+    proves, so none is checked again."""
+    order = sorted(x.ranks.items())
+    at, sizes = {}, {}
+    for (p, q), r in order:
+        at[(p, q)] = k = sizes.get(p + q, 0)
+        sizes[p + q] = k + r
+    rows = {}
+    for (p, q), _ in order:
+        n, c0 = p + q, at[(p, q)]
+        for i, fam in x.ds.items():
+            m = fam.get((p, q))
+            if m is None:
+                continue
+            out = rows.get(n)
+            if out is None:
+                out = rows[n] = [{}] * sizes[n - 1]
+            for t, row in enumerate(m.sparse_rows, at[(p - i, q + i - 1)]):
+                if row:
+                    # rows are shared, never changed: a row of the first
+                    # summand (c0 = 0) is kept as it is
+                    if c0:
+                        row = {c0 + j: v for j, v in row.items()}
+                    out[t] = {**out[t], **row} if out[t] else row
+    return sizes, {n: ExactMatrix._of(x.ring, sizes[n - 1], sizes[n], rows[n]) for n in sorted(rows)}
+
+
+def _summands(x: TwistedComplex, n: int) -> list:
+    """The bidegree of each coordinate of Tot_n."""
+    return [pq for pq, r in tot_layout(x, n).items() for _ in range(r)]
+
+
 def tot_twisted(x: TwistedComplex):
     """Total complex, a chain complex: degree n is the sum of the
     bidegrees with p+q = n (columns in increasing order) and the
@@ -528,20 +568,13 @@ def tot_twisted(x: TwistedComplex):
     distinct summands."""
     from .chain import ChainComplex
 
-    layouts = {n: tot_layout(x, n) for n in sorted({p + q for p, q in x.ranks})}
-    d = {}
-    for n, src in layouts.items():
-        blocks = {
-            ((p - i, q + i - 1), (p, q)): fam[(p, q)]
-            for (p, q) in src
-            for i, fam in x.ds.items()
-            if (p, q) in fam
-        }
-        if blocks:
-            d[(0, n)] = summed(x.ring, layouts[n - 1], src, blocks)
-    ranks = {(0, n): sum(lay.values()) for n, lay in layouts.items()}
-    # unchecked: (sum_i d_i)^2 = 0 is the sum of the relations of x
-    return ChainComplex._of(x.ring, ranks, {0: d})
+    sizes, d = _tot(x)
+    # unchecked: the blocks of (sum_i d_i)^2 are the relations of x
+    return ChainComplex._of(
+        x.ring,
+        {(0, n): sizes[n] for n in sorted(sizes)},
+        {0: {(0, n): m for n, m in d.items()}},
+    )
 
 
 def tot_twisted_map(f: TwistedMap):
