@@ -3,10 +3,14 @@
 Documents are JSON with a fixed shape: a schema version, a ring name
 ("Z", "Q" or "Fp"), a kind tag, a rank table and sparse matrix data.
 Scalars are stored as decimal strings (rationals as "a/b" in lowest
-terms) so the format never touches binary floats.  Serialization is
-canonical: ranks sorted by (bi)degree, matrix entries by bidegree then
-row then column, so serialize(parse(serialize(x))) == serialize(x) and
-parse(serialize(x)) reconstructs x exactly.
+terms) so the format never touches binary floats; any scalar text but
+ASCII -?[0-9]+ (or over Q -?[0-9]+/[0-9]+) is a syntax error.
+Serialization is canonical: ranks sorted by (bi)degree, matrix entries
+by bidegree then row then column, so serialize(parse(serialize(x))) ==
+serialize(x) and parse(serialize(x)) reconstructs x exactly.
+`serialize` is the one writer, one pass over each matrix's rows, and
+`to_document` is its text parsed.  Parsing checks each entry once and
+reads each distinct scalar text of a document once.
 
 Omitted (bi)degrees mean rank zero, omitted matrices mean zero maps.
 A top-level field that a document of its kind does not have is a
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import json
 import re
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .rings import RingSpec, BadParameter, ring_from_name
@@ -64,15 +67,6 @@ class ValidationError(Exception):
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def _matrix_triplets(ring: RingSpec, m: ExactMatrix) -> list:
-    fmt = ring.format_scalar
-    return [
-        [i, j, fmt(row[j])]
-        for i, row in enumerate(m.sparse_rows)
-        for j in sorted(row)
-    ]
-
 
 class _Kind(NamedTuple):
     """A kind of document.  `families` lists (name, structure index) in
@@ -114,8 +108,11 @@ def _key_list(key: tuple, arity: int) -> list:
     return list(key[2 - arity:])
 
 
+# An integer of a document is an int and never a bool: JSON true and
+# false parse as bool, which Python counts as int.
+
 def _parse_key(raw, arity: int) -> tuple:
-    if not (isinstance(raw, list) and len(raw) == arity and all(map(_is_int, raw))):
+    if not (isinstance(raw, list) and len(raw) == arity and all(type(x) is int for x in raw)):
         raise DocumentSyntaxError(f"bad degree key {raw!r}")
     return (0,) * (2 - arity) + tuple(raw)
 
@@ -124,89 +121,77 @@ def _shown(key: tuple, arity: int):
     return key[1] if arity == 1 else key
 
 
-def _family_entries(ring: RingSpec, fam: dict, arity: int) -> list:
-    out = []
+def _block(open_: str, items: list, close: str, indent: int) -> str:
+    """`items`, each written already at indent + 1, one a line between
+    open_ and close at `indent`; no items give open_ + close."""
+    if not items:
+        return open_ + close
+    return open_ + "\n" + ",\n".join(items) + "\n" + "  " * indent + close
+
+
+# Kinds, family names, ring names and scalar texts are ASCII without a
+# quote or backslash, so they are quoted as they are, and a list of ints
+# is written as Python shows it.
+
+def _family_text(ring: RingSpec, fam: dict, arity: int, indent: int) -> str:
+    """The [key, triplets] entries of a family by key, each matrix in one
+    pass over its rows with each distinct entry formatted once; a zero
+    matrix is not written."""
+    pad, inner, line = ("  " * (indent + k) for k in (1, 2, 3))
+    items = []
     for key in sorted(fam):
-        trip = _matrix_triplets(ring, fam[key])
-        if trip:
-            out.append([_key_list(key, arity), trip])
-    return out
+        texts, lines = {}, []
+        for i, row in enumerate(fam[key].sparse_rows):
+            for j in sorted(row):
+                x = row[j]
+                s = texts.get(x)
+                if s is None:
+                    s = texts[x] = ring.format_scalar(x)
+                lines.append(f'{line}[{i}, {j}, "{s}"]')
+        if lines:
+            items.append(f"{pad}[\n{inner}{_key_list(key, arity)},\n"
+                         f"{inner}{_block('[', lines, ']', indent + 2)}\n{pad}]")
+    return _block("[", items, "]", indent)
 
 
-def to_document(obj) -> dict:
-    """The JSON-ready dict form of a complex or map; a map writes its
-    ends in its own kind."""
-    if not isinstance(obj, TwistedMap):
-        return _object_document(obj, _kind_of(obj, "cls"))
-    ring, kind = obj.source.ring, _kind_of(obj, "map_cls")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "map",
-        "ring": str(ring),
-        "map_kind": kind,
-        "source": _object_document(obj.source, kind),
-        "target": _object_document(obj.target, kind),
-        "components": _family_entries(ring, obj.f, _KINDS[kind].arity),
-    }
-
-
-def _object_document(obj, kind: str) -> dict:
-    carrier = _KINDS[kind]
+def _object_text(obj, kind: str, indent: int) -> str:
+    carrier, ring = _KINDS[kind], obj.ring
+    pad, inner = "  " * (indent + 1), "  " * (indent + 2)
     names = carrier.families or [(f"d{i}", i) for i in sorted(obj.ds)]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "ring": str(obj.ring),
-        "ranks": [_key_list(k, carrier.arity) + [r] for k, r in sorted(obj.ranks.items())],
-        "differentials": {
-            name: _family_entries(obj.ring, obj.ds.get(i, {}), carrier.arity)
-            for name, i in names
-        },
-    }
-
-
-def _scalar(x) -> str:
-    """x as json.dumps writes it by default: an int in decimal, a str
-    with every non-ASCII character escaped."""
-    if type(x) is int:
-        return str(x)
-    if type(x) is str:
-        return encode_basestring_ascii(x)
-    return json.dumps(x)
-
-
-def _dump(x, indent: int) -> str:
-    """JSON text with flat lists kept on one line."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        items = [
-            f"{inner}{_scalar(k)}: {_dump(v, indent + 1)}" for k, v in x.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(x, list):
-        if all(not isinstance(e, (list, dict)) for e in x):
-            return "[" + ", ".join([_scalar(e) for e in x]) + "]"
-        items = [f"{inner}{_dump(e, indent + 1)}" for e in x]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _scalar(x)
+    ranks = [f"{inner}{_key_list(k, carrier.arity) + [r]}" for k, r in sorted(obj.ranks.items())]
+    diffs = [f'{inner}"{name}": {_family_text(ring, obj.ds.get(i, {}), carrier.arity, indent + 2)}'
+             for name, i in names]
+    return _block("{", [
+        f'{pad}"schema_version": {SCHEMA_VERSION}', f'{pad}"kind": "{kind}"',
+        f'{pad}"ring": "{ring}"',
+        f'{pad}"ranks": {_block("[", ranks, "]", indent + 1)}',
+        f'{pad}"differentials": {_block("{", diffs, "}", indent + 1)}',
+    ], "}", indent)
 
 
 def serialize(obj) -> str:
-    return _dump(to_document(obj), 0) + "\n"
+    """The canonical text of a complex or map; a map writes its ends in
+    its own kind."""
+    if not isinstance(obj, TwistedMap):
+        return _object_text(obj, _kind_of(obj, "cls"), 0) + "\n"
+    ring, kind = obj.source.ring, _kind_of(obj, "map_cls")
+    return _block("{", [
+        f'  "schema_version": {SCHEMA_VERSION}', '  "kind": "map"', f'  "ring": "{ring}"',
+        f'  "map_kind": "{kind}"',
+        f'  "source": {_object_text(obj.source, kind, 1)}',
+        f'  "target": {_object_text(obj.target, kind, 1)}',
+        f'  "components": {_family_text(ring, obj.f, _KINDS[kind].arity, 1)}',
+    ], "}", 0) + "\n"
+
+
+def to_document(obj) -> dict:
+    """The JSON-ready dict form of a complex or map: its text, parsed."""
+    return json.loads(serialize(obj))
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-
-def _is_int(x) -> bool:
-    """An integer, not a boolean (JSON true and false parse as bool,
-    which Python counts as int)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
 
 def _need(doc, key, types):
     if key not in doc:
@@ -235,31 +220,44 @@ def _ring(doc, fields) -> RingSpec:
         raise DocumentSyntaxError(str(exc))
 
 
-def _parse_matrix(ring, rows, cols, triplets, where):
+def _parse_matrix(ring, rows, cols, triplets, where, scalars=None):
+    """The matrix of a triplet list, each triplet checked once; `scalars`
+    holds the entries of the scalar texts read so far in the document."""
     if not isinstance(triplets, list):
         raise DocumentSyntaxError(f"matrix entries at {where} must be a list")
-    data = {}  # row -> {column: entry}, zeros included until the end
+    scalars = {} if scalars is None else scalars
+    data = {}  # row -> {column: entry or None}
+    zeros = False
     for t in triplets:
         if not (isinstance(t, list) and len(t) == 3):
             raise DocumentSyntaxError(f"bad matrix entry {t!r} at {where}")
         i, j, v = t
-        if not (_is_int(i) and _is_int(j)):
+        if not (type(i) is int and type(j) is int):
             raise DocumentSyntaxError(f"bad matrix index in {t!r} at {where}")
         if not (0 <= i < rows and 0 <= j < cols):
-            raise ValidationError(
-                [f"entry ({i},{j}) at {where} outside a {rows}x{cols} matrix"]
-            )
-        row = data.setdefault(i, {})
-        if j in row:
+            raise ValidationError([f"entry ({i},{j}) at {where} outside a {rows}x{cols} matrix"])
+        row = data.get(i)
+        if row is None:
+            row = data[i] = {}
+        elif j in row:
             raise DocumentSyntaxError(f"duplicate matrix entry ({i},{j}) at {where}")
-        try:
-            row[j] = ring.parse_scalar(str(v))
-        except (ValueError, BadParameter) as exc:
-            raise DocumentSyntaxError(f"bad scalar {v!r} at {where}: {exc}")
-    # ring.parse_scalar normalises, the constructor drops the entries that
-    # are zero in the ring, and the declared shape is kept even with no rows
+        x = scalars.get(v) if type(v) is str else None
+        if x is None:  # a text not read yet, a zero, or not a str
+            try:
+                text = v if type(v) is str else str(v)
+                if text not in scalars:
+                    scalars[text] = ring.parse_scalar(text) or None
+            except (ValueError, BadParameter) as exc:
+                raise DocumentSyntaxError(f"bad scalar {v!r} at {where}: {exc}")
+            x = scalars[text]
+            zeros = zeros or x is None
+        row[j] = x  # None for a zero, so that a duplicate of it is seen
+    if zeros:
+        data = {i: {j: x for j, x in row.items() if x is not None} for i, row in data.items()}
+    # ring.parse_scalar normalises, every column is checked to lie in
+    # range, and the declared shape is kept even with no rows
     empty = {}
-    return ExactMatrix(ring, rows, cols, [data.get(i, empty) for i in range(rows)])
+    return ExactMatrix._of(ring, rows, cols, [data.get(i) or empty for i in range(rows)])
 
 
 def _parse_family(entries, arity, shape_of, where):
@@ -281,8 +279,8 @@ def _parse_family(entries, arity, shape_of, where):
     return fam
 
 
-def _build_family(ring, fam) -> dict:
-    return {key: _parse_matrix(ring, *spec) for key, spec in fam.items()}
+def _build_family(ring, fam, scalars) -> dict:
+    return {key: _parse_matrix(ring, *spec, scalars) for key, spec in fam.items()}
 
 
 def _cells(families) -> int:
@@ -304,7 +302,7 @@ def _parse_ranks(raw, arity):
             raise DocumentSyntaxError(f"bad rank entry {entry!r}")
         key = _parse_key(entry[:-1], arity)
         r = entry[-1]
-        if not _is_int(r) or r < 0:
+        if type(r) is not int or r < 0:
             raise DocumentSyntaxError(f"bad rank {r!r} at {_shown(key, arity)}")
         if key in ranks:
             raise DocumentSyntaxError(f"duplicate rank entry at {_shown(key, arity)}")
@@ -324,7 +322,7 @@ def _checked(x):
 
 class _Pending(NamedTuple):
     """A parsed complex whose matrices are not built yet: `cells` is the
-    sum of rows x cols over them, `build()` makes the object."""
+    sum of rows x cols over them, `build(scalars)` makes the object."""
 
     kind: str
     ring: RingSpec
@@ -361,8 +359,8 @@ def _pending_object(doc) -> _Pending:
         fams[i] = _parse_family(entries, carrier.arity, lambda k, i=i: (
             ranks.get((k[0] - i, k[1] + i - 1), 0), ranks.get(k, 0)), name)
 
-    def build():
-        ds = {i: _build_family(ring, fam) for i, fam in fams.items()}
+    def build(scalars):
+        ds = {i: _build_family(ring, fam, scalars) for i, fam in fams.items()}
         if convention == "commute":
             ds[0] = {(p, q): -m if p % 2 else m for (p, q), m in ds.get(0, {}).items()}
         # unchecked, so that _checked lists every violation
@@ -390,7 +388,7 @@ def from_document(doc) -> object:
     if kind != "map":
         obj = _pending_object(doc)
         _check_size(obj.cells)
-        return obj.build()
+        return obj.build({})
 
     ring = _ring(doc, _MAP_FIELDS)
     map_kind = _need(doc, "map_kind", str)
@@ -407,8 +405,10 @@ def from_document(doc) -> object:
         lambda k: (tgt.ranks.get(k, 0), src.ranks.get(k, 0)), "components",
     )
     _check_size(src.cells + tgt.cells + _cells([comps]))
-    source, target = src.build(), tgt.build()
-    mats = _build_family(src.ring, comps)
+    # one ring for the whole map, so one dict of scalars
+    scalars = {}
+    source, target = src.build(scalars), tgt.build(scalars)
+    mats = _build_family(src.ring, comps, scalars)
     # unchecked, so that _checked lists every violation
     return _checked(_KINDS[map_kind].map_cls._of(source, target, mats))
 

@@ -60,7 +60,8 @@ class ExactMatrix:
         """A matrix on sparse rows that need no check: `rows` dicts
         without zeros whose columns lie in range, as the operations of
         this package compute them.  Data from outside goes through the
-        constructor."""
+        constructor, or through a reader that checks each entry itself
+        (`docio._parse_matrix`)."""
         m = object.__new__(ExactMatrix)
         m.ring, m.rows, m.cols = ring, rows, cols
         m.sparse_rows = tuple(sparse_rows)
@@ -389,9 +390,12 @@ def incidence(ring: RingSpec, targets: list, sources: list, action) -> ExactMatr
     coefficient}."""
     index = {x: i for i, x in enumerate(targets)}
     rows = [{} for _ in targets]
+    norm = ring.from_int
     for j, s in enumerate(sources):
         for t, c in action(s).items():
-            rows[index[t]][j] = ring.from_int(c)
-    # ring.from_int normalises, and the constructor drops the entries
-    # that are zero in the ring
-    return ExactMatrix(ring, len(targets), len(sources), rows)
+            x = norm(c)
+            if x:
+                rows[index[t]][j] = x
+    # the entries are normalised and nonzero, and each column j is the
+    # position of a source, so it lies in range
+    return ExactMatrix._of(ring, len(targets), len(sources), [r or _EMPTY for r in rows])

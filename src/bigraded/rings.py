@@ -7,6 +7,7 @@ arithmetic so matrices can stay ring-agnostic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,11 @@ class UnsupportedRing(Exception):
 class BadParameter(ValueError):
     """Raised on invalid constructor parameters."""
 
+
+# The scalar texts parse_scalar reads; [0-9] is ASCII, unlike the digits
+# int() accepts (it also takes "1_000", "+5", " 7 " and other scripts).
+_INTEGER = re.compile(r"-?[0-9]+")
+_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with the first 13 primes as bases has no strong
@@ -137,16 +143,19 @@ class RingSpec:
             raise BadParameter("scalar has too many digits to read back") from None
 
     def parse_scalar(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            if self.kind != "Q":
-                raise BadParameter(f"fraction {s!r} not valid over {self}")
-            num, den = s.split("/")
-            num, den = int(num), int(den)
-            if den == 0:
-                raise BadParameter(f"zero denominator in {s!r}")
-            return Fraction(num, den)
-        return self.normalize(int(s))
+        """The entry a decimal text names: -?[0-9]+, or over Q also
+        -?[0-9]+/[0-9]+, in ASCII digits only."""
+        if _INTEGER.fullmatch(s):
+            return self.normalize(int(s))
+        m = _FRACTION.fullmatch(s)
+        if m is None:
+            raise BadParameter(f"{s!r} is not a decimal scalar")
+        if self.kind != "Q":
+            raise BadParameter(f"fraction {s!r} not valid over {self}")
+        num, den = int(m[1]), int(m[2])
+        if den == 0:
+            raise BadParameter(f"zero denominator in {s!r}")
+        return Fraction(num, den)
 
     def __str__(self) -> str:
         return f"F{self.p}" if self.kind == "F" else self.kind

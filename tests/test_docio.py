@@ -1,21 +1,26 @@
 import io
 import json
 import random
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigraded.rings import ZZ, QQ, GF, BadParameter
+from bigraded.rings import ZZ, QQ, GF, BadParameter, RingSpec
 from bigraded.chain import ChainComplex, ChainMap, sphere
 from bigraded.matrices import ExactMatrix
 from bigraded.bicomplex import bic_disc
-from bigraded.twisted import twisted_boundary, twisted_disc
+from bigraded.twisted import TwistedMap, twisted_boundary, twisted_disc
 from bigraded.docio import (
+    _KINDS,
+    SCHEMA_VERSION,
     DocumentSyntaxError,
     MAX_DENSE_CELLS,
     ValidationError,
+    _kind_of,
     _parse_matrix,
     parse,
     serialize,
@@ -233,6 +238,47 @@ def test_zero_matrix_entry_stores_nothing(ring, zero):
     assert parse(json.dumps(_chain_doc(ring, [[1, 0, zero]]))).d == {}
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q", "F5"])
+@pytest.mark.parametrize("text", ["1_000", "\u0663", "+5", " 7 ", "1/-2"])
+def test_scalar_outside_the_decimal_grammar_is_a_syntax_error(ring, text):
+    with pytest.raises(DocumentSyntaxError, match="bad scalar"):
+        parse(json.dumps(_chain_doc(ring, [[0, 1, text]])))
+
+
+@pytest.mark.parametrize("ring, text, entry", [
+    ("Z", "-0", None), ("F5", "-10", None), ("F5", "-7", 3), ("Q", "-6/4", Fraction(-3, 2)),
+])
+def test_decimal_scalars_parse_as_before(ring, text, entry):
+    c = parse(json.dumps(_chain_doc(ring, [[0, 1, text]])))
+    assert c.diff(1)[0, 1] == (entry or 0)
+
+
+def test_each_entry_is_checked_once(monkeypatch):
+    # the cell and its document build their matrices from rows checked
+    # already, and each distinct scalar text is parsed once
+    built, read = [], Counter()
+    init, parse_scalar = ExactMatrix.__init__, RingSpec.parse_scalar
+
+    def spy_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def spy_parse_scalar(self, text):
+        read[text] += 1
+        return parse_scalar(self, text)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", spy_init)
+    cell = twisted_disc(6, 0, ZZ)
+    assert built == []
+    text = serialize(cell)
+    monkeypatch.setattr(RingSpec, "parse_scalar", spy_parse_scalar)
+    assert parse(text) == cell
+    assert built == []
+    texts = {v for fam in to_document(cell)["differentials"].values()
+             for _, triplets in fam for _, _, v in triplets}
+    assert read == Counter(texts)
+
+
 def test_oversized_documents_rejected_before_allocation():
     # 118 bytes declaring one 20000 x 20000 matrix: rejected by its
     # declared size, not after building 4e8 dense entries
@@ -326,6 +372,156 @@ def test_no_floats_anywhere():
                 walk(v)
 
     walk(doc)
+
+
+# --- the writer against a reference ------------------------------------------
+#
+# The reference builds the dict form of a document, then dumps it with a
+# generic recursive writer that keeps flat lists on one line.  `serialize`
+# writes the same text directly, in one pass over each matrix's rows.
+
+def _ref_triplets(ring, m):
+    return [[i, j, ring.format_scalar(row[j])]
+            for i, row in enumerate(m.sparse_rows) for j in sorted(row)]
+
+
+def _ref_family(ring, fam, arity):
+    out = []
+    for key in sorted(fam):
+        trip = _ref_triplets(ring, fam[key])
+        if trip:
+            out.append([list(key[2 - arity:]), trip])
+    return out
+
+
+def _ref_object(obj, kind):
+    carrier = _KINDS[kind]
+    names = carrier.families or [(f"d{i}", i) for i in sorted(obj.ds)]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "ring": str(obj.ring),
+        "ranks": [list(k[2 - carrier.arity:]) + [r] for k, r in sorted(obj.ranks.items())],
+        "differentials": {
+            name: _ref_family(obj.ring, obj.ds.get(i, {}), carrier.arity)
+            for name, i in names
+        },
+    }
+
+
+def _ref_document(obj):
+    if not isinstance(obj, TwistedMap):
+        return _ref_object(obj, _kind_of(obj, "cls"))
+    ring, kind = obj.source.ring, _kind_of(obj, "map_cls")
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "map",
+        "ring": str(ring),
+        "map_kind": kind,
+        "source": _ref_object(obj.source, kind),
+        "target": _ref_object(obj.target, kind),
+        "components": _ref_family(ring, obj.f, _KINDS[kind].arity),
+    }
+
+
+def _ref_scalar(x):
+    if type(x) is int:
+        return str(x)
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    return json.dumps(x)
+
+
+def _ref_dump(x, indent=0):
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [f"{inner}{_ref_scalar(k)}: {_ref_dump(v, indent + 1)}" for k, v in x.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(x, list):
+        if all(not isinstance(e, (list, dict)) for e in x):
+            return "[" + ", ".join(_ref_scalar(e) for e in x) + "]"
+        items = [f"{inner}{_ref_dump(e, indent + 1)}" for e in x]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return _ref_scalar(x)
+
+
+def _ref_serialize(obj):
+    return _ref_dump(_ref_document(obj)) + "\n"
+
+
+_WRITER_RINGS = (ZZ, QQ, GF(2), GF(3), GF(4294967311))
+
+
+def _two_term(rng, ring, rows, cols, entry):
+    """A chain complex with one differential, rows x cols, of random
+    entries drawn by entry(rng), about half of them zero."""
+    m = ExactMatrix(ring, rows, cols, [
+        [ring.normalize(entry(rng)) if rng.random() < 0.5 else ring.zero()
+         for _ in range(cols)] for _ in range(rows)])
+    return ChainComplex(ring, {0: rows, 1: cols}, {1: m})
+
+
+def _writer_objects():
+    """Seeded objects and maps of every kind over every ring of
+    _WRITER_RINGS, and the edge cases of the writer."""
+    rng = random.Random(29)
+    objs = []
+    for ring in _WRITER_RINGS:
+        for _ in range(11):
+            x = random_chain_complex(rng, ring)
+            objs += [x, ChainMap.identity(x), random_bicomplex(rng, ring),
+                     random_twisted(rng, ring), random_bicomplex_map(rng, ring),
+                     random_twisted_map(rng, ring)]
+        objs += [twisted_disc(3, 0, ring), twisted_boundary(3, -1, ring), sphere(2, 1, ring)]
+    # fractions, and entries at and near the 4,300-digit limit
+    for _ in range(12):
+        objs.append(_two_term(rng, QQ, rng.randint(1, 4), rng.randint(1, 4),
+                              lambda r: Fraction(r.randint(-99, 99), r.randint(1, 99))))
+    for big in (10**4300 - 1, 1 - 10**4300, 10**4299):
+        objs.append(_two_term(rng, ZZ, 2, 3, lambda r: big))
+        objs.append(_one_entry_complex(QQ, Fraction(big, 10**4300 - 3)))
+    # empty families, and stored 0 x n and n x 0 matrices
+    for ring in _WRITER_RINGS:
+        objs.append(ChainComplex(ring, {}, {}))
+        objs.append(ChainComplex(ring, {0: 2}, {}))
+        objs.append(ChainMap.identity(ChainComplex(ring, {3: 1}, {})))
+        empty = {(0, 1): ExactMatrix.zero(ring, 0, 3), (0, 3): ExactMatrix.zero(ring, 2, 0)}
+        objs.append(ChainComplex._of(ring, {(0, 1): 3, (0, 2): 2}, {0: empty}))
+    # documents in the commuting convention, read and written again
+    objs.append(parse(_commuting_disc()))
+    for p in range(1, 4):
+        doc = to_document(bic_disc(p, 0, p))
+        doc["convention"] = "commute"
+        for fam in doc["differentials"]["dv"]:
+            if fam[0][0] % 2:
+                fam[1] = [[i, j, str(-int(v))] for i, j, v in fam[1]]
+        objs.append(parse(json.dumps(doc)))
+    return objs
+
+
+_WRITER_OBJECTS = _writer_objects()
+
+
+def test_writer_gives_the_reference_bytes():
+    assert len(_WRITER_OBJECTS) >= 300
+    for obj in _WRITER_OBJECTS:
+        text = serialize(obj)
+        assert text == _ref_serialize(obj)
+        assert to_document(obj) == _ref_document(obj)
+        assert serialize(parse(text)) == text
+
+
+def test_writer_covers_every_kind_and_ring():
+    texts = [serialize(o) for o in _WRITER_OBJECTS]
+    seen = {(d["ring"], d["kind"], d.get("map_kind")) for d in map(json.loads, texts)}
+    for ring in _WRITER_RINGS:
+        for kind in _KINDS:
+            assert {(str(ring), kind, None), (str(ring), "map", kind)} <= seen
+    assert sum("/" in t for t in texts) >= 12
+    assert any(len(t) > 4300 for t in texts)
+    assert any('"d": []' in t for t in texts)
 
 
 # --- malformed documents ---------------------------------------------------------

@@ -59,6 +59,31 @@ def test_scalar_text_round_trip():
         ZZ.parse_scalar("1/2")
 
 
+# int() reads these too: digit separators, a plus sign, spaces, and
+# digits of other scripts ("\u0663" is the Arabic-Indic three)
+NOT_DECIMAL = ["1_000", "\u0663", "+5", " 7 ", "7\n", "", "-", "1/-2", "1/+2", "1/ 2", "1/2/3"]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=str)
+def test_scalar_text_is_ascii_decimal(ring):
+    for text in NOT_DECIMAL:
+        with pytest.raises(BadParameter):
+            ring.parse_scalar(text)
+    assert ring.parse_scalar("-0") == 0
+    assert ring.parse_scalar("-10") == ring.normalize(-10)
+    assert ring.parse_scalar("0012") == ring.normalize(12)
+    with pytest.raises(BadParameter, match="zero denominator" if ring == QQ else "fraction"):
+        ring.parse_scalar("1/0")
+
+
+def test_rational_scalar_text():
+    assert QQ.parse_scalar("-6/4") == Fraction(-3, 2)
+    assert QQ.parse_scalar("0/7") == 0
+    for ring in (ZZ, GF(5)):
+        with pytest.raises(BadParameter, match="fraction"):
+            ring.parse_scalar("6/4")
+
+
 def test_normalize():
     assert GF(3).normalize(-1) == 2
     assert QQ.normalize(2) == Fraction(2)
